@@ -2,7 +2,7 @@
 //
 // Runs the streamed scale pipeline end to end at each point of a named sweep
 // ("scale-smoke" for CI, "scale" for the committed trajectory) and times its
-// four stages in isolation:
+// five stages in isolation:
 //   * generate  — one pass over the counter-based streamed edge multiset
 //                 (no edge list, no CSR; measures raw generator throughput);
 //   * build     — ScaleDataset construction, i.e. the two-pass bounded-peak
@@ -10,10 +10,13 @@
 //   * train     — neighbour-sampled mini-batch GraphSAGE (TrainSampled):
 //                 fanout-capped 2-hop blocks, per-batch frontier feature
 //                 gathers — at no point does a full feature matrix exist;
+//   * bridge    — the dense bridge the influence engine's context needs:
+//                 CsrAdjacency::ToGraph, the materialised feature matrix
+//                 and labels, and GraphContext::Build;
 //   * influence — the frontier-partitioned per-node influence sweep
-//                 (PartitionByTwoHopSupport + RunFrontierSweep) on the
-//                 materialised graph; only run at points small enough to
-//                 hold the dense full-graph forward.
+//                 (PartitionByTwoHopSupport + RunFrontierSweep). Every loss
+//                 gradient it replays runs on its seed nodes' exact 2-hop
+//                 block, so its cost follows the seed count, not the graph.
 //
 // Each stage reports wall seconds, the arena peak (logical bytes of live
 // la::Matrix/CsrMatrix/CsrAdjacency buffers, reset per stage) and the
@@ -59,8 +62,8 @@ namespace {
 
 // One point of a scale sweep. Training and influence are opt-in per point:
 // the generate/build stages stream and never materialise anything dense, so
-// they stretch to 10^7 nodes, while the influence stage needs the dense
-// full-graph forward and is capped at ~10^5.
+// they stretch to 10^7 nodes, while the influence stage also pays the dense
+// bridge (a full feature matrix and context).
 struct ScalePoint {
   int64_t nodes = 0;
   bool train = false;
@@ -73,15 +76,15 @@ struct ScaleSweepSpec {
 };
 
 // The registered scale sweeps. "scale" is the committed-artifact
-// configuration (a >= 10^6-node generate/build/train point on top of the
-// fully-staged 10^5 point); "scale-smoke" is the single fully-staged point
-// CI runs; "scale-tiny" is a seconds-fast local sanity loop.
+// configuration (fully-staged 10^5 and 10^6 points around a 3·10^5
+// generate/build/train point); "scale-smoke" is the single fully-staged
+// point CI runs; "scale-tiny" is a seconds-fast local sanity loop.
 std::vector<ScaleSweepSpec> RegisteredScaleSweeps() {
   return {
       {"scale-tiny", {{20000, true, true}}},
       {"scale-smoke", {{100000, true, true}}},
       {"scale",
-       {{100000, true, true}, {300000, true, false}, {1000000, true, false}}},
+       {{100000, true, true}, {300000, true, false}, {1000000, true, true}}},
   };
 }
 
@@ -137,6 +140,7 @@ struct InfluenceOutcome {
   int chunks_total = 0;
   int chunks_run = 0;
   double influence_abs_mean = 0.0;
+  double rhs_converged_frac = 0.0;  // RHS meeting the CG tolerance
 };
 
 struct PointResult {
@@ -150,6 +154,7 @@ struct PointResult {
   StageSample generate;
   StageSample build;
   TrainOutcome train;
+  StageSample bridge;
   InfluenceOutcome influence;
 };
 
@@ -243,28 +248,29 @@ PointResult RunPoint(const ScalePoint& point, const BenchOptions& opts) {
 
   if (!point.influence) return result;
 
-  // influence: frontier-partitioned per-node sweep on the materialised
-  // graph. The dense context (features + propagation operators) only exists
-  // inside this stage's scope — its cost is exactly what the arena peak
-  // shows relative to the streamed stages above.
+  // bridge + influence: frontier-partitioned per-node sweep over the dense
+  // context. The context (features + propagation operators) only exists in
+  // this scope; the bridge stage's arena peak is its footprint.
   {
     const std::vector<int> inf_train = dataset->StridedNodes(
         std::min<int64_t>(opts.influence_train, train_target), /*salt=*/3);
     const std::vector<int> targets = dataset->StridedNodes(
         std::min<int64_t>(opts.influence_targets, train_target), /*salt=*/4);
-    graph::Graph graph = adj.ToGraph();
-    la::Matrix features = dataset->MaterializeFeatures();
-    const std::vector<int> labels = dataset->MaterializeLabels();
-    nn::GraphContext ctx =
-        nn::GraphContext::Build(std::move(graph), std::move(features));
+    std::optional<nn::GraphContext> ctx_slot;
+    std::vector<int> labels;
+    result.bridge = MeasureStage([&] {
+      la::Matrix features = dataset->MaterializeFeatures();
+      labels = dataset->MaterializeLabels();
+      ctx_slot.emplace(nn::GraphContext::Build(adj.ToGraph(), std::move(features)));
+    });
+    const nn::GraphContext& ctx = *ctx_slot;
 
     influence::InfluenceConfig inf_cfg;
-    // Damping pinned in the PD regime and a tight iteration cap: the curve
-    // tracks sweep wall-time scaling, not solver convergence (the parity
-    // story lives in tests/frontier_test.cc). Narrow pools: every lane of
-    // the shared-forward TapePool and the fused replay graph carries
-    // full-graph activations, so width 8 would dominate the memory curve
-    // with pool buffers instead of the pipeline's own footprint.
+    // Damping 1.0 and a tight iteration cap: the curve tracks sweep
+    // wall-time scaling, not solver convergence (the parity story lives in
+    // tests/frontier_test.cc; rhs_converged_frac reports how many solves
+    // met the tolerance). Narrow pools, as in the repository benchmark's
+    // scale-influence workload.
     inf_cfg.cg.damping = 1.0;
     inf_cfg.cg.tolerance = 1e-6;
     inf_cfg.cg.max_iterations = 25;
@@ -275,13 +281,19 @@ PointResult RunPoint(const ScalePoint& point, const BenchOptions& opts) {
         influence::PartitionByTwoHopSupport(ctx.graph, targets,
                                             opts.support_budget);
     influence::FrontierSweepResult sweep;
+    influence::BlockSolveStats solve_stats;
     result.influence.stage = MeasureStage([&] {
       influence::InfluenceCalculator calc(model.get(), ctx, inf_train, labels,
                                           inf_cfg);
       sweep = influence::RunFrontierSweep(
           &calc, partition,
           {.shard_index = opts.shard_index, .shard_count = opts.shard_count});
+      solve_stats = calc.block_stats();
     });
+    result.influence.rhs_converged_frac =
+        solve_stats.total_rhs > 0
+            ? static_cast<double>(solve_stats.converged_rhs) / solve_stats.total_rhs
+            : 0.0;
     result.influence.train_nodes = static_cast<int>(inf_train.size());
     result.influence.targets = static_cast<int>(sweep.targets.size());
     result.influence.chunks_total = static_cast<int>(partition.chunks.size());
@@ -428,18 +440,21 @@ int Main(int argc, char** argv) {
       ScrubStage(&r.generate);
       ScrubStage(&r.build);
       ScrubStage(&r.train.stage);
+      ScrubStage(&r.bridge);
       ScrubStage(&r.influence.stage);
     }
   }
 
   TablePrinter table({"nodes", "edges", "gen s", "build s", "train s",
-                      "infl s", "csr", "peak rss"});
+                      "bridge s", "infl s", "csr", "peak rss"});
   for (const PointResult& r : results) {
     table.AddRow({std::to_string(r.nodes), std::to_string(r.edges),
                   TablePrinter::Num(r.generate.wall_seconds),
                   TablePrinter::Num(r.build.wall_seconds),
                   r.train.stage.ran ? TablePrinter::Num(r.train.stage.wall_seconds)
                                     : std::string("-"),
+                  r.bridge.ran ? TablePrinter::Num(r.bridge.wall_seconds)
+                               : std::string("-"),
                   r.influence.stage.ran
                       ? TablePrinter::Num(r.influence.stage.wall_seconds)
                       : std::string("-"),
@@ -450,7 +465,7 @@ int Main(int argc, char** argv) {
 
   JsonWriter json;
   json.BeginObject();
-  json.Key("schema_version").Int(1);
+  json.Key("schema_version").Int(2);
   json.Key("sweep").String(sweep.name);
   json.Key("backend").String(la::ActiveBackend().name());
   json.Key("threads").Int(la::ActiveBackend().num_threads());
@@ -485,6 +500,7 @@ int Main(int argc, char** argv) {
     JsonMetric(&json, "final_loss", r.train.final_loss);
     JsonMetric(&json, "val_accuracy", r.train.val_accuracy);
     json.EndObject();
+    EmitStage(&json, "bridge", r.bridge);
     json.Key("influence").BeginObject();
     json.Key("ran").Bool(r.influence.stage.ran);
     JsonMetric(&json, "wall_seconds", r.influence.stage.wall_seconds);
@@ -497,6 +513,7 @@ int Main(int argc, char** argv) {
     json.Key("chunks_run").Int(r.influence.chunks_run);
     json.Key("support_budget").Int(opts.support_budget);
     JsonMetric(&json, "influence_abs_mean", r.influence.influence_abs_mean);
+    JsonMetric(&json, "rhs_converged_frac", r.influence.rhs_converged_frac);
     json.EndObject();
     json.EndObject();
   }

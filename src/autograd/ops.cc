@@ -114,11 +114,16 @@ Var UnaryElementwise(Var a, F f, DF df) {
 
 }  // namespace
 
+const la::CsrMatrix& SparseOperand::Transpose() const {
+  if (symmetric) return mat;
+  std::call_once(transpose_once_, [this] { mat_t_ = mat.Transposed(); });
+  return mat_t_;
+}
+
 std::shared_ptr<const SparseOperand> MakeSparseOperand(la::CsrMatrix m, bool symmetric) {
   auto op = std::make_shared<SparseOperand>();
   op->symmetric = symmetric;
   op->mat = std::move(m);
-  if (!symmetric) op->mat_t = op->mat.Transposed();
   return op;
 }
 
@@ -210,7 +215,7 @@ Var SpMM(const std::shared_ptr<const SparseOperand>& sp, Var x) {
       tape, std::move(out), needs, {x},
       [sp, x, out_id](Tape& tp, const la::Matrix& g) {
         if (!tp.NeedsGrad(x)) return;
-        const la::CsrMatrix& at = sp->symmetric ? sp->mat : sp->mat_t;
+        const la::CsrMatrix& at = sp->Transpose();
         const std::vector<int>* supp = tp.GradRowSupport(Var{&tp, out_id});
         if (supp != nullptr) {
           // dx row r is touched iff at(r, c) != 0 for some supported c; in
@@ -720,16 +725,30 @@ Var GatherRows(Var a, const std::vector<int>& indices) {
         });
   }
   const bool needs = tape->NeedsGrad(a);
+  const int out_id = tape->num_nodes();
   return MakeOp(tape, std::move(out), needs, {a},
-                [a, indices](Tape& tp, const la::Matrix& g) {
+                [a, indices, out_id](Tape& tp, const la::Matrix& g) {
                   if (!tp.NeedsGrad(a)) return;
                   // Serial scatter: indices may repeat, so rows can collide.
-                  la::Matrix& da = tp.GradRefPartial(a, indices);
-                  for (size_t k = 0; k < indices.size(); ++k) {
-                    const double* gr = g.row(static_cast<int>(k));
-                    double* dr = da.row(indices[k]);
+                  // With a known gradient row support (seeded influence
+                  // passes) only the supported rows scatter; the others
+                  // would add exact zeros.
+                  const std::vector<int>* supp = tp.GradRowSupport(Var{&tp, out_id});
+                  auto scatter = [&](la::Matrix& da, int k) {
+                    const double* gr = g.row(k);
+                    double* dr = da.row(indices[static_cast<size_t>(k)]);
                     for (int c = 0; c < g.cols(); ++c) dr[c] += gr[c];
+                  };
+                  if (supp != nullptr) {
+                    thread_local std::vector<int> rows;
+                    rows.clear();
+                    for (int k : *supp) rows.push_back(indices[static_cast<size_t>(k)]);
+                    la::Matrix& da = tp.GradRefPartial(a, rows);
+                    for (int k : *supp) scatter(da, k);
+                    return;
                   }
+                  la::Matrix& da = tp.GradRefPartial(a, indices);
+                  for (int k = 0; k < g.rows(); ++k) scatter(da, k);
                 });
 }
 
@@ -895,10 +914,10 @@ Var EdgeSoftmaxAggregate(Var h, Var attn_left, Var attn_right,
   const la::Matrix& hv = h.value();
   const la::Matrix& sl = attn_left.value();
   const la::Matrix& sr = attn_right.value();
-  const int n = edges->num_nodes;
-  PPFR_CHECK_EQ(hv.rows(), n);
+  const int n = edges->num_nodes;  // destinations; sources are h's rows
+  PPFR_CHECK_GE(hv.rows(), n);
   PPFR_CHECK_EQ(sl.rows(), n);
-  PPFR_CHECK_EQ(sr.rows(), n);
+  PPFR_CHECK_EQ(sr.rows(), hv.rows());
   PPFR_CHECK_EQ(sl.cols(), heads);
   PPFR_CHECK_EQ(sr.cols(), heads);
   PPFR_CHECK_EQ(hv.cols() % heads, 0);

@@ -2,6 +2,7 @@
 #define PPFR_AUTOGRAD_OPS_H_
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "autograd/tape.h"
@@ -9,22 +10,29 @@
 
 namespace ppfr::ag {
 
-// A sparse matrix prepared for use inside the autograd graph. The transpose
-// is carried along because backward passes multiply by it; for symmetric
-// operators (Â, Laplacians) it aliases the forward matrix.
+// A sparse matrix prepared for use inside the autograd graph. Backward
+// passes multiply by its transpose: the matrix itself for symmetric
+// operators (Â, Laplacians), otherwise built by the first backward that
+// needs it, so an operand that only ever multiplies constants (a block's
+// first hop, a first layer over the features) never pays for one.
 struct SparseOperand {
   la::CsrMatrix mat;
-  la::CsrMatrix mat_t;
   bool symmetric = false;
+
+  // Thread-safe: concurrent first uses build the transpose once.
+  const la::CsrMatrix& Transpose() const;
+
+ private:
+  mutable std::once_flag transpose_once_;
+  mutable la::CsrMatrix mat_t_;
 };
 
-// Builds a SparseOperand, computing (or aliasing) the transpose.
 std::shared_ptr<const SparseOperand> MakeSparseOperand(la::CsrMatrix m, bool symmetric);
 
 // Destination-grouped edge list used by the fused GAT attention op. Row i
 // lists the source nodes j that message into i (usually including i itself).
 struct EdgeSet {
-  int num_nodes = 0;
+  int num_nodes = 0;  // destination rows
   std::vector<int64_t> row_ptr;  // size num_nodes + 1
   std::vector<int> col_idx;      // concatenated neighbour lists
 
@@ -129,7 +137,9 @@ Var LaplacianQuadratic(const std::shared_ptr<const la::CsrMatrix>& laplacian, Va
 //   z_ij = attn_left(i,h) + attn_right(j,h),  e_ij = LeakyReLU(z_ij, slope)
 //   alpha_ij = softmax_j(e_ij)  over j in N(i)
 //   out_i[h-block] = sum_j alpha_ij * h_j[h-block]
-// `h` is n x (heads*dim); attn_left / attn_right are n x heads.
+// `h` is n_src x (heads*dim) and attn_right n_src x heads over the sources;
+// attn_left and the output have one row per destination (edges->num_nodes
+// <= n_src, fewer on a block hop).
 Var EdgeSoftmaxAggregate(Var h, Var attn_left, Var attn_right,
                          const std::shared_ptr<const EdgeSet>& edges, int heads,
                          double leaky_slope);

@@ -39,12 +39,19 @@ class CheckMessage {
   std::ostringstream stream_;
 };
 
+// Swallows the streamed CheckMessage so PPFR_CHECK is one void expression
+// (glog's Voidify): `&` binds looser than `<<` and tighter than `?:`, so the
+// whole message chain is built before the ternary sees it. Unlike a bare
+// if/else, the expression cannot capture a following `else`.
+struct Voidify {
+  void operator&(const CheckMessage&) {}
+};
+
 }  // namespace ppfr::internal
 
-#define PPFR_CHECK(cond)                                             \
-  if (cond) {                                                        \
-  } else /* NOLINT */                                                \
-    ::ppfr::internal::CheckMessage(__FILE__, __LINE__, #cond)
+#define PPFR_CHECK(cond) \
+  (cond) ? (void)0       \
+         : ::ppfr::internal::Voidify() & ::ppfr::internal::CheckMessage(__FILE__, __LINE__, #cond)
 
 #define PPFR_CHECK_OP(a, b, op) PPFR_CHECK((a)op(b)) << "(" << (a) << " vs " << (b) << ") "
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <vector>
 
 #include "common/check.h"
 
@@ -42,12 +43,19 @@ struct Config {
   std::map<std::string, SiteState> sites;
 };
 
-// Replaced wholesale by ConfigureForTest; old configs are leaked rather than
-// deleted so a racing reader can never touch freed memory. Configs are tiny
-// and reconfiguration is a test-only operation.
+// Replaced wholesale by ConfigureForTest. A replaced config is retired, not
+// deleted, so a racing reader can never touch freed memory; the retired list
+// keeps it reachable, so leak checkers do not flag it. Configs are tiny and
+// reconfiguration is a test-only operation.
 std::atomic<Config*> g_config{nullptr};
 std::atomic<bool> g_enabled{false};
 std::once_flag g_env_once;
+std::mutex g_retired_mu;
+
+std::vector<Config*>& RetiredConfigs() {
+  static auto* retired = new std::vector<Config*>();
+  return *retired;
+}
 
 Config* ParseSpec(const std::string& spec) {
   auto config = new Config();
@@ -77,9 +85,11 @@ Config* ParseSpec(const std::string& spec) {
 }
 
 void Install(Config* config) {
-  g_config.store(config, std::memory_order_release);
-  g_enabled.store(config != nullptr && !config->sites.empty(),
-                  std::memory_order_release);
+  if (Config* old = g_config.exchange(config, std::memory_order_acq_rel)) {
+    std::lock_guard<std::mutex> lock(g_retired_mu);
+    RetiredConfigs().push_back(old);
+  }
+  g_enabled.store(!config->sites.empty(), std::memory_order_release);
 }
 
 void EnsureEnvLoaded() {

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -21,6 +22,13 @@ namespace ppfr {
 // call's chunks are pending trips a CHECK. One pool serves one caller at a
 // time (the la::Backend layer only parallelises leaf kernels, driven from a
 // single orchestration thread).
+//
+// Fork safety: fork(2) copies a pool into the child without its workers, and
+// possibly with its mutex held or its condition variables awaited by threads
+// that no longer exist. A pthread_atfork child handler marks every pool built
+// before the fork as inherited: in the child its ParallelFor runs inline and
+// its destructor abandons the shared state instead of joining, locking or
+// destroying anything the parent's threads owned.
 class ThreadPool {
  public:
   // num_threads <= 0 selects std::thread::hardware_concurrency().
@@ -39,17 +47,25 @@ class ThreadPool {
                    const std::function<void(int64_t, int64_t)>& fn);
 
  private:
-  void WorkerLoop();
+  // Everything the workers touch. Heap-allocated so a forked child can
+  // abandon it whole (see the class comment).
+  struct State {
+    std::vector<std::thread> workers;
+    std::mutex mu;
+    std::condition_variable task_ready;
+    std::condition_variable task_done;
+    std::queue<std::function<void()>> tasks;
+    int64_t pending = 0;  // queued + running tasks
+    bool shutdown = false;
+  };
 
-  int num_threads_;
-  std::vector<std::thread> workers_;
+  static void WorkerLoop(State* state);
+  // True in a process forked after this pool was built.
+  bool Inherited() const;
 
-  std::mutex mu_;
-  std::condition_variable task_ready_;
-  std::condition_variable task_done_;
-  std::queue<std::function<void()>> tasks_;
-  int64_t pending_ = 0;  // queued + running tasks
-  bool shutdown_ = false;
+  int num_threads_ = 0;
+  uint64_t fork_generation_ = 0;  // process fork generation at construction
+  std::unique_ptr<State> state_;
 };
 
 }  // namespace ppfr

@@ -11,8 +11,8 @@ namespace ppfr::influence {
 
 // One chunk of a frontier-partitioned influence sweep: a set of target nodes
 // whose union of 2-hop supports (the rows their seeded backwards can touch
-// through a 2-layer GNN) stays within the partition's budget, so the chunk's
-// shared-forward gradient gathers stay slab-local.
+// through a 2-layer GNN) stays within the partition's budget — the chunk's
+// shared forward runs on a block of at most that many rows.
 struct FrontierChunk {
   std::vector<int> targets;  // ascending node ids
   std::vector<int> support;  // sorted union of the targets' 2-hop supports
@@ -51,11 +51,10 @@ struct FrontierSweepResult {
 // exactly one InfluenceOnNodeLosses(chunk.targets) call, so every row is
 // BITWISE identical to the existing per-node path invoked on that chunk's
 // target list — the partition changes scheduling and locality, not a single
-// float. (Across DIFFERENT chunkings of the same targets: at cg_block = 1
-// the solves are chunk-invariant, so rows coincide bitwise under the
-// reference backend and to contraction roundoff — a few ULPs, from the final
-// GEMM-T's width-dependent kernel choice — under tiling backends; at larger
-// cg_block they agree to solver tolerance. The tests pin these.)
+// float. (Across DIFFERENT chunkings of the same targets the target-gradient
+// blocks differ, and so does their summation order: at cg_block = 1 rows
+// coincide to roundoff, at larger cg_block to solver tolerance. The tests
+// pin these.)
 FrontierSweepResult RunFrontierSweep(InfluenceCalculator* calc,
                                      const FrontierPartition& partition,
                                      const FrontierSweepOptions& options);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "fairness/bias_metric.h"
@@ -13,6 +14,62 @@
 #include "privacy/risk_metric.h"
 
 namespace ppfr::influence {
+
+struct SeedBlock {
+  nn::SampledBlock block;  // exact 2-hop block of the distinct seeds
+  nn::BlockInputs inputs;  // the model's precomputed first layer over it
+  std::vector<int> rows;   // logits row of each seed, in seed order
+  std::string key;         // names the seed list in ReplayCache keys
+};
+
+namespace {
+
+std::shared_ptr<const SeedBlock> MakeSeedBlock(const nn::GnnModel& model,
+                                               const nn::GraphContext& ctx,
+                                               const std::vector<int>& seeds) {
+  auto out = std::make_shared<SeedBlock>();
+  std::vector<int> distinct;
+  std::unordered_map<int, int> row_of;
+  out->rows.reserve(seeds.size());
+  uint64_t hash = 1469598103934665603ULL;  // FNV-1a over the seed list
+  for (int v : seeds) {
+    const auto [it, inserted] = row_of.emplace(v, static_cast<int>(distinct.size()));
+    if (inserted) distinct.push_back(v);
+    out->rows.push_back(it->second);
+    hash = (hash ^ static_cast<uint32_t>(v)) * 1099511628211ULL;
+  }
+  out->block = ctx.ExactBlock(distinct);
+  la::Matrix x(static_cast<int>(out->block.frontier.size()), ctx.feature_dim());
+  for (int i = 0; i < x.rows(); ++i) {
+    const double* src = ctx.features.row(out->block.frontier[static_cast<size_t>(i)]);
+    std::copy(src, src + x.cols(), x.row(i));
+  }
+  out->inputs = model.PrepareBlock(out->block, std::move(x));
+  out->key = std::to_string(seeds.size()) + "/" + std::to_string(hash);
+  return out;
+}
+
+// The mean NLL of the seeds' labels over their block, lane-wide at `lanes`
+// (lanes == 1 is the plain loss graph).
+ReusableLossGraph::Builder SeedLossBuilder(nn::GnnModel* model,
+                                           std::shared_ptr<const SeedBlock> block,
+                                           std::vector<int> labels, int lanes) {
+  return [model, block = std::move(block), labels = std::move(labels),
+          lanes](ag::Tape& tape) {
+    ag::Var logits = model->ForwardBlock(tape, block->block, block->inputs, lanes);
+    ag::Var logp = ag::LogSoftmaxRowsLanes(logits, lanes);
+    const std::vector<double> ones(block->rows.size(), 1.0);
+    return ag::WeightedNllLanes(logp, block->rows, labels, ones,
+                                static_cast<double>(block->rows.size()), lanes);
+  };
+}
+
+// Model identity in ReplayCache keys.
+std::string ModelKey(const nn::GnnModel* model) {
+  return std::to_string(reinterpret_cast<std::uintptr_t>(model));
+}
+
+}  // namespace
 
 InfluenceCalculator::InfluenceCalculator(nn::GnnModel* model,
                                          const nn::GraphContext& ctx,
@@ -66,30 +123,17 @@ int InfluenceCalculator::ResolvedLanes(int num_items) const {
   return std::max(1, std::min(lanes, num_items));
 }
 
+const std::shared_ptr<const SeedBlock>& InfluenceCalculator::TrainBlock() {
+  if (train_block_ == nullptr) train_block_ = MakeSeedBlock(*model_, ctx_, train_nodes_);
+  return train_block_;
+}
+
 std::vector<double> InfluenceCalculator::TrainingLossGrad() {
-  if (config_.reuse_grad_tape) {
-    if (train_grad_graph_ == nullptr) {
-      train_grad_graph_ = std::make_unique<ReusableLossGraph>(
-          [this](ag::Tape& tape) {
-            ag::Var logits = model_->Forward(tape, ctx_, nn::ForwardOptions{});
-            ag::Var logp = ag::LogSoftmaxRows(logits);
-            const std::vector<double> ones(train_nodes_.size(), 1.0);
-            return ag::WeightedNll(logp, train_nodes_, train_labels_, ones,
-                                   static_cast<double>(train_nodes_.size()));
-          },
-          params_);
-    }
-    return train_grad_graph_->Grad();
+  if (train_grad_graph_ == nullptr) {
+    train_grad_graph_ = std::make_unique<ReusableLossGraph>(
+        SeedLossBuilder(model_, TrainBlock(), train_labels_, /*lanes=*/1), params_);
   }
-  for (ag::Parameter* p : params_) p->ZeroGrad();
-  ag::Tape tape;
-  ag::Var logits = model_->Forward(tape, ctx_, nn::ForwardOptions{});
-  ag::Var logp = ag::LogSoftmaxRows(logits);
-  const std::vector<double> ones(train_nodes_.size(), 1.0);
-  ag::Var loss = ag::WeightedNll(logp, train_nodes_, train_labels_, ones,
-                                 static_cast<double>(train_nodes_.size()));
-  tape.Backward(loss);
-  return FlattenGrads(params_);
+  return train_grad_graph_->Grad();
 }
 
 std::vector<double> InfluenceCalculator::FunctionGrad(const FunctionBuilder& build_f) {
@@ -103,56 +147,50 @@ std::vector<double> InfluenceCalculator::FunctionGrad(const FunctionBuilder& bui
 
 const std::vector<std::vector<double>>& InfluenceCalculator::PerNodeLossGrads() {
   if (!per_node_grads_.empty()) return per_node_grads_;
-  per_node_grads_ = config_.serial_reference_per_node ? PerNodeLossGradsSerialReference()
-                                                      : PerNodeLossGradsPooled();
+  per_node_grads_ = config_.serial_reference_per_node
+                        ? PerNodeLossGradsSerialReference()
+                        : SeedLossGrads(TrainBlock(), train_labels_);
   return per_node_grads_;
 }
 
-TapePool* InfluenceCalculator::SharedForwardPool() {
-  if (forward_pool_ != nullptr) return forward_pool_;
+std::vector<std::vector<double>> InfluenceCalculator::SeedLossGrads(
+    const std::shared_ptr<const SeedBlock>& block, const std::vector<int>& labels) {
   // Lane count saturates at the backend's thread budget; PerSeedGrads clamps
   // to the seed count per call, and results are lane-count-invariant bit for
   // bit, so one pool serves sweeps of every size.
   const int lanes = ResolvedLanes(std::numeric_limits<int>::max());
-  // The builder captures the model and context by pointer (never `this`): a
-  // cache-owned pool outlives this calculator and rewarms against the same
-  // model object from a later one.
+  // The builder captures the model by pointer and the block by value (never
+  // `this`): a cache-owned pool outlives this calculator and rewarms against
+  // the same model object from a later one.
   nn::GnnModel* model = model_;
-  const nn::GraphContext* ctx = &ctx_;
-  const TapePool::Builder builder = [model, ctx](ag::Tape& tape) {
-    ag::Var logits = model->Forward(tape, *ctx, nn::ForwardOptions{});
-    return ag::LogSoftmaxRows(logits);
+  const TapePool::Builder builder = [model, block](ag::Tape& tape) {
+    return ag::LogSoftmaxRows(model->ForwardBlock(tape, block->block, block->inputs));
   };
+  std::unique_ptr<TapePool> owned;
+  TapePool* pool = nullptr;
   if (config_.replay_cache != nullptr) {
-    const std::string key =
-        "fwd:" + std::to_string(reinterpret_cast<std::uintptr_t>(model_)) + ":" +
-        std::to_string(lanes);
-    forward_pool_ = config_.replay_cache->GetOrCreateTapePool(
-        key, [&] { return std::make_unique<TapePool>(builder, params_, lanes); });
+    pool = config_.replay_cache->GetOrCreateTapePool(
+        "fwd:" + ModelKey(model_) + ":" + block->key + ":" + std::to_string(lanes),
+        [&] { return std::make_unique<TapePool>(builder, params_, lanes); });
   } else {
-    owned_forward_pool_ = std::make_unique<TapePool>(builder, params_, lanes);
-    forward_pool_ = owned_forward_pool_.get();
+    owned = std::make_unique<TapePool>(builder, params_, lanes);
+    pool = owned.get();
   }
-  return forward_pool_;
-}
-
-std::vector<std::vector<double>> InfluenceCalculator::PerNodeLossGradsPooled() {
-  // Seed dL_v/dlogp = -1 at (v, label_v) — exactly the gradient the serial
-  // reference's single-node WeightedNll writes, so the paths stay bitwise
-  // identical without materialising a loss node per seed.
-  return SharedForwardPool()->PerSeedGrads(
-      static_cast<int>(train_nodes_.size()),
-      [this](int k, std::vector<int>* rows, std::vector<int>* cols,
-             std::vector<double>* values) {
-        rows->push_back(train_nodes_[static_cast<size_t>(k)]);
-        cols->push_back(train_labels_[static_cast<size_t>(k)]);
+  // Seed dL_k/dlogp = -1 at (row_k, label_k) — exactly the gradient a
+  // single-node WeightedNll writes, without materialising a loss node.
+  return pool->PerSeedGrads(
+      static_cast<int>(labels.size()),
+      [&block, &labels](int k, std::vector<int>* rows, std::vector<int>* cols,
+                        std::vector<double>* values) {
+        rows->push_back(block->rows[static_cast<size_t>(k)]);
+        cols->push_back(labels[static_cast<size_t>(k)]);
         values->push_back(-1.0);
       });
 }
 
-// The seed implementation, preserved verbatim as the parity oracle and the
-// "before" side of bench_influence_engine: one growing tape, a full
-// ZeroAllGrads sweep and a Parameter::grad round-trip per node.
+// The full-graph oracle the block path is tested against: one growing tape
+// over the full-graph forward, a full ZeroAllGrads sweep and a
+// Parameter::grad round-trip per node.
 std::vector<std::vector<double>>
 InfluenceCalculator::PerNodeLossGradsSerialReference() {
   ag::Tape tape;
@@ -176,13 +214,13 @@ InfluenceCalculator::PerNodeLossGradsSerialReference() {
 BatchGradFn InfluenceCalculator::BatchTrainGrad() {
   if (grad_lane_pool_ == nullptr) {
     // Every lane owns a full model clone, WIDENED to `width` parameter-column
-    // blocks: one replay of its lane-wide loss graph evaluates the gradient
-    // at `width` probe points through wide BLAS-3 passes. Probe evaluation
-    // never touches the real parameters. Thread-lane count follows
-    // tape_pool_lanes over the CHUNK count (a chunk = one fused replay); the
-    // per-point gradients are invariant bit for bit to both the thread-lane
-    // count and the fused width (each fused lane's arithmetic IS the serial
-    // graph's — see autograd/ops.cc lane ops).
+    // blocks: one replay of its lane-wide loss graph over the training block
+    // evaluates the gradient at `width` probe points through wide BLAS-3
+    // passes. Probe evaluation never touches the real parameters. Thread-lane
+    // count follows tape_pool_lanes over the CHUNK count (a chunk = one fused
+    // replay); the per-point gradients are invariant bit for bit to both the
+    // thread-lane count and the fused width (each fused lane's arithmetic IS
+    // the serial graph's — see autograd/ops.cc lane ops).
     // Central differencing never produces more than 2·cg_block probes per
     // call, so a wider pool would only ever run pad lanes: clamp the fused
     // width to the probe budget (replay_lanes = 8 at cg_block = 1 → width 2).
@@ -199,9 +237,8 @@ BatchGradFn InfluenceCalculator::BatchTrainGrad() {
     // Captures are by value / stable pointer (never `this`): a cache-owned
     // pool outlives this calculator.
     nn::GnnModel* model = model_;
-    const nn::GraphContext* ctx = &ctx_;
     const GradLanePool::WideLaneFactory factory =
-        [model, ctx, nodes = train_nodes_, node_labels = train_labels_](int w) {
+        [model, block = TrainBlock(), labels = train_labels_](int w) {
           GradLane lane;
           std::unique_ptr<nn::GnnModel> clone = model->Clone();
           nn::GnnModel* m = clone.get();
@@ -209,23 +246,13 @@ BatchGradFn InfluenceCalculator::BatchTrainGrad() {
           lane.width = w;
           lane.params = m->Params();
           lane.graph = std::make_unique<ReusableLossGraph>(
-              [m, ctx, nodes, node_labels, w](ag::Tape& tape) {
-                nn::ForwardOptions options;
-                options.replay_lanes = w;
-                ag::Var logits = m->Forward(tape, *ctx, options);
-                ag::Var logp = ag::LogSoftmaxRowsLanes(logits, w);
-                const std::vector<double> ones(nodes.size(), 1.0);
-                return ag::WeightedNllLanes(logp, nodes, node_labels, ones,
-                                            static_cast<double>(nodes.size()), w);
-              },
-              lane.params);
+              SeedLossBuilder(m, block, labels, w), lane.params);
           lane.owner = std::shared_ptr<void>(std::move(clone));
           return lane;
         };
     if (config_.replay_cache != nullptr) {
-      const std::string key =
-          "lanes:" + std::to_string(reinterpret_cast<std::uintptr_t>(model_)) +
-          ":" + std::to_string(lanes) + "x" + std::to_string(width);
+      const std::string key = "lanes:" + ModelKey(model_) + ":" + TrainBlock()->key +
+                              ":" + std::to_string(lanes) + "x" + std::to_string(width);
       grad_lane_pool_ = config_.replay_cache->GetOrCreateGradLanes(key, [&] {
         return std::make_unique<GradLanePool>(factory, lanes, width);
       });
@@ -294,22 +321,17 @@ std::vector<std::vector<double>> InfluenceCalculator::InfluenceOnFunctions(
 std::vector<std::vector<double>> InfluenceCalculator::InfluenceOnNodeLosses(
     const std::vector<int>& target_nodes) {
   if (target_nodes.empty()) return {};
+  std::vector<int> target_labels;
+  target_labels.reserve(target_nodes.size());
   for (int t : target_nodes) {
     PPFR_CHECK_GE(t, 0);
     PPFR_CHECK_LT(t, static_cast<int>(labels_.size()));
+    target_labels.push_back(labels_[static_cast<size_t>(t)]);
   }
-  // All target-node loss gradients ∇θL_t from the SAME shared forward pass
-  // (and pool) as the per-train-node sweep — previously a second identical
-  // TapePool was built and warmed here.
-  const std::vector<std::vector<double>> rhs = SharedForwardPool()->PerSeedGrads(
-      static_cast<int>(target_nodes.size()),
-      [this, &target_nodes](int k, std::vector<int>* rows, std::vector<int>* cols,
-                            std::vector<double>* values) {
-        const int t = target_nodes[static_cast<size_t>(k)];
-        rows->push_back(t);
-        cols->push_back(labels_[static_cast<size_t>(t)]);
-        values->push_back(-1.0);
-      });
+  // The target-node loss gradients ∇θL_t from one shared forward over the
+  // targets' own block; it is released before the solve.
+  const std::vector<std::vector<double>> rhs =
+      SeedLossGrads(MakeSeedBlock(*model_, ctx_, target_nodes), target_labels);
   return ContractAgainstNodeGrads(SolveRhsBlock(MultiVector::FromColumns(rhs)));
 }
 

@@ -26,15 +26,12 @@ struct InfluenceConfig {
   // --la_threads size both the kernel pool and the tape pool.
   int tape_pool_lanes = 0;
 
-  // Runs per-node gradients through the pre-overhaul serial algorithm (one
-  // growing tape, a full ZeroAllGrads sweep per node). Kept as the parity
-  // oracle and the "before" side of bench_influence_engine; results are
-  // bitwise identical to the pooled path.
+  // Runs per-node gradients through the full-graph serial algorithm (one
+  // growing tape over the full-graph forward, a full ZeroAllGrads sweep per
+  // node) instead of the pooled block path. Kept as the oracle the block path
+  // is tested against (agreement within 1e-12 relative) and as the "before"
+  // side of bench_influence_engine.
   bool serial_reference_per_node = false;
-
-  // Records the training-loss gradient graph once and replays it for every
-  // CG/HVP gradient evaluation instead of rebuilding a tape each time.
-  bool reuse_grad_tape = true;
 
   // Columns per block in the multi-RHS inverse-HVP solve (InfluenceOnFunctions
   // / InfluenceOnNodeLosses). 0 — the default — resolves at runtime from the
@@ -90,6 +87,10 @@ struct BlockSolveStats {
   void Reset() { *this = BlockSolveStats(); }
 };
 
+// A seed set's exact 2-hop block with the model's precomputed first-layer
+// inputs (defined in influence.cc).
+struct SeedBlock;
+
 // Per-training-node influence on scalar evaluation functions f of the
 // model's predictions:
 //   I_f(v) = -∇θ f(θ*)ᵀ H⁻¹ ∇θ L_v(θ*).
@@ -99,8 +100,22 @@ struct BlockSolveStats {
 // convention (which omits the IFT minus sign). Both readings agree on every
 // use in this library (QCLP coefficients, Pearson correlation study).
 //
-// One forward pass is reused for all per-node loss gradients via repeated
-// seeded backward passes; H⁻¹∇f is a single damped-CG solve per f.
+// Support restriction: in a 2-layer GNN a node's loss depends only on its
+// 2-hop rows, so every loss gradient the engine replays — the training loss
+// behind the CG/HVP probes (TrainingLossGrad, BatchTrainGrad), the per-node
+// gradients and the target-node right-hand sides of InfluenceOnNodeLosses —
+// runs on the exact 2-hop block of its seed nodes (GraphContext::ExactBlock),
+// never on the full graph. Only FunctionGrad keeps the full-graph forward,
+// because the bias and risk functions read every node. Contracts: block
+// gradients agree with the full-graph ones within 1e-12 relative (the
+// aggregation order differs, and GCN's first layer is reassociated to
+// (Â·X)·W); influence agrees within 1e-8 with the same number of gradient
+// evaluations; within the block path every result is bitwise invariant to
+// pool lanes, replay width, thread count and call order.
+//
+// One forward pass per seed block is reused for all of its per-node loss
+// gradients via repeated seeded backward passes; H⁻¹∇f is a damped
+// block-CG solve.
 class InfluenceCalculator {
  public:
   InfluenceCalculator(nn::GnnModel* model, const nn::GraphContext& ctx,
@@ -123,9 +138,9 @@ class InfluenceCalculator {
 
   // Influence of every training node on each target node's individual loss:
   // out[t][v] = I_{L_t}(w_v). The target-node gradient RHSs are gathered
-  // from one shared forward pass (TapePool) and solved in blocks of
-  // cg_block — the per-node influence sweep the paper's correlation study
-  // (Table 2) runs, now BLAS-3 end to end.
+  // from one shared forward pass over the targets' block (TapePool) and
+  // solved in blocks of cg_block — the per-node influence sweep the paper's
+  // correlation study (Table 2) runs, BLAS-3 end to end. Targets may repeat.
   std::vector<std::vector<double>> InfluenceOnNodeLosses(
       const std::vector<int>& target_nodes);
 
@@ -167,26 +182,29 @@ class InfluenceCalculator {
   // the lane-invariance tests can drive it directly.
   BatchGradFn BatchTrainGrad();
 
-  // Flat ∇θ L_v for every v, computed from shared forward passes — fanned
-  // across a TapePool, or serially on one tape in reference mode (see
-  // InfluenceConfig). Cached after the first call. Public so the engine
-  // bench and the bitwise-parity tests can drive the two modes directly.
+  // Flat ∇θ L_v for every v, computed from one shared forward pass over the
+  // training nodes' block and fanned across a TapePool — or serially on the
+  // full graph in reference mode (see InfluenceConfig). Cached after the
+  // first call. Public so the engine bench and the parity tests can drive
+  // the two modes directly.
   const std::vector<std::vector<double>>& PerNodeLossGrads();
 
  private:
-  // Flat ∇θ of the mean training loss at the current parameters (replayed
-  // from a recorded tape unless config_.reuse_grad_tape is off).
+  // Flat ∇θ of the mean training loss at the current parameters, replayed
+  // from a loss graph recorded once over the training block.
   std::vector<double> TrainingLossGrad();
-  // Flat ∇θ f for an arbitrary builder.
+  // Flat ∇θ f for an arbitrary builder (full-graph forward).
   std::vector<double> FunctionGrad(const FunctionBuilder& build_f);
-  std::vector<std::vector<double>> PerNodeLossGradsPooled();
   std::vector<std::vector<double>> PerNodeLossGradsSerialReference();
   // Lanes for pooled per-seed backward / batched probe gradients.
   int ResolvedLanes(int num_items) const;
-  // The shared-forward TapePool behind the per-node and per-target gradient
-  // sweeps — one pool per calculator (previously one per use-site), acquired
-  // from config_.replay_cache when a cell-scoped cache is installed.
-  TapePool* SharedForwardPool();
+  // The training nodes' block, built on first use.
+  const std::shared_ptr<const SeedBlock>& TrainBlock();
+  // ∇θ of each seed's own loss -log p(label_k | seed k), from one shared
+  // forward over `block` (a TapePool acquired from config_.replay_cache when
+  // a cell-scoped cache is installed, else built for this call).
+  std::vector<std::vector<double>> SeedLossGrads(
+      const std::shared_ptr<const SeedBlock>& block, const std::vector<int>& labels);
   // Solves (H + λI) S = B in blocks of ResolvedCgBlock() columns,
   // accumulating block_stats_; returns S with one column per RHS column.
   MultiVector SolveRhsBlock(const MultiVector& b);
@@ -202,13 +220,12 @@ class InfluenceCalculator {
   InfluenceConfig config_;
   std::vector<ag::Parameter*> params_;
   std::vector<std::vector<double>> per_node_grads_;       // lazily filled cache
+  std::shared_ptr<const SeedBlock> train_block_;         // lazily built
   std::unique_ptr<ReusableLossGraph> train_grad_graph_;  // lazily recorded
-  // Replay pools: raw pointers name the live pool (cache-owned when a
-  // ReplayCache is installed, else the owned_ member).
+  // Probe replay pool: names the live pool (cache-owned when a ReplayCache
+  // is installed, else the owned_ member).
   GradLanePool* grad_lane_pool_ = nullptr;               // lazily built
   std::unique_ptr<GradLanePool> owned_grad_lane_pool_;
-  TapePool* forward_pool_ = nullptr;                     // lazily built
-  std::unique_ptr<TapePool> owned_forward_pool_;
   BlockSolveStats block_stats_;
 };
 

@@ -24,8 +24,21 @@ GatConv::GatConv(int in_dim, int out_dim, int heads, bool concat, uint64_t seed)
 
 ag::Var GatConv::Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x,
                          int lanes) {
+  return ForwardBlock(tape, x, ctx.edges_with_self, lanes);
+}
+
+ag::Var GatConv::ForwardBlock(ag::Tape& tape, ag::Var x,
+                              const std::shared_ptr<const ag::EdgeSet>& edges,
+                              int lanes) {
   // Per-head projections H_h and attention scores (lane-wide when lanes > 1),
-  // then one fused softmax-aggregate over all heads per lane.
+  // then one fused softmax-aggregate over all heads per lane. On a block the
+  // destination scores are the leading (destination) rows of the source ones.
+  const int num_dst = edges->num_nodes;
+  std::vector<int> dst_rows;
+  if (num_dst < x.rows()) {
+    dst_rows.resize(static_cast<size_t>(num_dst));
+    for (int i = 0; i < num_dst; ++i) dst_rows[static_cast<size_t>(i)] = i;
+  }
   std::vector<ag::Var> head_features;
   std::vector<ag::Var> left_scores;
   std::vector<ag::Var> right_scores;
@@ -34,8 +47,8 @@ ag::Var GatConv::Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x,
     ag::Var w = tape.Leaf(&weights_[h]);
     ag::Var hh = ag::MatMulLanes(x, w, lanes);  // n x out_dim·L
     head_features.push_back(hh);
-    left_scores.push_back(
-        ag::MatMulLanes(hh, tape.Leaf(&attn_left_[h]), lanes));  // n x L
+    ag::Var left = ag::MatMulLanes(hh, tape.Leaf(&attn_left_[h]), lanes);  // n x L
+    left_scores.push_back(dst_rows.empty() ? left : ag::GatherRows(left, dst_rows));
     right_scores.push_back(
         ag::MatMulLanes(hh, tape.Leaf(&attn_right_[h]), lanes));  // n x L
   }
@@ -47,8 +60,7 @@ ag::Var GatConv::Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x,
     ag::Var h_all = heads_ == 1 ? hf[0] : ag::ConcatCols(hf);
     ag::Var sl = heads_ == 1 ? ls[0] : ag::ConcatCols(ls);
     ag::Var sr = heads_ == 1 ? rs[0] : ag::ConcatCols(rs);
-    ag::Var out = ag::EdgeSoftmaxAggregate(h_all, sl, sr, ctx.edges_with_self, heads_,
-                                           kLeakySlope);
+    ag::Var out = ag::EdgeSoftmaxAggregate(h_all, sl, sr, edges, heads_, kLeakySlope);
     if (concat_ || heads_ == 1) return out;
 
     // Average heads: out is n x (heads*out_dim); sum the head blocks.

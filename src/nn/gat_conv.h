@@ -1,6 +1,7 @@
 #ifndef PPFR_NN_GAT_CONV_H_
 #define PPFR_NN_GAT_CONV_H_
 
+#include <memory>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -27,6 +28,12 @@ class GatConv {
   // per lane on sliced windows, and the lane outputs concatenate back into
   // the lane-major wide layout.
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x, int lanes = 1);
+
+  // Attention over `edges` (destination rows, source columns over x's rows):
+  // the full-graph forward with the context's edge set, or a block hop's
+  // SampledHop::edges, whose destinations are the leading rows of x.
+  ag::Var ForwardBlock(ag::Tape& tape, ag::Var x,
+                       const std::shared_ptr<const ag::EdgeSet>& edges, int lanes);
 
   std::vector<ag::Parameter*> Params();
 

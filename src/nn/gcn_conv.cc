@@ -24,6 +24,15 @@ ag::Var GcnConv::Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x,
   return ag::AddRowVec(propagated, b);
 }
 
+ag::Var GcnConv::ForwardBlock(ag::Tape& tape, ag::Var x,
+                              const std::shared_ptr<const ag::SparseOperand>& op,
+                              int lanes) {
+  ag::Var w = tape.Leaf(&weight_);
+  ag::Var b = tape.Leaf(&bias_);
+  ag::Var xw = ag::MatMulLanes(x, w, lanes);
+  return ag::AddRowVec(op != nullptr ? ag::SpMM(op, xw) : xw, b);
+}
+
 std::vector<ag::Parameter*> GcnConv::Params() { return {&weight_, &bias_}; }
 
 }  // namespace ppfr::nn

@@ -2,6 +2,7 @@
 #define PPFR_NN_GCN_CONV_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -24,6 +25,12 @@ class GcnConv {
   // features) or lane-wide (a previous lane-wide layer's output). lanes == 1
   // is the ordinary narrow layer.
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x, int lanes = 1);
+
+  // Block variant: `op` holds the output rows of Â over the input frontier
+  // (SampledHop::gcn); a null `op` means `x` is already aggregated (Â·X, the
+  // block's precomputed first layer), so the layer is x·W + b.
+  ag::Var ForwardBlock(ag::Tape& tape, ag::Var x,
+                       const std::shared_ptr<const ag::SparseOperand>& op, int lanes);
 
   std::vector<ag::Parameter*> Params();
 

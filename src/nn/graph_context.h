@@ -2,11 +2,13 @@
 #define PPFR_NN_GRAPH_CONTEXT_H_
 
 #include <memory>
+#include <vector>
 
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "graph/graph.h"
 #include "la/matrix.h"
+#include "nn/sampler.h"
 
 namespace ppfr::nn {
 
@@ -33,6 +35,14 @@ struct GraphContext {
 
   // Per-epoch sampled GraphSAGE aggregator (fanout neighbours per node).
   std::shared_ptr<const ag::SparseOperand> SampledMeanAdj(int fanout, Rng* rng) const;
+
+  // The exact 2-hop block of `targets` (distinct node ids): F_2 = targets
+  // in call order, F_1 = F_2 plus their neighbours, F_0 = F_1 plus theirs,
+  // prefix-ordered like a NeighborSampler block. Each hop carries the output
+  // rows of mean_adj, gcn_adj and edges_with_self with the full graph's
+  // weights, so a 2-layer block forward of any model yields the full-graph
+  // logits at the targets (up to summation order).
+  SampledBlock ExactBlock(const std::vector<int>& targets) const;
 };
 
 }  // namespace ppfr::nn

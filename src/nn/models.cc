@@ -1,11 +1,36 @@
 #include "nn/models.h"
 
+#include <algorithm>
+
 namespace ppfr::nn {
 namespace {
 constexpr int kGcnHidden = 16;
 constexpr int kGatHidden = 8;
 constexpr int kGatHeads = 4;
 constexpr int kSageHidden = 16;
+
+// CHECKs that `block` is a 2-hop block carrying the operators `kind` reads:
+// sampled blocks carry only SAGE's mean aggregator.
+void CheckBlockFor(ModelKind kind, const SampledBlock& block) {
+  PPFR_CHECK_EQ(block.hops.size(), size_t{2})
+      << "two-layer " << ModelKindName(kind) << " needs a 2-hop block";
+  for (const SampledHop& hop : block.hops) {
+    const bool has_operator = kind == ModelKind::kGcn   ? hop.gcn != nullptr
+                              : kind == ModelKind::kGat ? hop.edges != nullptr
+                                                        : hop.agg != nullptr;
+    PPFR_CHECK(has_operator) << ModelKindName(kind)
+                             << " has no sampled mini-batch forward path; its block "
+                                "forward needs an exact block (GraphContext::ExactBlock)";
+  }
+}
+
+// Indices [0, n): the leading rows of a prefix-ordered frontier.
+std::vector<int> Prefix(int n) {
+  std::vector<int> rows(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) rows[static_cast<size_t>(i)] = i;
+  return rows;
+}
+
 }  // namespace
 
 std::string ModelKindName(ModelKind kind) {
@@ -18,16 +43,6 @@ std::string ModelKindName(ModelKind kind) {
       return "GraphSage";
   }
   return "?";
-}
-
-ag::Var GnnModel::ForwardSampled(ag::Tape& tape, const SampledBlock& block,
-                                 ag::Var x) {
-  (void)tape;
-  (void)block;
-  (void)x;
-  PPFR_CHECK(false) << ModelKindName(kind())
-                    << " has no sampled mini-batch forward path";
-  return x;
 }
 
 la::Matrix GnnModel::Logits(const GraphContext& ctx) {
@@ -52,6 +67,22 @@ ag::Var Gcn::Forward(ag::Tape& tape, const GraphContext& ctx,
   return conv2_.Forward(tape, ctx, h, options.replay_lanes);
 }
 
+BlockInputs Gcn::PrepareBlock(const SampledBlock& block, la::Matrix x) const {
+  CheckBlockFor(kind(), block);
+  BlockInputs inputs;
+  inputs.agg = block.hops[0].gcn->mat.Multiply(x);
+  return inputs;
+}
+
+// (Â·X)·W1 where the full-graph forward computes Â·(X·W1): the aggregation
+// is reassociated so the parameter-independent half runs once per block.
+ag::Var Gcn::ForwardBlock(ag::Tape& tape, const SampledBlock& block,
+                          const BlockInputs& inputs, int lanes) {
+  ag::Var h = ag::Relu(
+      conv1_.ForwardBlock(tape, tape.StaticConstant(inputs.agg), nullptr, lanes));
+  return conv2_.ForwardBlock(tape, h, block.hops[1].gcn, lanes);
+}
+
 std::vector<ag::Parameter*> Gcn::Params() {
   std::vector<ag::Parameter*> params = conv1_.Params();
   for (ag::Parameter* p : conv2_.Params()) params.push_back(p);
@@ -71,6 +102,21 @@ ag::Var Gat::Forward(ag::Tape& tape, const GraphContext& ctx,
   ag::Var x = tape.StaticConstant(ctx.features);
   ag::Var h = ag::Elu(conv1_.Forward(tape, ctx, x, options.replay_lanes));
   return conv2_.Forward(tape, ctx, h, options.replay_lanes);
+}
+
+BlockInputs Gat::PrepareBlock(const SampledBlock& block, la::Matrix x) const {
+  CheckBlockFor(kind(), block);
+  PPFR_CHECK_EQ(x.rows(), block.num_inputs());
+  BlockInputs inputs;
+  inputs.x = std::move(x);
+  return inputs;
+}
+
+ag::Var Gat::ForwardBlock(ag::Tape& tape, const SampledBlock& block,
+                          const BlockInputs& inputs, int lanes) {
+  ag::Var x = tape.StaticConstant(inputs.x);
+  ag::Var h = ag::Elu(conv1_.ForwardBlock(tape, x, block.hops[0].edges, lanes));
+  return conv2_.ForwardBlock(tape, h, block.hops[1].edges, lanes);
 }
 
 std::vector<ag::Parameter*> Gat::Params() {
@@ -94,17 +140,24 @@ ag::Var GraphSage::Forward(ag::Tape& tape, const GraphContext& ctx,
   return conv2_.Forward(tape, ctx, h, options.sage_aggregator, options.replay_lanes);
 }
 
-ag::Var GraphSage::ForwardSampled(ag::Tape& tape, const SampledBlock& block,
-                                  ag::Var x) {
-  PPFR_CHECK_EQ(block.hops.size(), size_t{2})
-      << "two-layer GraphSAGE needs a 2-hop sampled block";
-  PPFR_CHECK_EQ(x.value().rows(), block.num_inputs());
-  // The hop aggregators are local (frontier-indexed) operators; asymmetric,
-  // so the operand carries an explicit transpose for the backward pass.
-  ag::Var h = ag::Relu(conv1_.ForwardBlock(
-      tape, x, ag::MakeSparseOperand(block.hops[0].agg, /*symmetric=*/false)));
-  return conv2_.ForwardBlock(
-      tape, h, ag::MakeSparseOperand(block.hops[1].agg, /*symmetric=*/false));
+BlockInputs GraphSage::PrepareBlock(const SampledBlock& block, la::Matrix x) const {
+  CheckBlockFor(kind(), block);
+  PPFR_CHECK_EQ(x.rows(), block.num_inputs());
+  const int num_self = block.hops[0].num_out();
+  BlockInputs inputs;
+  inputs.self = la::Matrix(num_self, x.cols());
+  std::copy(x.data(), x.data() + inputs.self.size(), inputs.self.data());
+  inputs.agg = block.hops[0].agg->mat.Multiply(x);
+  return inputs;
+}
+
+ag::Var GraphSage::ForwardBlock(ag::Tape& tape, const SampledBlock& block,
+                                const BlockInputs& inputs, int lanes) {
+  ag::Var h = ag::Relu(conv1_.ForwardBlock(tape, tape.StaticConstant(inputs.self),
+                                           tape.StaticConstant(inputs.agg), lanes));
+  const SampledHop& hop = block.hops[1];
+  return conv2_.ForwardBlock(tape, ag::GatherRows(h, Prefix(hop.num_out())),
+                             ag::SpMM(hop.agg, h), lanes);
 }
 
 std::vector<ag::Parameter*> GraphSage::Params() {

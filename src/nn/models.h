@@ -30,6 +30,15 @@ struct ForwardOptions {
   int replay_lanes = 1;
 };
 
+// The parameter-independent first-layer inputs of a block forward, computed
+// once per block by GnnModel::PrepareBlock and read by every forward and
+// replay over that block. Each model fills only what it reads.
+struct BlockInputs {
+  la::Matrix x;     // GAT: features over F_0
+  la::Matrix self;  // SAGE: features over F_1 (the self term)
+  la::Matrix agg;   // the first aggregation over F_1: Â·X (GCN), mean·X (SAGE)
+};
+
 // A node-classification GNN. Forward returns raw logits (n x classes); the
 // trainer / metrics apply (log-)softmax.
 class GnnModel {
@@ -38,13 +47,17 @@ class GnnModel {
 
   virtual ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                           const ForwardOptions& options) = 0;
-  // Mini-batch forward over a sampled k-hop block (nn/sampler.h): `x` holds
-  // the gathered features of block.frontier; the result has
-  // block.num_targets() rows, aligned with the batch's target nodes. Only
-  // architectures whose layers aggregate locally can run this way — the base
-  // implementation aborts; GraphSage overrides it.
-  virtual ag::Var ForwardSampled(ag::Tape& tape, const SampledBlock& block,
-                                 ag::Var x);
+  // The inputs ForwardBlock reads, from `x`, the features of block.frontier
+  // (one row per frontier node). GCN and SAGE aggregate their first layer
+  // here, so a block forward never touches the 2-hop rows again; GAT's
+  // attention needs the 2-hop features themselves.
+  virtual BlockInputs PrepareBlock(const SampledBlock& block, la::Matrix x) const = 0;
+  // Forward over a 2-hop block (nn/sampler.h): logits for the block's
+  // targets, block.num_targets() rows in frontier order. `lanes` is
+  // ForwardOptions::replay_lanes. GCN and GAT need an exact block
+  // (GraphContext::ExactBlock); SAGE also runs on sampled mini-batch blocks.
+  virtual ag::Var ForwardBlock(ag::Tape& tape, const SampledBlock& block,
+                               const BlockInputs& inputs, int lanes = 1) = 0;
   virtual std::vector<ag::Parameter*> Params() = 0;
   virtual ModelKind kind() const = 0;
   // Deep copy (used to keep the vanilla model while fine-tuning a clone).
@@ -66,6 +79,9 @@ class Gcn final : public GnnModel {
 
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                   const ForwardOptions& options) override;
+  BlockInputs PrepareBlock(const SampledBlock& block, la::Matrix x) const override;
+  ag::Var ForwardBlock(ag::Tape& tape, const SampledBlock& block,
+                       const BlockInputs& inputs, int lanes) override;
   std::vector<ag::Parameter*> Params() override;
   ModelKind kind() const override { return ModelKind::kGcn; }
   std::unique_ptr<GnnModel> Clone() const override;
@@ -82,6 +98,9 @@ class Gat final : public GnnModel {
 
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                   const ForwardOptions& options) override;
+  BlockInputs PrepareBlock(const SampledBlock& block, la::Matrix x) const override;
+  ag::Var ForwardBlock(ag::Tape& tape, const SampledBlock& block,
+                       const BlockInputs& inputs, int lanes) override;
   std::vector<ag::Parameter*> Params() override;
   ModelKind kind() const override { return ModelKind::kGat; }
   std::unique_ptr<GnnModel> Clone() const override;
@@ -98,8 +117,9 @@ class GraphSage final : public GnnModel {
 
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                   const ForwardOptions& options) override;
-  ag::Var ForwardSampled(ag::Tape& tape, const SampledBlock& block,
-                         ag::Var x) override;
+  BlockInputs PrepareBlock(const SampledBlock& block, la::Matrix x) const override;
+  ag::Var ForwardBlock(ag::Tape& tape, const SampledBlock& block,
+                       const BlockInputs& inputs, int lanes) override;
   std::vector<ag::Parameter*> Params() override;
   ModelKind kind() const override { return ModelKind::kGraphSage; }
   std::unique_ptr<GnnModel> Clone() const override;

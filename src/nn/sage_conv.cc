@@ -28,17 +28,11 @@ ag::Var SageConv::Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x,
   return ag::AddRowVec(ag::Add(self_term, neigh_term), tape.Leaf(&bias_));
 }
 
-ag::Var SageConv::ForwardBlock(ag::Tape& tape, ag::Var x,
-                               const std::shared_ptr<const ag::SparseOperand>& agg) {
-  PPFR_CHECK(agg != nullptr);
-  const int num_out = agg->mat.rows();
-  PPFR_CHECK_LE(num_out, x.value().rows());
-  PPFR_CHECK_EQ(agg->mat.cols(), x.value().rows());
-  std::vector<int> prefix(static_cast<size_t>(num_out));
-  for (int i = 0; i < num_out; ++i) prefix[static_cast<size_t>(i)] = i;
-  ag::Var self_term =
-      ag::MatMul(ag::GatherRows(x, prefix), tape.Leaf(&weight_self_));
-  ag::Var neigh_term = ag::MatMul(ag::SpMM(agg, x), tape.Leaf(&weight_neigh_));
+ag::Var SageConv::ForwardBlock(ag::Tape& tape, ag::Var self, ag::Var neigh_mean,
+                               int lanes) {
+  PPFR_CHECK_EQ(self.rows(), neigh_mean.rows());
+  ag::Var self_term = ag::MatMulLanes(self, tape.Leaf(&weight_self_), lanes);
+  ag::Var neigh_term = ag::MatMulLanes(neigh_mean, tape.Leaf(&weight_neigh_), lanes);
   return ag::AddRowVec(ag::Add(self_term, neigh_term), tape.Leaf(&bias_));
 }
 

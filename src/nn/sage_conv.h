@@ -28,13 +28,10 @@ class SageConv {
                   const std::shared_ptr<const ag::SparseOperand>& aggregator,
                   int lanes = 1);
 
-  // Mini-batch block variant: `x` holds activations over an input frontier
-  // whose leading agg->mat.rows() rows are the output frontier (the sampler's
-  // prefix property), so the self term is a GatherRows of that prefix and the
-  // neighbour term is the local sampled mean `agg` applied to the whole
-  // frontier. Output has agg->mat.rows() rows.
-  ag::Var ForwardBlock(ag::Tape& tape, ag::Var x,
-                       const std::shared_ptr<const ag::SparseOperand>& agg);
+  // Block variant over the output frontier of a hop: `self` holds its rows
+  // of the input activations (the leading rows, by the block's prefix
+  // property) and `neigh_mean` the hop's neighbour mean of them.
+  ag::Var ForwardBlock(ag::Tape& tape, ag::Var self, ag::Var neigh_mean, int lanes);
 
   std::vector<ag::Parameter*> Params();
 

@@ -69,8 +69,10 @@ SampledBlock NeighborSampler::SampleBlock(const std::vector<int>& targets,
       }
     }
     SampledHop hop;
-    hop.agg = la::CsrMatrix::FromTriplets(
-        num_out, static_cast<int>(out.frontier.size()), std::move(triplets));
+    hop.agg = ag::MakeSparseOperand(
+        la::CsrMatrix::FromTriplets(num_out, static_cast<int>(out.frontier.size()),
+                                    std::move(triplets)),
+        /*symmetric=*/false);
     hops_backward.push_back(std::move(hop));
     sizes.push_back(static_cast<int>(out.frontier.size()));
   }

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "graph/csr_builder.h"
 #include "la/csr_matrix.h"
 
@@ -24,22 +26,31 @@ struct SamplerConfig {
   uint64_t seed = 1;
 };
 
-// One hop of a sampled block: a local row-stochastic aggregation operator
-// mapping activations over the input frontier F_h (agg cols) to the output
-// frontier F_{h+1} (agg rows). Row o averages the <= fanout sampled
-// neighbours of frontier node o with weight 1/k.
+// One hop of a block: local operators mapping activations over the input
+// frontier F_h (columns) to the output frontier F_{h+1} (rows).
 struct SampledHop {
-  la::CsrMatrix agg;
-  int num_in() const { return agg.cols(); }
-  int num_out() const { return agg.rows(); }
+  // Row-stochastic neighbour mean (GraphSAGE): row o averages the <= fanout
+  // sampled neighbours of frontier node o with weight 1/k.
+  std::shared_ptr<const ag::SparseOperand> agg;
+  // Exact blocks only (GraphContext::ExactBlock), null on sampled ones: the
+  // same rows of the context's GCN operator Â and of GAT's A+I attention
+  // pattern, with the full graph's weights and local column indices.
+  std::shared_ptr<const ag::SparseOperand> gcn;
+  std::shared_ptr<const ag::EdgeSet> edges;
+
+  int num_in() const { return agg->mat.cols(); }
+  int num_out() const { return agg->mat.rows(); }
 };
 
 // A k-hop mini-batch block. `frontier` holds global node ids with the PREFIX
 // property F_{num_hops} ⊆ … ⊆ F_1 ⊆ F_0 = frontier, where F_h is the
 // leading hop_sizes[h] entries and F_{num_hops} is exactly `targets` in call
-// order. The prefix property is what lets a SAGE layer's self-term be a
-// GatherRows of the leading rows of its input activations. `hops` is in
-// forward order: layer h consumes activations over F_h and produces F_{h+1}.
+// order. The prefix property is what lets a layer's self-term (SAGE) or
+// destination scores (GAT) be the leading rows of its input activations.
+// `hops` is in forward order: layer h consumes activations over F_h and
+// produces F_{h+1}. The one block type of the library: NeighborSampler
+// draws fanout-capped ones for mini-batch SAGE, GraphContext::ExactBlock
+// slices exact ones for the support-restricted influence engine.
 struct SampledBlock {
   std::vector<int> frontier;
   std::vector<int> hop_sizes;  // num_hops + 1 entries, non-increasing

@@ -141,8 +141,8 @@ TrainStats TrainSampled(GnnModel* model, const SampledTrainSpec& spec,
       // The block structure (frontier, aggregators) changes per batch, so
       // each step records a fresh tape — reuse_tape is a full-batch feature.
       ag::Tape tape;
-      ag::Var x = tape.Constant(spec.gather_features(block.frontier));
-      ag::Var logits = model->ForwardSampled(tape, block, x);
+      ag::Var logits = model->ForwardBlock(
+          tape, block, model->PrepareBlock(block, spec.gather_features(block.frontier)));
       ag::Var logp = ag::LogSoftmaxRows(logits);
       ag::Var loss = ag::WeightedNll(logp, rows, labels, weights,
                                      static_cast<double>(batch.size()));
@@ -184,8 +184,8 @@ la::Matrix SampledLogits(GnnModel* model, const SampledTrainSpec& spec,
     const std::vector<int> batch(nodes.begin() + begin, nodes.begin() + end);
     const SampledBlock block = sampler.SampleBlock(batch, 0, 0);
     ag::Tape tape;
-    ag::Var x = tape.Constant(spec.gather_features(block.frontier));
-    ag::Var logits = model->ForwardSampled(tape, block, x);
+    ag::Var logits = model->ForwardBlock(
+        tape, block, model->PrepareBlock(block, spec.gather_features(block.frontier)));
     const la::Matrix& vals = logits.value();
     if (out.rows() == 0) {
       out = la::Matrix(static_cast<int>(nodes.size()), vals.cols());

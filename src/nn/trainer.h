@@ -66,8 +66,8 @@ struct SampledTrainSpec {
   std::function<la::Matrix(const std::vector<int>&)> gather_features;
 };
 
-// Neighbour-sampled mini-batch training (GraphSAGE-style models only — the
-// model must implement ForwardSampled). `train_labels` is aligned with
+// Neighbour-sampled mini-batch training (GraphSAGE only — sampled blocks
+// carry no GCN or GAT operators). `train_labels` is aligned with
 // `train_nodes`. Per epoch the train nodes are shuffled into batches of
 // config.batch_nodes; each batch samples a fanout-capped 2-hop block
 // (deterministic in (config.seed, epoch, batch)), gathers only the frontier's

@@ -57,7 +57,11 @@ void MixTrainPrefix(KeyHasher* h, const core::MethodConfig& config) {
 }
 
 void MixFrPrefix(KeyHasher* h, const core::MethodConfig& config) {
-  h->Mix(config.fr.alpha)
+  // Names the influence engine's numerics: FR results from the full-graph
+  // loss gradients (before support restriction reassociated the block
+  // aggregation) are keyed without it, so they miss once instead of mixing.
+  h->Mix("influence:2-hop-block")
+      .Mix(config.fr.alpha)
       .Mix(config.fr.beta)
       .Mix(config.fr.zero_sum)
       .Mix(config.fr.influence.cg.damping)

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "common/fault_injection.h"
 #include "core/experiment.h"
 #include "la/backend.h"
+#include "la/matrix.h"
 #include "nn/trainer.h"
 #include "runner/cache_store.h"
 #include "runner/run_cache.h"
@@ -68,8 +70,7 @@ std::string FreshDir(const std::string& name) {
 
 // Runs the sweep against `dir` on a private single-threaded reference
 // backend and returns how many nn::Train calls it cost THIS thread's
-// process. The private backend keeps the forked children off the process-wide
-// ParallelBackend worker pool, which fork(2) does not duplicate.
+// process.
 int64_t RunSweepCountingTrains(const Sweep& sweep, const std::string& dir) {
   const std::unique_ptr<la::Backend> backend =
       la::MakeBackend(la::BackendKind::kReference, /*num_threads=*/1);
@@ -86,13 +87,24 @@ struct FaultScope {
   ~FaultScope() { fault::ConfigureForTest(""); }
 };
 
+// Warms a multi-threaded backend worker pool of the active kind, so a
+// following fork(2) copies live pool state without its workers.
+void WarmWorkerPool(la::Backend* backend) {
+  const la::Matrix a(256, 256, 1.0);
+  la::Matrix out(256, 256);
+  backend->Gemm(a, a, &out);
+  ASSERT_EQ(out(255, 255), 256.0);
+}
+
 // Two fork(2)ed processes hammering one cache dir: the claim files must
 // serialize every stage compute so the FLEET trains each stage exactly once,
-// and neither process may leave a corrupt entry behind. First in the file so
-// the parent has not yet spun up any backend worker threads when it forks.
+// and neither process may leave a corrupt entry behind.
 TEST(CacheContentionTest, TwoForkedProcessesTrainEachStageOnce) {
   const std::string dir = FreshDir("contention_fork");
   const Sweep sweep = MiniSuiteSweep(6);
+  const int64_t solo_trains =
+      RunSweepCountingTrains(sweep, FreshDir("contention_fork_solo"));
+  ASSERT_GT(solo_trains, 0);
 
   std::vector<pid_t> children;
   for (int child = 0; child < 2; ++child) {
@@ -127,18 +139,43 @@ TEST(CacheContentionTest, TwoForkedProcessesTrainEachStageOnce) {
     ++reports;
   }
   ASSERT_EQ(reports, 2);
-
-  // The unsharded reference count, measured AFTER the forks (in-memory cache
-  // in a scratch dir) so the parent stays backend-thread-free until here.
-  const int64_t solo_trains =
-      RunSweepCountingTrains(sweep, FreshDir("contention_fork_solo"));
-  ASSERT_GT(solo_trains, 0);
   EXPECT_EQ(fleet_trains, solo_trains)
       << "two processes on one cache dir must not double-train any stage";
 
   // Zero corrupt entries: a third pass over the shared dir loads everything
   // from disk without a single retrain.
   EXPECT_EQ(RunSweepCountingTrains(sweep, dir), 0);
+}
+
+// A child forked while worker pools are warm inherits them without their
+// threads. It must still compute (inherited pools run inline) and exit
+// cleanly: the process-wide backend's destructor runs at exit() and must not
+// join, lock or wait on anything the parent's workers owned.
+TEST(CacheContentionTest, ForkAfterWorkerPoolsAreWarm) {
+  std::unique_ptr<la::Backend> backend =
+      la::MakeBackend(la::BackendKind::kParallel, /*num_threads=*/4);
+  WarmWorkerPool(backend.get());
+  WarmWorkerPool(&la::ActiveBackend());
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const la::Matrix a(256, 256, 1.0);
+    la::Matrix out(256, 256);
+    backend->Gemm(a, a, &out);
+    const bool ok = out(0, 0) == 256.0;
+    backend.reset();  // destroys an inherited pool explicitly
+    la::ActiveBackend().Gemm(a, a, &out);
+    // exit, not _exit: static destructors (the process-wide backend's pool)
+    // run in the child.
+    std::exit(ok && out(0, 0) == 256.0 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "status " << status;
+
+  // The parent's pools are untouched by the child's exit.
+  WarmWorkerPool(backend.get());
 }
 
 // The same contract inside one process: two threads, each with its OWN

@@ -156,12 +156,12 @@ TEST(FrontierSweepTest, BitwiseMatchesPerNodePathPerChunkOnAllBackends) {
   }
 }
 
-// With cg_block = 1 every RHS goes through the single-RHS oracle, so the
-// SOLVES depend only on the target, never on its chunk. The rows therefore
-// coincide across ANY chunking of the same targets — bitwise under the
-// reference backend, whose GEMM-T reduction order is shape-invariant, and to
-// contraction roundoff (a few ULPs) under tiling backends, whose final
-// influence GEMM-T may pick a blocked kernel once the chunk is wide enough.
+// With cg_block = 1 every RHS goes through the single-RHS oracle, so a
+// target's solve depends only on its own loss gradient. That gradient comes
+// from the block of the target's chunk, whose frontier order — and so
+// summation order — depends on the chunk's other targets; the rows therefore
+// coincide across ANY chunking of the same targets to roundoff: the block
+// path's gradient contract (1e-12 relative) carried through one damped solve.
 TEST(FrontierSweepTest, SingleRhsOracleIsChunkingInvariant) {
   const SweepFixture fix;
   const std::vector<int> targets(fix.split.train.begin(),
@@ -184,26 +184,23 @@ TEST(FrontierSweepTest, SingleRhsOracleIsChunkingInvariant) {
       PartitionByTwoHopSupport(fix.ctx.graph, targets, /*support_budget=*/1);
   ASSERT_EQ(fine.chunks.size(), targets.size());
 
-  {
-    la::ScopedBackend scoped(la::BackendKind::kReference, 1);
-    const auto whole = sweep_rows(one_chunk);
-    const auto split = sweep_rows(fine);
-    ASSERT_EQ(split.size(), targets.size());
-    for (const auto& [target, row] : split) {
-      ASSERT_EQ(row, whole.at(target)) << "target " << target;
-    }
-  }
-  {
-    la::ScopedBackend scoped(la::BackendKind::kParallel, 3);
+  for (const auto& [kind, threads] : std::vector<std::pair<la::BackendKind, int>>{
+           {la::BackendKind::kReference, 1}, {la::BackendKind::kParallel, 3}}) {
+    la::ScopedBackend scoped(kind, threads);
     const auto whole = sweep_rows(one_chunk);
     const auto split = sweep_rows(fine);
     ASSERT_EQ(split.size(), targets.size());
     for (const auto& [target, row] : split) {
       const std::vector<double>& want = whole.at(target);
       ASSERT_EQ(row.size(), want.size());
+      double diff = 0.0;
+      double ref = 0.0;
       for (size_t v = 0; v < want.size(); ++v) {
-        ASSERT_NEAR(row[v], want[v], 1e-12) << "target " << target;
+        diff += (row[v] - want[v]) * (row[v] - want[v]);
+        ref += want[v] * want[v];
       }
+      EXPECT_LT(std::sqrt(diff / ref), 1e-11)
+          << "backend " << static_cast<int>(kind) << " target " << target;
     }
   }
 }

@@ -123,10 +123,30 @@ TEST(CgTest, SolvesDampedSystemOnQuadratic) {
   }
 }
 
+// The Pearson r each model's leave-one-out check must stay under. Measured
+// on this fixture: GCN -0.93, GAT -0.53, SAGE -0.95, identical to four
+// decimals under every backend and thread count. The gates sit about 0.13
+// looser, so they catch a broken estimate, not rounding.
+double LeaveOneOutGate(nn::ModelKind kind) {
+  switch (kind) {
+    case nn::ModelKind::kGcn:
+      return -0.8;
+    case nn::ModelKind::kGat:
+      return -0.4;
+    case nn::ModelKind::kGraphSage:
+      return -0.8;
+  }
+  return 0.0;
+}
+
+class LeaveOneOut : public ::testing::TestWithParam<nn::ModelKind> {};
+
 // End-to-end: influence scores must anti-correlate with actual
 // leave-one-out retraining effects (the returned quantity is the
-// upweighting derivative; leaving out = downweighting).
-TEST(InfluenceTest, PredictsLeaveOneOutBiasChange) {
+// upweighting derivative; leaving out = downweighting). SAGE trains at full
+// fanout, so its training loss is the deterministic full-mean loss the
+// influence engine differentiates.
+TEST_P(LeaveOneOut, PredictsLeaveOneOutBiasChange) {
   const auto data = ppfr::testing::SmallSbm(21, 150, 3);
   auto ctx = nn::GraphContext::Build(data.graph, data.features);
   const auto split = data::MakeSplit(data.graph.num_nodes(), 40, 0, 3);
@@ -135,9 +155,9 @@ TEST(InfluenceTest, PredictsLeaveOneOutBiasChange) {
 
   nn::TrainConfig train_cfg;
   train_cfg.epochs = 100;
+  train_cfg.sage_fanout = nn::kAllNeighbors;
   auto train_on = [&](const std::vector<int>& nodes) {
-    auto model = nn::MakeModel(nn::ModelKind::kGcn, ctx.feature_dim(),
-                               data.num_classes, 5);
+    auto model = nn::MakeModel(GetParam(), ctx.feature_dim(), data.num_classes, 5);
     nn::Train(model.get(), ctx, nodes, data.labels, train_cfg);
     return model;
   };
@@ -161,10 +181,18 @@ TEST(InfluenceTest, PredictsLeaveOneOutBiasChange) {
     predicted.push_back(influence[k]);
   }
   const double r = la::PearsonCorrelation(predicted, actual);
-  EXPECT_LT(r, -0.35) << "leave-out changes should anti-correlate with the "
-                         "upweighting derivative, got r = "
-                      << r;
+  EXPECT_LT(r, LeaveOneOutGate(GetParam()))
+      << "leave-out changes should anti-correlate with the upweighting derivative, "
+         "got r = "
+      << r;
 }
+
+INSTANTIATE_TEST_SUITE_P(Models, LeaveOneOut,
+                         ::testing::Values(nn::ModelKind::kGcn, nn::ModelKind::kGat,
+                                           nn::ModelKind::kGraphSage),
+                         [](const ::testing::TestParamInfo<nn::ModelKind>& info) {
+                           return nn::ModelKindName(info.param);
+                         });
 
 TEST(InfluenceTest, UtilityInfluenceHasPlausibleScale) {
   const auto data = ppfr::testing::SmallSbm(22, 120, 3);

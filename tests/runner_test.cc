@@ -98,9 +98,13 @@ TEST(KeyHasherTest, GoldenValuesStableAcrossProcesses) {
             0x6b4731a3f0028329ULL);
   EXPECT_EQ(RunCache::DpKey(env, cfg), 0xdc379259979ac35fULL);
   EXPECT_EQ(RunCache::PpKey(nn::ModelKind::kGcn, env, cfg), 0x0cea453f034b7143ULL);
-  // FrKey changed when the fused-replay width joined the key recipe (the
-  // resolved replay_lanes is mixed like the resolved cg_block).
-  EXPECT_EQ(RunCache::FrKey(nn::ModelKind::kGcn, env, cfg), 0x12671a205dc02888ULL);
+  // FrKey and CellKey changed when the FR prefix gained the support-
+  // restricted influence salt: FR results from the full-graph gradients miss.
+  EXPECT_EQ(RunCache::FrKey(nn::ModelKind::kGcn, env, cfg), 0x2701af5271ee355eULL);
+  // (The cell's FR widths resolve to 8 under the default environment.)
+  const Scenario cell = Cell(data::DatasetId::kCoraLike, nn::ModelKind::kGcn,
+                             core::MethodKind::kPpFr, 50);
+  EXPECT_EQ(RunCache::CellKey(cell, 123), 0xe2cafbce4919aea4ULL);
 
   // The namespace tags must actually namespace: stages whose remaining
   // fields coincide still get distinct keys (guards the const char* → bool

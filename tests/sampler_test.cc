@@ -40,8 +40,8 @@ bool BlocksEqual(const nn::SampledBlock& a, const nn::SampledBlock& b) {
     return false;
   }
   for (size_t h = 0; h < a.hops.size(); ++h) {
-    const la::CsrMatrix& ma = a.hops[h].agg;
-    const la::CsrMatrix& mb = b.hops[h].agg;
+    const la::CsrMatrix& ma = a.hops[h].agg->mat;
+    const la::CsrMatrix& mb = b.hops[h].agg->mat;
     if (ma.rows() != mb.rows() || ma.cols() != mb.cols() ||
         ma.row_ptr() != mb.row_ptr() || ma.col_idx() != mb.col_idx() ||
         ma.values() != mb.values()) {
@@ -109,7 +109,7 @@ TEST(NeighborSamplerTest, FanoutCapBindsAndWeightsAreRowStochastic) {
   EXPECT_GE(block.hop_sizes[1], block.hop_sizes[2]);
 
   for (size_t h = 0; h < block.hops.size(); ++h) {
-    const la::CsrMatrix& agg = block.hops[h].agg;
+    const la::CsrMatrix& agg = block.hops[h].agg->mat;
     ASSERT_EQ(agg.rows(), block.hop_sizes[h + 1]);
     ASSERT_EQ(agg.cols(), block.hop_sizes[h]);
     for (int r = 0; r < agg.rows(); ++r) {
@@ -163,7 +163,7 @@ TEST(NeighborSamplerTest, FullFanoutBlockIsTheExactTwoHopNeighbourhood) {
 
   // Each hop row must hold ALL neighbours of its output node, weight 1/deg.
   for (size_t h = 0; h < 2; ++h) {
-    const la::CsrMatrix& agg = block.hops[h].agg;
+    const la::CsrMatrix& agg = block.hops[h].agg->mat;
     for (int r = 0; r < agg.rows(); ++r) {
       const int out_node = block.frontier[static_cast<size_t>(r)];
       const auto want = adj.Neighbors(out_node);
@@ -331,13 +331,18 @@ TEST(SampledTrainingDeathTest, GuardsMisuse) {
   const nn::NeighborSampler sampler(&adj, {.fanout = 2, .num_hops = 2,
                                            .seed = 1});
   EXPECT_DEATH(sampler.SampleBlock({4, 4}, 0, 0), "CHECK failed");
-  // Non-SAGE models have no sampled forward path.
-  auto gcn = nn::MakeModel(nn::ModelKind::kGcn, 8, 3, 1);
-  nn::SampledBlock block;
-  ag::Tape tape;
-  ag::Var x = tape.Constant(la::Matrix(1, 8));
-  EXPECT_DEATH(gcn->ForwardSampled(tape, block, x),
-               "no sampled mini-batch forward path");
+  // Non-SAGE models have no sampled forward path: a sampled block carries
+  // only the mean aggregator.
+  const nn::SampledBlock block = sampler.SampleBlock({4, 9}, 0, 0);
+  for (nn::ModelKind kind : {nn::ModelKind::kGcn, nn::ModelKind::kGat}) {
+    auto model = nn::MakeModel(kind, 24, 3, 1);
+    EXPECT_DEATH(model->PrepareBlock(block, la::Matrix(block.num_inputs(), 24)),
+                 "no sampled mini-batch forward path");
+  }
+  // A block forward needs two hops.
+  auto sage = nn::MakeModel(nn::ModelKind::kGraphSage, 24, 3, 1);
+  EXPECT_DEATH(sage->PrepareBlock(nn::SampledBlock{}, la::Matrix(1, 24)),
+               "needs a 2-hop block");
 }
 
 }  // namespace
