@@ -39,12 +39,7 @@ std::shared_ptr<const SeedBlock> MakeSeedBlock(const nn::GnnModel& model,
     hash = (hash ^ static_cast<uint32_t>(v)) * 1099511628211ULL;
   }
   out->block = ctx.ExactBlock(distinct);
-  la::Matrix x(static_cast<int>(out->block.frontier.size()), ctx.feature_dim());
-  for (int i = 0; i < x.rows(); ++i) {
-    const double* src = ctx.features.row(out->block.frontier[static_cast<size_t>(i)]);
-    std::copy(src, src + x.cols(), x.row(i));
-  }
-  out->inputs = model.PrepareBlock(out->block, std::move(x));
+  out->inputs = model.PrepareBlock(out->block, ctx.GatherFeatures(out->block.frontier));
   out->key = std::to_string(seeds.size()) + "/" + std::to_string(hash);
   return out;
 }

@@ -53,6 +53,21 @@ CsrMatrix CsrMatrix::FromTriplets(int rows, int cols, std::vector<Triplet> tripl
   return m;
 }
 
+CsrMatrix CsrMatrix::FromDense(const Matrix& dense) {
+  CsrMatrix m(dense.rows(), dense.cols());
+  for (int r = 0; r < dense.rows(); ++r) {
+    const double* row = dense.row(r);
+    for (int c = 0; c < dense.cols(); ++c) {
+      if (row[c] == 0.0) continue;
+      m.col_idx_.push_back(c);
+      m.values_.push_back(row[c]);
+    }
+    m.row_ptr_[r + 1] = static_cast<int64_t>(m.col_idx_.size());
+  }
+  m.RegisterArenaBytes();
+  return m;
+}
+
 Matrix CsrMatrix::Multiply(const Matrix& x) const {
   PPFR_CHECK_EQ(cols_, x.rows());
   Matrix out(rows_, x.cols());

@@ -36,6 +36,8 @@ class CsrMatrix {
 
   // Builds from triplets; duplicate (row, col) entries are summed.
   static CsrMatrix FromTriplets(int rows, int cols, std::vector<Triplet> triplets);
+  // The nonzero entries of a dense matrix, in one row-major pass.
+  static CsrMatrix FromDense(const Matrix& dense);
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }

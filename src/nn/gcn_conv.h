@@ -7,7 +7,6 @@
 
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "nn/graph_context.h"
 
 namespace ppfr::nn {
 
@@ -20,21 +19,28 @@ class GcnConv {
   GcnConv(const GcnConv&) = default;
   GcnConv& operator=(const GcnConv&) = default;
 
-  // `lanes` > 1 runs the fused-replay lane-wide graph: weight/bias must be
-  // column-widened (nn::WidenModelParams) and `x` is lane-shared (layer 1
-  // features) or lane-wide (a previous lane-wide layer's output). lanes == 1
-  // is the ordinary narrow layer.
-  ag::Var Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x, int lanes = 1);
+  // out = adj·(x·W) + b over dense activations `x`. `adj` holds the rows of
+  // Â to aggregate (the full operator, or a block hop's SampledHop::gcn); a
+  // null `adj` means `x` is already aggregated (Â·X, a block's precomputed
+  // first layer), so the layer is x·W + b. `lanes` > 1 runs the fused-replay
+  // lane-wide graph: weight/bias are column-widened (nn::WidenModelParams)
+  // and `x` is lane-shared (block inputs) or lane-wide (a previous lane-wide
+  // layer's output); only the weight GEMM needs the lane-aware op, since SpMM
+  // and the bias broadcast are column-count-invariant per element.
+  ag::Var Forward(ag::Tape& tape, ag::Var x,
+                  const std::shared_ptr<const ag::SparseOperand>& adj, int lanes = 1);
 
-  // Block variant: `op` holds the output rows of Â over the input frontier
-  // (SampledHop::gcn); a null `op` means `x` is already aggregated (Â·X, the
-  // block's precomputed first layer), so the layer is x·W + b.
-  ag::Var ForwardBlock(ag::Tape& tape, ag::Var x,
-                       const std::shared_ptr<const ag::SparseOperand>& op, int lanes);
+  // The first layer over sparse raw features: adj·(X·W) + b, X·W an SpMM.
+  ag::Var ForwardFeatures(ag::Tape& tape,
+                          const std::shared_ptr<const ag::SparseOperand>& features,
+                          const std::shared_ptr<const ag::SparseOperand>& adj);
 
   std::vector<ag::Parameter*> Params();
 
  private:
+  ag::Var Aggregate(ag::Tape& tape, ag::Var xw,
+                    const std::shared_ptr<const ag::SparseOperand>& adj);
+
   ag::Parameter weight_;
   ag::Parameter bias_;
 };

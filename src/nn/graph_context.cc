@@ -80,8 +80,24 @@ GraphContext GraphContext::Build(graph::Graph g, la::Matrix features) {
   ctx.edges_with_self = std::move(edges);
 
   ctx.graph = std::move(g);
-  ctx.features = std::move(features);
+  ctx.features =
+      ag::MakeSparseOperand(la::CsrMatrix::FromDense(features), /*symmetric=*/false);
   return ctx;
+}
+
+la::Matrix GraphContext::GatherFeatures(const std::vector<int>& nodes) const {
+  const la::CsrMatrix& x = features->mat;
+  la::Matrix out(static_cast<int>(nodes.size()), x.cols());
+  for (int i = 0; i < out.rows(); ++i) {
+    const int v = nodes[static_cast<size_t>(i)];
+    PPFR_DCHECK_GE(v, 0);
+    PPFR_DCHECK_LT(v, x.rows());
+    double* row = out.row(i);
+    for (int64_t k = x.row_ptr()[v]; k < x.row_ptr()[v + 1]; ++k) {
+      row[x.col_idx()[k]] = x.values()[static_cast<size_t>(k)];
+    }
+  }
+  return out;
 }
 
 std::shared_ptr<const ag::SparseOperand> GraphContext::SampledMeanAdj(int fanout,

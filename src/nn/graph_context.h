@@ -18,7 +18,11 @@ namespace ppfr::nn {
 // hand it to the same model — which is what makes the method model-agnostic.
 struct GraphContext {
   graph::Graph graph;
-  la::Matrix features;
+  // The node features X, kept only as their CSR: bag-of-words rows are a few
+  // percent nonzero, so every first layer computes X·W as ag::SpMM over it,
+  // and the weight gradient Xᵀ·G uses the operand's transpose, built once
+  // per context by the first backward that needs it.
+  std::shared_ptr<const ag::SparseOperand> features;
 
   // Symmetric GCN operator D̃^{-1/2}(A+I)D̃^{-1/2}.
   std::shared_ptr<const ag::SparseOperand> gcn_adj;
@@ -28,10 +32,14 @@ struct GraphContext {
   std::shared_ptr<const ag::EdgeSet> edges_with_self;
 
   int num_nodes() const { return graph.num_nodes(); }
-  int feature_dim() const { return features.cols(); }
+  int feature_dim() const { return features->mat.cols(); }
 
   // Builds all operators from a graph + feature matrix.
   static GraphContext Build(graph::Graph g, la::Matrix features);
+
+  // Dense copies of the feature rows of `nodes`, one row per entry in order
+  // (the input a block forward's GnnModel::PrepareBlock takes).
+  la::Matrix GatherFeatures(const std::vector<int>& nodes) const;
 
   // Per-epoch sampled GraphSAGE aggregator (fanout neighbours per node).
   std::shared_ptr<const ag::SparseOperand> SampledMeanAdj(int fanout, Rng* rng) const;

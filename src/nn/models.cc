@@ -61,10 +61,9 @@ Gcn::Gcn(int in_dim, int hidden_dim, int num_classes, uint64_t seed)
     : conv1_(in_dim, hidden_dim, seed), conv2_(hidden_dim, num_classes, seed + 101) {}
 
 ag::Var Gcn::Forward(ag::Tape& tape, const GraphContext& ctx,
-                     const ForwardOptions& options) {
-  ag::Var x = tape.StaticConstant(ctx.features);
-  ag::Var h = ag::Relu(conv1_.Forward(tape, ctx, x, options.replay_lanes));
-  return conv2_.Forward(tape, ctx, h, options.replay_lanes);
+                     const ForwardOptions& /*options*/) {
+  ag::Var h = ag::Relu(conv1_.ForwardFeatures(tape, ctx.features, ctx.gcn_adj));
+  return conv2_.Forward(tape, h, ctx.gcn_adj);
 }
 
 BlockInputs Gcn::PrepareBlock(const SampledBlock& block, la::Matrix x) const {
@@ -78,9 +77,9 @@ BlockInputs Gcn::PrepareBlock(const SampledBlock& block, la::Matrix x) const {
 // is reassociated so the parameter-independent half runs once per block.
 ag::Var Gcn::ForwardBlock(ag::Tape& tape, const SampledBlock& block,
                           const BlockInputs& inputs, int lanes) {
-  ag::Var h = ag::Relu(
-      conv1_.ForwardBlock(tape, tape.StaticConstant(inputs.agg), nullptr, lanes));
-  return conv2_.ForwardBlock(tape, h, block.hops[1].gcn, lanes);
+  ag::Var h =
+      ag::Relu(conv1_.Forward(tape, tape.StaticConstant(inputs.agg), nullptr, lanes));
+  return conv2_.Forward(tape, h, block.hops[1].gcn, lanes);
 }
 
 std::vector<ag::Parameter*> Gcn::Params() {
@@ -94,29 +93,27 @@ std::unique_ptr<GnnModel> Gcn::Clone() const { return std::make_unique<Gcn>(*thi
 // ---- GAT ----
 
 Gat::Gat(int in_dim, int hidden_dim, int num_classes, int heads, uint64_t seed)
-    : conv1_(in_dim, hidden_dim, heads, /*concat=*/true, seed),
-      conv2_(hidden_dim * heads, num_classes, 1, /*concat=*/false, seed + 101) {}
+    : conv1_(in_dim, hidden_dim, heads, seed),
+      conv2_(hidden_dim * heads, num_classes, 1, seed + 101) {}
 
 ag::Var Gat::Forward(ag::Tape& tape, const GraphContext& ctx,
-                     const ForwardOptions& options) {
-  ag::Var x = tape.StaticConstant(ctx.features);
-  ag::Var h = ag::Elu(conv1_.Forward(tape, ctx, x, options.replay_lanes));
-  return conv2_.Forward(tape, ctx, h, options.replay_lanes);
+                     const ForwardOptions& /*options*/) {
+  ag::Var h = ag::Elu(conv1_.ForwardFeatures(tape, ctx.features, ctx.edges_with_self));
+  return conv2_.Forward(tape, h, ctx.edges_with_self);
 }
 
 BlockInputs Gat::PrepareBlock(const SampledBlock& block, la::Matrix x) const {
   CheckBlockFor(kind(), block);
   PPFR_CHECK_EQ(x.rows(), block.num_inputs());
   BlockInputs inputs;
-  inputs.x = std::move(x);
+  inputs.x = ag::MakeSparseOperand(la::CsrMatrix::FromDense(x), /*symmetric=*/false);
   return inputs;
 }
 
 ag::Var Gat::ForwardBlock(ag::Tape& tape, const SampledBlock& block,
                           const BlockInputs& inputs, int lanes) {
-  ag::Var x = tape.StaticConstant(inputs.x);
-  ag::Var h = ag::Elu(conv1_.ForwardBlock(tape, x, block.hops[0].edges, lanes));
-  return conv2_.ForwardBlock(tape, h, block.hops[1].edges, lanes);
+  ag::Var h = ag::Elu(conv1_.ForwardFeatures(tape, inputs.x, block.hops[0].edges, lanes));
+  return conv2_.Forward(tape, h, block.hops[1].edges, lanes);
 }
 
 std::vector<ag::Parameter*> Gat::Params() {
@@ -134,10 +131,10 @@ GraphSage::GraphSage(int in_dim, int hidden_dim, int num_classes, uint64_t seed)
 
 ag::Var GraphSage::Forward(ag::Tape& tape, const GraphContext& ctx,
                            const ForwardOptions& options) {
-  ag::Var x = tape.StaticConstant(ctx.features);
-  ag::Var h = ag::Relu(
-      conv1_.Forward(tape, ctx, x, options.sage_aggregator, options.replay_lanes));
-  return conv2_.Forward(tape, ctx, h, options.sage_aggregator, options.replay_lanes);
+  const auto& agg =
+      options.sage_aggregator != nullptr ? options.sage_aggregator : ctx.mean_adj;
+  ag::Var h = ag::Relu(conv1_.ForwardFeatures(tape, ctx.features, agg));
+  return conv2_.Forward(tape, h, ag::SpMM(agg, h));
 }
 
 BlockInputs GraphSage::PrepareBlock(const SampledBlock& block, la::Matrix x) const {
@@ -153,11 +150,11 @@ BlockInputs GraphSage::PrepareBlock(const SampledBlock& block, la::Matrix x) con
 
 ag::Var GraphSage::ForwardBlock(ag::Tape& tape, const SampledBlock& block,
                                 const BlockInputs& inputs, int lanes) {
-  ag::Var h = ag::Relu(conv1_.ForwardBlock(tape, tape.StaticConstant(inputs.self),
-                                           tape.StaticConstant(inputs.agg), lanes));
+  ag::Var h = ag::Relu(conv1_.Forward(tape, tape.StaticConstant(inputs.self),
+                                      tape.StaticConstant(inputs.agg), lanes));
   const SampledHop& hop = block.hops[1];
-  return conv2_.ForwardBlock(tape, ag::GatherRows(h, Prefix(hop.num_out())),
-                             ag::SpMM(hop.agg, h), lanes);
+  return conv2_.Forward(tape, ag::GatherRows(h, Prefix(hop.num_out())),
+                        ag::SpMM(hop.agg, h), lanes);
 }
 
 std::vector<ag::Parameter*> GraphSage::Params() {

@@ -19,22 +19,16 @@ enum class ModelKind { kGcn, kGat, kGraphSage };
 std::string ModelKindName(ModelKind kind);
 
 // Per-forward options. `sage_aggregator` carries the per-epoch sampled
-// neighbour mean for GraphSAGE training passes. `replay_lanes` > 1 builds the
-// lane-wide graph of the fused multi-point tape replay: every parameter must
-// have been widened to `lanes` column blocks (WidenModelParams), the logits
-// come out (n x classes·lanes) with lane l in columns [l·classes, (l+1)·classes),
-// and each lane is bitwise identical to a replay_lanes == 1 forward at that
-// lane's parameter point.
+// neighbour mean for GraphSAGE training passes.
 struct ForwardOptions {
   std::shared_ptr<const ag::SparseOperand> sage_aggregator;
-  int replay_lanes = 1;
 };
 
 // The parameter-independent first-layer inputs of a block forward, computed
 // once per block by GnnModel::PrepareBlock and read by every forward and
 // replay over that block. Each model fills only what it reads.
 struct BlockInputs {
-  la::Matrix x;     // GAT: features over F_0
+  std::shared_ptr<const ag::SparseOperand> x;  // GAT: CSR of the features over F_0
   la::Matrix self;  // SAGE: features over F_1 (the self term)
   la::Matrix agg;   // the first aggregation over F_1: Â·X (GCN), mean·X (SAGE)
 };
@@ -50,12 +44,18 @@ class GnnModel {
   // The inputs ForwardBlock reads, from `x`, the features of block.frontier
   // (one row per frontier node). GCN and SAGE aggregate their first layer
   // here, so a block forward never touches the 2-hop rows again; GAT's
-  // attention needs the 2-hop features themselves.
+  // attention needs the 2-hop features themselves, which it keeps as their
+  // CSR so its first layer is an SpMM like the full-graph one.
   virtual BlockInputs PrepareBlock(const SampledBlock& block, la::Matrix x) const = 0;
   // Forward over a 2-hop block (nn/sampler.h): logits for the block's
-  // targets, block.num_targets() rows in frontier order. `lanes` is
-  // ForwardOptions::replay_lanes. GCN and GAT need an exact block
-  // (GraphContext::ExactBlock); SAGE also runs on sampled mini-batch blocks.
+  // targets, block.num_targets() rows in frontier order. GCN and GAT need an
+  // exact block (GraphContext::ExactBlock); SAGE also runs on sampled
+  // mini-batch blocks. `lanes` > 1 builds the lane-wide graph of the fused
+  // multi-point tape replay: every parameter must have been widened to
+  // `lanes` column blocks (WidenModelParams), the logits come out
+  // (rows x classes·lanes) with lane l in columns [l·classes, (l+1)·classes),
+  // and each lane is bitwise identical to a lanes == 1 forward at that
+  // lane's parameter point.
   virtual ag::Var ForwardBlock(ag::Tape& tape, const SampledBlock& block,
                                const BlockInputs& inputs, int lanes = 1) = 0;
   virtual std::vector<ag::Parameter*> Params() = 0;
@@ -91,7 +91,7 @@ class Gcn final : public GnnModel {
   GcnConv conv2_;
 };
 
-// Two-layer GAT: ELU(GAT(in->hidden, heads, concat)) -> GAT(hidden*heads->C, 1 head).
+// Two-layer GAT: ELU(GAT(in->hidden, heads)) -> GAT(hidden*heads->C, 1 head).
 class Gat final : public GnnModel {
  public:
   Gat(int in_dim, int hidden_dim, int num_classes, int heads, uint64_t seed);
@@ -134,11 +134,11 @@ std::unique_ptr<GnnModel> MakeModel(ModelKind kind, int in_dim, int num_classes,
                                     uint64_t seed);
 
 // Reshapes every parameter of `model` (value and grad) from (r x c) to
-// (r x c·lanes) zeros, the column-blocked layout that a
-// ForwardOptions::replay_lanes == lanes forward consumes. The widened values
-// are meaningless until the caller scatters per-lane parameter points into
-// the column blocks (influence::GradLanePool does this per replay chunk) —
-// widening is a layout change, not a broadcast.
+// (r x c·lanes) zeros, the column-blocked layout that a lane-wide
+// GnnModel::ForwardBlock consumes. The widened values are meaningless until
+// the caller scatters per-lane parameter points into the column blocks
+// (influence::GradLanePool does this per replay chunk) — widening is a
+// layout change, not a broadcast.
 void WidenModelParams(GnnModel* model, int lanes);
 
 }  // namespace ppfr::nn

@@ -16,23 +16,18 @@ SageConv::SageConv(int in_dim, int out_dim, uint64_t seed)
       weight_neigh_("sage.weight_neigh", Glorot(in_dim, out_dim, seed + 1)),
       bias_("sage.bias", Zeros(1, out_dim)) {}
 
-ag::Var SageConv::Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x,
-                          const std::shared_ptr<const ag::SparseOperand>& aggregator,
-                          int lanes) {
-  const auto& agg = aggregator != nullptr ? aggregator : ctx.mean_adj;
-  // Only the weight GEMMs contract over columns; SpMM, Add and the bias
-  // broadcast pass lane-wide activations through unchanged.
-  ag::Var self_term = ag::MatMulLanes(x, tape.Leaf(&weight_self_), lanes);
-  ag::Var neigh_mean = ag::SpMM(agg, x);
+ag::Var SageConv::Forward(ag::Tape& tape, ag::Var self, ag::Var neigh_mean, int lanes) {
+  PPFR_CHECK_EQ(self.rows(), neigh_mean.rows());
+  ag::Var self_term = ag::MatMulLanes(self, tape.Leaf(&weight_self_), lanes);
   ag::Var neigh_term = ag::MatMulLanes(neigh_mean, tape.Leaf(&weight_neigh_), lanes);
   return ag::AddRowVec(ag::Add(self_term, neigh_term), tape.Leaf(&bias_));
 }
 
-ag::Var SageConv::ForwardBlock(ag::Tape& tape, ag::Var self, ag::Var neigh_mean,
-                               int lanes) {
-  PPFR_CHECK_EQ(self.rows(), neigh_mean.rows());
-  ag::Var self_term = ag::MatMulLanes(self, tape.Leaf(&weight_self_), lanes);
-  ag::Var neigh_term = ag::MatMulLanes(neigh_mean, tape.Leaf(&weight_neigh_), lanes);
+ag::Var SageConv::ForwardFeatures(
+    ag::Tape& tape, const std::shared_ptr<const ag::SparseOperand>& features,
+    const std::shared_ptr<const ag::SparseOperand>& agg) {
+  ag::Var self_term = ag::SpMM(features, tape.Leaf(&weight_self_));
+  ag::Var neigh_term = ag::SpMM(agg, ag::SpMM(features, tape.Leaf(&weight_neigh_)));
   return ag::AddRowVec(ag::Add(self_term, neigh_term), tape.Leaf(&bias_));
 }
 

@@ -6,7 +6,6 @@
 
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "nn/graph_context.h"
 
 namespace ppfr::nn {
 
@@ -21,17 +20,19 @@ class SageConv {
   SageConv(const SageConv&) = default;
   SageConv& operator=(const SageConv&) = default;
 
-  // `aggregator` overrides the context's full-graph neighbour mean when
-  // non-null (used for sampled training passes). `lanes` > 1 runs the
-  // fused-replay lane-wide graph (see GcnConv::Forward).
-  ag::Var Forward(ag::Tape& tape, const GraphContext& ctx, ag::Var x,
-                  const std::shared_ptr<const ag::SparseOperand>& aggregator,
-                  int lanes = 1);
+  // self·W_self + neigh_mean·W_neigh + b over dense activations: `self`
+  // holds the output rows' own activations and `neigh_mean` their neighbour
+  // mean (agg·x on the full graph; on a block hop the leading rows of the
+  // input, by the block's prefix property, and the hop's mean of them).
+  // `lanes` > 1 runs the fused-replay lane-wide graph (see GcnConv::Forward).
+  ag::Var Forward(ag::Tape& tape, ag::Var self, ag::Var neigh_mean, int lanes = 1);
 
-  // Block variant over the output frontier of a hop: `self` holds its rows
-  // of the input activations (the leading rows, by the block's prefix
-  // property) and `neigh_mean` the hop's neighbour mean of them.
-  ag::Var ForwardBlock(ag::Tape& tape, ag::Var self, ag::Var neigh_mean, int lanes);
+  // The full-graph first layer over sparse raw features, with the neighbour
+  // term reassociated to agg·(X·W_neigh) so both products with X run as SpMM:
+  //   X·W_self + agg·(X·W_neigh) + b.
+  ag::Var ForwardFeatures(ag::Tape& tape,
+                          const std::shared_ptr<const ag::SparseOperand>& features,
+                          const std::shared_ptr<const ag::SparseOperand>& agg);
 
   std::vector<ag::Parameter*> Params();
 

@@ -48,7 +48,11 @@ namespace {
 
 // The training-schedule prefix every trained-model stage depends on.
 void MixTrainPrefix(KeyHasher* h, const core::MethodConfig& config) {
-  h->Mix(config.train.epochs)
+  // Names the first layer's numerics: models trained with the dense X·W
+  // (before the features became one CSR operand) are keyed without it, so
+  // they miss once instead of mixing.
+  h->Mix("first-layer:sparse-x")
+      .Mix(config.train.epochs)
       .Mix(config.train.lr)
       .Mix(config.train.weight_decay)
       .Mix(config.train.sage_fanout)

@@ -33,6 +33,14 @@
 namespace ppfr::influence {
 namespace {
 
+// The fixture graph, with an all-zero and a fully dense feature row so the
+// block paths (GAT's sparse block inputs included) cover both.
+data::NodeClassificationData EdgeRowSbm(uint64_t seed) {
+  data::NodeClassificationData data = ppfr::testing::SmallSbm(seed, 140, 3);
+  ppfr::testing::AddFeatureEdgeRows(&data);
+  return data;
+}
+
 struct EngineFixture {
   data::NodeClassificationData data;
   nn::GraphContext ctx;
@@ -40,7 +48,7 @@ struct EngineFixture {
   std::unique_ptr<nn::GnnModel> model;
 
   explicit EngineFixture(nn::ModelKind kind, uint64_t seed = 31)
-      : data(ppfr::testing::SmallSbm(seed, 140, 3)),
+      : data(EdgeRowSbm(seed)),
         ctx(nn::GraphContext::Build(data.graph, data.features)),
         split(data::MakeSplit(data.graph.num_nodes(), 40, 0, 3)),
         model(nn::MakeModel(kind, ctx.feature_dim(), data.num_classes, 5)) {
@@ -156,15 +164,10 @@ TEST_P(BlockPath, BlockForwardMatchesFullGraphLogits) {
   EngineFixture fx(kind);
   const std::vector<int> targets(fx.split.train.begin(), fx.split.train.begin() + 9);
   const nn::SampledBlock block = fx.ctx.ExactBlock(targets);
-  la::Matrix x(block.num_inputs(), fx.ctx.feature_dim());
-  for (int i = 0; i < x.rows(); ++i) {
-    for (int c = 0; c < x.cols(); ++c) {
-      x(i, c) = fx.ctx.features(block.frontier[static_cast<size_t>(i)], c);
-    }
-  }
+  const nn::BlockInputs inputs =
+      fx.model->PrepareBlock(block, fx.ctx.GatherFeatures(block.frontier));
   ag::Tape tape;
-  const la::Matrix got =
-      fx.model->ForwardBlock(tape, block, fx.model->PrepareBlock(block, x)).value();
+  const la::Matrix got = fx.model->ForwardBlock(tape, block, inputs).value();
   const la::Matrix want = fx.model->Logits(fx.ctx);
   ASSERT_EQ(got.rows(), static_cast<int>(targets.size()));
   for (size_t i = 0; i < targets.size(); ++i) {

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "autograd/grad_check.h"
 #include "data/split.h"
+#include "fairness/bias_metric.h"
+#include "la/backend.h"
 #include "nn/adam.h"
 #include "nn/graph_context.h"
 #include "nn/init.h"
@@ -44,6 +51,23 @@ TEST(GraphContextTest, BuildsAllOperators) {
   Fixture f;
   EXPECT_EQ(f.ctx.num_nodes(), f.data.graph.num_nodes());
   EXPECT_EQ(f.ctx.feature_dim(), f.data.features.cols());
+  // The features are kept as exactly their nonzeros, and gathers copy rows
+  // back out bit for bit.
+  ASSERT_NE(f.ctx.features, nullptr);
+  int64_t nonzeros = 0;
+  for (int64_t i = 0; i < f.data.features.size(); ++i) {
+    nonzeros += f.data.features.data()[i] != 0.0;
+  }
+  EXPECT_EQ(f.ctx.features->mat.nnz(), nonzeros);
+  EXPECT_EQ(la::Sub(f.ctx.features->mat.ToDense(), f.data.features).MaxAbs(), 0.0);
+  const std::vector<int> nodes{7, 0, 7};
+  const la::Matrix gathered = f.ctx.GatherFeatures(nodes);
+  ASSERT_EQ(gathered.rows(), 3);
+  for (int i = 0; i < 3; ++i) {
+    for (int c = 0; c < gathered.cols(); ++c) {
+      EXPECT_EQ(gathered(i, c), f.data.features(nodes[static_cast<size_t>(i)], c));
+    }
+  }
   EXPECT_NE(f.ctx.gcn_adj, nullptr);
   EXPECT_NE(f.ctx.mean_adj, nullptr);
   ASSERT_NE(f.ctx.edges_with_self, nullptr);
@@ -150,6 +174,146 @@ TEST(ModelGradientTest, SageEndToEndGradCheck) {
   const ag::GradCheckResult r = ag::GradCheck(build, model.Params(), &rng, 6);
   EXPECT_LT(r.max_rel_error, 1e-4);
 }
+
+// ---- The sparse first layer against a dense-X oracle ----
+//
+// The models multiply raw features only through the context's CSR operand
+// (SpMM). The oracle rebuilds each full-graph forward in the test from the
+// model's own parameters in the dense formulation: X is a dense tape
+// constant, every product with it a dense MatMul, and SAGE's neighbour term
+// is (agg·X)·W_neigh. The contract is 1e-12 relative on the logits and on
+// every parameter gradient.
+
+// One GAT layer: per head H_h = x·W_h with attention scores H_h·a_l and
+// H_h·a_r, then the fused softmax-aggregate (GatConv's slope 0.2). The
+// layer's parameters start at p[first] as (W, a_l, a_r) triples.
+ag::Var OracleGatLayer(ag::Tape& tape, ag::Var x, const std::vector<ag::Parameter*>& p,
+                       size_t first, int heads, const GraphContext& ctx) {
+  std::vector<ag::Var> hf, ls, rs;
+  for (int h = 0; h < heads; ++h) {
+    const size_t k = first + 3 * static_cast<size_t>(h);
+    ag::Var hh = ag::MatMul(x, tape.Leaf(p[k]));
+    hf.push_back(hh);
+    ls.push_back(ag::MatMul(hh, tape.Leaf(p[k + 1])));
+    rs.push_back(ag::MatMul(hh, tape.Leaf(p[k + 2])));
+  }
+  if (heads == 1) {
+    return ag::EdgeSoftmaxAggregate(hf[0], ls[0], rs[0], ctx.edges_with_self, 1, 0.2);
+  }
+  return ag::EdgeSoftmaxAggregate(ag::ConcatCols(hf), ag::ConcatCols(ls),
+                                  ag::ConcatCols(rs), ctx.edges_with_self, heads, 0.2);
+}
+
+ag::Var DenseOracleForward(ModelKind kind, const std::vector<ag::Parameter*>& p,
+                           const GraphContext& ctx, const la::Matrix& features,
+                           ag::Tape& tape) {
+  ag::Var x = tape.Constant(features);
+  switch (kind) {
+    case ModelKind::kGcn: {
+      auto layer = [&](ag::Var in, size_t first) {
+        return ag::AddRowVec(ag::SpMM(ctx.gcn_adj, ag::MatMul(in, tape.Leaf(p[first]))),
+                             tape.Leaf(p[first + 1]));
+      };
+      return layer(ag::Relu(layer(x, 0)), 2);
+    }
+    case ModelKind::kGat: {
+      const int heads = static_cast<int>(p.size() / 3) - 1;  // + one output head
+      ag::Var h = ag::Elu(OracleGatLayer(tape, x, p, 0, heads, ctx));
+      return OracleGatLayer(tape, h, p, 3 * static_cast<size_t>(heads), 1, ctx);
+    }
+    case ModelKind::kGraphSage: {
+      auto layer = [&](ag::Var in, size_t first) {
+        ag::Var self = ag::MatMul(in, tape.Leaf(p[first]));
+        ag::Var neigh = ag::MatMul(ag::SpMM(ctx.mean_adj, in), tape.Leaf(p[first + 1]));
+        return ag::AddRowVec(ag::Add(self, neigh), tape.Leaf(p[first + 2]));
+      };
+      return layer(ag::Relu(layer(x, 0)), 3);
+    }
+  }
+  return {};
+}
+
+double FrobeniusRelErr(const la::Matrix& want, const la::Matrix& got) {
+  double diff = 0.0, ref = 0.0;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    diff += (got.data()[i] - want.data()[i]) * (got.data()[i] - want.data()[i]);
+    ref += want.data()[i] * want.data()[i];
+  }
+  return std::sqrt(diff / std::max(ref, 1e-300));
+}
+
+using SparseFirstLayerParam = std::tuple<ModelKind, la::BackendKind, int>;
+
+class SparseFirstLayer : public ::testing::TestWithParam<SparseFirstLayerParam> {};
+
+TEST_P(SparseFirstLayer, MatchesDenseFeatureOracle) {
+  const auto [kind, backend, threads] = GetParam();
+  la::ScopedBackend scoped(backend, threads);
+  data::NodeClassificationData data = ppfr::testing::SmallSbm(21);
+  ppfr::testing::AddFeatureEdgeRows(&data);
+  const GraphContext ctx = GraphContext::Build(data.graph, data.features);
+  auto model = MakeModel(kind, ctx.feature_dim(), data.num_classes, 13);
+  const std::vector<ag::Parameter*> params = model->Params();
+  const auto laplacian = fairness::SimilarityContext::FromGraph(data.graph).laplacian;
+  const std::vector<int> rows{0, 1, 17, 60};
+  std::vector<int> labels;
+  for (int v : rows) labels.push_back(data.labels[static_cast<size_t>(v)]);
+
+  // Train-row NLL only keeps the logits gradient on a few rows, so every
+  // backward (X·W's included) runs its row-support path; the fairness
+  // regulariser's gradient covers every row, so it runs the dense path.
+  for (const bool fairness : {false, true}) {
+    SCOPED_TRACE(fairness ? "dense backward" : "row-support backward");
+    auto run = [&](const std::function<ag::Var(ag::Tape&)>& forward) {
+      for (ag::Parameter* q : params) q->ZeroGrad();
+      ag::Tape tape;
+      ag::Var logits = forward(tape);
+      ag::Var loss = ag::WeightedNll(ag::LogSoftmaxRows(logits), rows, labels,
+                                     std::vector<double>(rows.size(), 1.0),
+                                     static_cast<double>(rows.size()));
+      if (fairness) {
+        ag::Var bias = ag::LaplacianQuadratic(laplacian, ag::SoftmaxRows(logits));
+        loss = ag::Add(loss, ag::Scale(bias, 0.5));
+      }
+      tape.Backward(loss);
+      std::vector<la::Matrix> out{logits.value()};
+      for (ag::Parameter* q : params) out.push_back(q->grad);
+      return out;
+    };
+    const std::vector<la::Matrix> got =
+        run([&](ag::Tape& tape) { return model->Forward(tape, ctx, ForwardOptions{}); });
+    const std::vector<la::Matrix> want = run([&](ag::Tape& tape) {
+      return DenseOracleForward(kind, params, ctx, data.features, tape);
+    });
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_TRUE(got[0].SameShape(want[0]));
+    for (int64_t i = 0; i < want[0].size(); ++i) {
+      EXPECT_NEAR(got[0].data()[i], want[0].data()[i],
+                  1e-12 * std::max(1.0, std::fabs(want[0].data()[i])))
+          << "logit " << i;
+    }
+    for (size_t k = 0; k < params.size(); ++k) {
+      ASSERT_TRUE(got[k + 1].SameShape(want[k + 1]));
+      EXPECT_GT(want[k + 1].MaxAbs(), 0.0) << params[k]->name << " got no gradient";
+      EXPECT_LT(FrobeniusRelErr(want[k + 1], got[k + 1]), 1e-12)
+          << params[k]->name << " (parameter " << k << ")";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelsBackendsThreads, SparseFirstLayer,
+    ::testing::Combine(::testing::Values(ModelKind::kGcn, ModelKind::kGat,
+                                         ModelKind::kGraphSage),
+                       ::testing::Values(la::BackendKind::kReference,
+                                         la::BackendKind::kParallel,
+                                         la::BackendKind::kSimd),
+                       ::testing::Values(1, 4)),
+    [](const auto& info) {
+      return ModelKindName(std::get<0>(info.param)) +
+             la::BackendKindName(std::get<1>(info.param)) + "Threads" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 TEST(AdamTest, MinimizesQuadratic) {
   // f(x) = ||x - 3||²; Adam should drive x to ~3.

@@ -94,17 +94,20 @@ TEST(KeyHasherTest, GoldenValuesStableAcrossProcesses) {
 
   EXPECT_EQ(RunCache::EnvKey(data::DatasetId::kCoraLike, 123),
             0xcda4452e6213209eULL);
+  // Every key with the training prefix changed when it gained the sparse
+  // first-layer salt: models trained with the dense X·W miss. DP keys have
+  // no training prefix and keep hitting.
   EXPECT_EQ(RunCache::VanillaKey(nn::ModelKind::kGcn, env, cfg),
-            0x6b4731a3f0028329ULL);
+            0x9dbc2bcb9ef297e0ULL);
   EXPECT_EQ(RunCache::DpKey(env, cfg), 0xdc379259979ac35fULL);
-  EXPECT_EQ(RunCache::PpKey(nn::ModelKind::kGcn, env, cfg), 0x0cea453f034b7143ULL);
-  // FrKey and CellKey changed when the FR prefix gained the support-
-  // restricted influence salt: FR results from the full-graph gradients miss.
-  EXPECT_EQ(RunCache::FrKey(nn::ModelKind::kGcn, env, cfg), 0x2701af5271ee355eULL);
+  EXPECT_EQ(RunCache::PpKey(nn::ModelKind::kGcn, env, cfg), 0x5b9b2aca326d5bc3ULL);
+  // FrKey and CellKey also carry the support-restricted influence salt of
+  // the FR prefix: FR results from the full-graph gradients miss.
+  EXPECT_EQ(RunCache::FrKey(nn::ModelKind::kGcn, env, cfg), 0x4519c80cf758f0b6ULL);
   // (The cell's FR widths resolve to 8 under the default environment.)
   const Scenario cell = Cell(data::DatasetId::kCoraLike, nn::ModelKind::kGcn,
                              core::MethodKind::kPpFr, 50);
-  EXPECT_EQ(RunCache::CellKey(cell, 123), 0xe2cafbce4919aea4ULL);
+  EXPECT_EQ(RunCache::CellKey(cell, 123), 0x5616d2e46b2c937bULL);
 
   // The namespace tags must actually namespace: stages whose remaining
   // fields coincide still get distinct keys (guards the const char* → bool

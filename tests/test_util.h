@@ -26,6 +26,17 @@ inline data::NodeClassificationData SmallSbm(uint64_t seed = 42, int num_nodes =
   return data::GenerateSbm(cfg, seed);
 }
 
+// Gives `data` the two feature rows a sparse feature operand must get right
+// next to the bag-of-words rows: row 0 all zero (an empty CSR row) and row 1
+// fully dense with non-binary values.
+inline void AddFeatureEdgeRows(data::NodeClassificationData* data) {
+  Rng rng(5);
+  for (int c = 0; c < data->features.cols(); ++c) {
+    data->features(0, c) = 0.0;
+    data->features(1, c) = rng.Uniform(0.5, 1.5);
+  }
+}
+
 // Random dense matrix with entries ~ N(0, 1).
 inline la::Matrix RandomMatrix(int rows, int cols, Rng* rng) {
   la::Matrix m(rows, cols);
