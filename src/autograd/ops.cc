@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "la/backend.h"
 
@@ -752,89 +753,6 @@ Var GatherRows(Var a, const std::vector<int>& indices) {
                 });
 }
 
-Var ConcatCols(const std::vector<Var>& parts) {
-  PPFR_CHECK(!parts.empty());
-  Tape* tape = parts[0].tape;
-  int total_cols = 0;
-  const int rows = parts[0].rows();
-  bool needs = false;
-  for (Var p : parts) {
-    PPFR_CHECK(p.tape == tape);
-    PPFR_CHECK_EQ(p.rows(), rows);
-    total_cols += p.cols();
-    needs = needs || tape->NeedsGrad(p);
-  }
-  la::Matrix out = tape->NewValue(rows, total_cols, /*zero_init=*/false);
-  int offset = 0;
-  for (Var p : parts) {
-    const la::Matrix& pv = p.value();
-    for (int r = 0; r < rows; ++r) {
-      std::copy(pv.row(r), pv.row(r) + pv.cols(), out.row(r) + offset);
-    }
-    offset += pv.cols();
-  }
-  const int out_id = tape->num_nodes();
-  return MakeOp(tape, std::move(out), needs, parts,
-                [parts, out_id](Tape& tp, const la::Matrix& g) {
-                  const std::vector<int>* supp = tp.GradRowSupport(Var{&tp, out_id});
-                  int offset = 0;
-                  for (Var p : parts) {
-                    const int pc = tp.Value(p).cols();
-                    if (tp.NeedsGrad(p)) {
-                      la::Matrix& dp = supp != nullptr ? tp.GradRefPartial(p, *supp)
-                                                       : tp.GradRef(p);
-                      auto add_row = [&](int r) {
-                        const double* gr = g.row(r) + offset;
-                        double* dr = dp.row(r);
-                        for (int c = 0; c < pc; ++c) dr[c] += gr[c];
-                      };
-                      if (supp != nullptr) {
-                        for (int r : *supp) add_row(r);
-                      } else {
-                        for (int r = 0; r < g.rows(); ++r) add_row(r);
-                      }
-                    }
-                    offset += pc;
-                  }
-                });
-}
-
-Var SliceCols(Var a, int col0, int width) {
-  Tape* tape = CommonTape({a});
-  const la::Matrix& av = a.value();
-  PPFR_CHECK_GE(col0, 0);
-  PPFR_CHECK_GT(width, 0);
-  PPFR_CHECK_LE(col0 + width, av.cols());
-  la::Matrix out = tape->NewValue(av.rows(), width, /*zero_init=*/false);
-  {
-    la::ActiveBackend().Apply(av.rows(), RowGrain(width), [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const double* src = av.row(static_cast<int>(r)) + col0;
-        std::copy(src, src + width, out.row(static_cast<int>(r)));
-      }
-    });
-  }
-  const bool needs = tape->NeedsGrad(a);
-  const int out_id = tape->num_nodes();
-  return MakeOp(tape, std::move(out), needs, {a},
-                [a, col0, width, out_id](Tape& tp, const la::Matrix& g) {
-                  if (!tp.NeedsGrad(a)) return;
-                  const std::vector<int>* supp = tp.GradRowSupport(Var{&tp, out_id});
-                  la::Matrix& da = supp != nullptr ? tp.GradRefPartial(a, *supp)
-                                                   : tp.GradRef(a);
-                  auto add_row = [&](int r) {
-                    const double* gr = g.row(r);
-                    double* dr = da.row(r) + col0;
-                    for (int c = 0; c < width; ++c) dr[c] += gr[c];
-                  };
-                  if (supp != nullptr) {
-                    for (int r : *supp) add_row(r);
-                  } else {
-                    for (int r = 0; r < g.rows(); ++r) add_row(r);
-                  }
-                });
-}
-
 Var SumAll(Var a) {
   Tape* tape = CommonTape({a});
   la::Matrix out = tape->NewValue(1, 1, /*zero_init=*/false);
@@ -907,71 +825,146 @@ Var LaplacianQuadratic(const std::shared_ptr<const la::CsrMatrix>& laplacian, Va
                 });
 }
 
-Var EdgeSoftmaxAggregate(Var h, Var attn_left, Var attn_right,
-                         const std::shared_ptr<const EdgeSet>& edges, int heads,
-                         double leaky_slope) {
+namespace {
+
+// What GatAttention's backward reads from its forward. An edge's LeakyReLU
+// branch is recomputed from the scores, bit for bit the forward's.
+struct GatSaved {
+  std::vector<double> alpha;  // edges x groups, edge-major
+  std::vector<double> left;   // s_l: destinations x groups
+  std::vector<double> right;  // s_r: sources x groups
+};
+
+// Per-thread backward scratch, reused across calls: the pooled per-node
+// influence loop runs this backward once per seed per layer and must stay
+// allocation-free once warm. `right` is all zero between calls; each call
+// clears the rows it wrote.
+struct GatScratch {
+  std::vector<int> sources;    // rows the supported destinations aggregate
+  std::vector<int> touched;    // sources ∪ the supported destinations
+  std::vector<double> dalpha;  // one destination's edges x groups
+  std::vector<double> sums;    // per group: Σ_j alpha_ij·dalpha_ij
+  std::vector<double> left;    // per group: d/d s_l(i, g) of one destination
+  std::vector<double> right;   // sources x groups: d/d s_r(j, g)
+};
+
+// h_row[g-block]·attn[:, g] for every group g of a d x groups `attn`.
+inline void GroupScores(const double* h_row, const la::Matrix& attn, double* scores) {
+  const int dim = attn.rows();
+  const int groups = attn.cols();
+  const double* a = attn.data();
+  for (int g = 0; g < groups; ++g) {
+    const double* hg = h_row + g * dim;
+    double s = 0.0;
+    for (int c = 0; c < dim; ++c) s += hg[c] * a[c * groups + g];
+    scores[g] = s;
+  }
+}
+
+// Back through GroupScores for one row, given d/d score per group: into
+// attn's gradient (when wanted) and the row's h gradient (when wanted).
+inline void GroupScoresBackward(const double* h_row, const double* dscores,
+                                const la::Matrix& attn, la::Matrix* dattn,
+                                double* dh_row) {
+  const int dim = attn.rows();
+  const int groups = attn.cols();
+  const double* a = attn.data();
+  double* da = dattn != nullptr ? dattn->data() : nullptr;
+  for (int g = 0; g < groups; ++g) {
+    const double d = dscores[g];
+    const double* hg = h_row + g * dim;
+    if (da != nullptr) {
+      for (int c = 0; c < dim; ++c) da[c * groups + g] += d * hg[c];
+    }
+    if (dh_row != nullptr) {
+      double* dg = dh_row + g * dim;
+      for (int c = 0; c < dim; ++c) dg[c] += d * a[c * groups + g];
+    }
+  }
+}
+
+}  // namespace
+
+Var GatAttention(Var h, Var attn_left, Var attn_right,
+                 const std::shared_ptr<const EdgeSet>& edges, int groups,
+                 double leaky_slope) {
   Tape* tape = CommonTape({h, attn_left, attn_right});
   const la::Matrix& hv = h.value();
-  const la::Matrix& sl = attn_left.value();
-  const la::Matrix& sr = attn_right.value();
-  const int n = edges->num_nodes;  // destinations; sources are h's rows
+  const la::Matrix& al = attn_left.value();
+  const la::Matrix& ar = attn_right.value();
+  const int n = edges->num_nodes;  // destinations: the leading rows of h
+  PPFR_CHECK_GE(groups, 1);
   PPFR_CHECK_GE(hv.rows(), n);
-  PPFR_CHECK_EQ(sl.rows(), n);
-  PPFR_CHECK_EQ(sr.rows(), hv.rows());
-  PPFR_CHECK_EQ(sl.cols(), heads);
-  PPFR_CHECK_EQ(sr.cols(), heads);
-  PPFR_CHECK_EQ(hv.cols() % heads, 0);
-  const int dim = hv.cols() / heads;
-  const int64_t m = edges->num_edges();
+  PPFR_CHECK_EQ(al.cols(), groups);
+  PPFR_CHECK(ar.SameShape(al));
+  PPFR_CHECK_EQ(hv.cols(), groups * al.rows());
+  const int dim = al.rows();
+  const size_t gs = static_cast<size_t>(groups);
 
-  // Saved for backward: attention coefficients and pre-activation signs.
-  auto alpha = std::make_shared<std::vector<double>>(static_cast<size_t>(m) * heads);
-  auto z_pos = std::make_shared<std::vector<char>>(static_cast<size_t>(m) * heads);
+  auto saved = std::make_shared<GatSaved>();
+  saved->left.resize(static_cast<size_t>(n) * gs);
+  saved->right.resize(static_cast<size_t>(hv.rows()) * gs);
+  saved->alpha.resize(static_cast<size_t>(edges->num_edges()) * gs);
+  la::ActiveBackend().Apply(hv.rows(), RowGrain(hv.cols()), [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const double* hr = hv.row(static_cast<int>(r));
+      GroupScores(hr, ar, saved->right.data() + static_cast<size_t>(r) * gs);
+      if (r < n) GroupScores(hr, al, saved->left.data() + static_cast<size_t>(r) * gs);
+    }
+  });
 
   la::Matrix out = tape->NewValue(n, hv.cols(), /*zero_init=*/true);
-  // Destination rows are independent — each (i, head) writes only out.row(i)
-  // and its own alpha slots — so the forward fans out over destination
-  // chunks. Chunk boundaries are placed on CUMULATIVE degree (row_ptr is the
-  // prefix sum), not row count: per-row cost is O(degree), so hub nodes in a
+  // Destination rows are independent — each writes only out.row(i) and its
+  // own alpha slots — so the edge pass fans out over destination chunks.
+  // Chunk boundaries are placed on CUMULATIVE degree (row_ptr is the prefix
+  // sum), not row count: per-row cost is O(degree), so hub nodes in a
   // power-law graph would otherwise serialise one chunk. The partition never
   // affects results, only which thread computes them.
-  const int64_t edge_grain = std::max<int64_t>(1, kApplyGrain / std::max(heads * dim, 1));
+  const int64_t m = edges->num_edges();
+  const int64_t edge_grain = std::max<int64_t>(1, kApplyGrain / std::max(hv.cols(), 1));
   const int64_t num_chunks =
       n == 0 ? 0 : std::max<int64_t>(1, std::min<int64_t>(n, m / edge_grain));
   const std::vector<int64_t> bounds =
       num_chunks > 0 ? la::NnzBalancedRowBounds(edges->row_ptr, n, num_chunks)
                      : std::vector<int64_t>{0};
   la::ActiveBackend().Apply(num_chunks, 1, [&](int64_t c0, int64_t c1) {
-    const int64_t i0 = bounds[static_cast<size_t>(c0)];
-    const int64_t i1 = bounds[static_cast<size_t>(c1)];
-    for (int head = 0; head < heads; ++head) {
-      const int col0 = head * dim;
-      for (int64_t i = i0; i < i1; ++i) {
-        const int64_t begin = edges->row_ptr[i];
-        const int64_t end = edges->row_ptr[i + 1];
-        if (begin == end) continue;
-        // Stable softmax over e_ij.
-        double mx = -1e300;
-        for (int64_t k = begin; k < end; ++k) {
-          const int j = edges->col_idx[k];
-          const double z = sl(static_cast<int>(i), head) + sr(j, head);
+    std::vector<double> mx(gs);
+    std::vector<double> denom(gs);
+    for (int64_t i = bounds[static_cast<size_t>(c0)]; i < bounds[static_cast<size_t>(c1)];
+         ++i) {
+      const int64_t begin = edges->row_ptr[i];
+      const int64_t end = edges->row_ptr[i + 1];
+      if (begin == end) continue;
+      // A stable softmax over e_ij per group, every group of an edge together.
+      const double* sl = saved->left.data() + static_cast<size_t>(i) * gs;
+      std::fill(mx.begin(), mx.end(), -1e300);
+      std::fill(denom.begin(), denom.end(), 0.0);
+      for (int64_t k = begin; k < end; ++k) {
+        const double* sr = saved->right.data() + static_cast<size_t>(edges->col_idx[k]) * gs;
+        double* a = saved->alpha.data() + static_cast<size_t>(k) * gs;
+        for (int g = 0; g < groups; ++g) {
+          const double z = sl[g] + sr[g];
           const double e = z > 0.0 ? z : leaky_slope * z;
-          (*z_pos)[static_cast<size_t>(k) * heads + head] = z > 0.0 ? 1 : 0;
-          (*alpha)[static_cast<size_t>(k) * heads + head] = e;  // store e temporarily
-          mx = std::max(mx, e);
+          a[g] = e;  // e_ij until normalised
+          mx[g] = std::max(mx[g], e);
         }
-        double denom = 0.0;
-        for (int64_t k = begin; k < end; ++k) {
-          double& slot = (*alpha)[static_cast<size_t>(k) * heads + head];
-          slot = std::exp(slot - mx);
-          denom += slot;
+      }
+      for (int64_t k = begin; k < end; ++k) {
+        double* a = saved->alpha.data() + static_cast<size_t>(k) * gs;
+        for (int g = 0; g < groups; ++g) {
+          const double w = std::exp(a[g] - mx[g]);
+          a[g] = w;
+          denom[g] += w;
         }
-        double* out_row = out.row(static_cast<int>(i)) + col0;
-        for (int64_t k = begin; k < end; ++k) {
-          double& slot = (*alpha)[static_cast<size_t>(k) * heads + head];
-          slot /= denom;  // now alpha_ij
-          const double* hj = hv.row(edges->col_idx[k]) + col0;
-          for (int c = 0; c < dim; ++c) out_row[c] += slot * hj[c];
+      }
+      double* o = out.row(static_cast<int>(i));
+      for (int64_t k = begin; k < end; ++k) {
+        const double* hj = hv.row(edges->col_idx[k]);
+        double* a = saved->alpha.data() + static_cast<size_t>(k) * gs;
+        for (int g = 0; g < groups; ++g) {
+          const double alpha = a[g] / denom[g];
+          a[g] = alpha;
+          for (int c = g * dim; c < (g + 1) * dim; ++c) o[c] += alpha * hj[c];
         }
       }
     }
@@ -981,91 +974,113 @@ Var EdgeSoftmaxAggregate(Var h, Var attn_left, Var attn_right,
   const int out_id = tape->num_nodes();
   return MakeOp(
       tape, std::move(out), needs, {h, attn_left, attn_right},
-      [h, attn_left, attn_right, edges, heads, dim, leaky_slope, alpha, z_pos,
-       out_id](Tape& tp, const la::Matrix& g) {
+      [h, attn_left, attn_right, edges, groups, leaky_slope, saved, out_id](
+          Tape& tp, const la::Matrix& g) {
         const la::Matrix& hv = tp.Value(h);
-        const int n = edges->num_nodes;
-        const bool need_h = tp.NeedsGrad(h);
-        const bool need_attn = tp.NeedsGrad(attn_left) || tp.NeedsGrad(attn_right);
+        const la::Matrix& al = tp.Value(attn_left);
+        const la::Matrix& ar = tp.Value(attn_right);
+        const int dim = al.rows();
+        const size_t gs = static_cast<size_t>(groups);
+        thread_local GatScratch scratch;
 
-        // When the output gradient's nonzero-row support is known (the
-        // seeded per-node influence passes), only the supported destinations
-        // carry gradient: a skipped destination's edges would contribute
-        // exact ±0 products. The touched parent rows are then the union of
-        // the supported destinations' neighbour lists (dh / dsr source rows;
-        // self-loops put i itself in its own list) and the support rows
-        // themselves (dsl), declared via GradRefPartial so resetting for the
-        // next seed stays O(receptive field) — GAT per-node influence costs
-        // O(2-hop) like GCN's SpMM path instead of O(n).
+        // When the output gradient's row support is known (the seeded
+        // per-node influence passes), only the supported destinations carry
+        // gradient: a skipped destination would contribute exact ±0. The
+        // touched rows of h are then the supported destinations' neighbour
+        // lists (the aggregate and s_r terms) and the destinations themselves
+        // (the s_l term), declared via GradRefPartial so resetting for the
+        // next seed stays O(receptive field).
         const std::vector<int>* supp = tp.GradRowSupport(Var{&tp, out_id});
-        // thread_local scratch: runs once per seed per layer inside the
-        // pooled per-node loop, which must stay allocation-free.
-        thread_local std::vector<int> targets;
         la::Matrix* dh = nullptr;
-        la::Matrix* dsl = nullptr;
-        la::Matrix* dsr = nullptr;
         if (supp != nullptr) {
-          targets.clear();
+          std::vector<int>& sources = scratch.sources;
+          sources.clear();
           for (int i : *supp) {
-            for (int64_t k = edges->row_ptr[i]; k < edges->row_ptr[i + 1]; ++k) {
-              targets.push_back(edges->col_idx[k]);
-            }
+            sources.insert(sources.end(), edges->col_idx.begin() + edges->row_ptr[i],
+                           edges->col_idx.begin() + edges->row_ptr[i + 1]);
           }
-          std::sort(targets.begin(), targets.end());
-          targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-          dh = need_h ? &tp.GradRefPartial(h, targets) : nullptr;
-          dsl = tp.NeedsGrad(attn_left) ? &tp.GradRefPartial(attn_left, *supp)
-                                        : nullptr;
-          dsr = tp.NeedsGrad(attn_right) ? &tp.GradRefPartial(attn_right, targets)
-                                         : nullptr;
-        } else {
-          dh = need_h ? &tp.GradRef(h) : nullptr;
-          dsl = tp.NeedsGrad(attn_left) ? &tp.GradRef(attn_left) : nullptr;
-          dsr = tp.NeedsGrad(attn_right) ? &tp.GradRef(attn_right) : nullptr;
+          std::sort(sources.begin(), sources.end());
+          sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+          if (tp.NeedsGrad(h)) {
+            scratch.touched.clear();
+            std::set_union(sources.begin(), sources.end(), supp->begin(), supp->end(),
+                           std::back_inserter(scratch.touched));
+            dh = &tp.GradRefPartial(h, scratch.touched);
+          }
+        } else if (tp.NeedsGrad(h)) {
+          dh = &tp.GradRef(h);
+        }
+        la::Matrix* dal = tp.NeedsGrad(attn_left) ? &tp.GradRef(attn_left) : nullptr;
+        la::Matrix* dar = tp.NeedsGrad(attn_right) ? &tp.GradRef(attn_right) : nullptr;
+        scratch.sums.resize(gs);
+        scratch.left.resize(gs);
+        if (scratch.right.size() < static_cast<size_t>(hv.rows()) * gs) {
+          scratch.right.resize(static_cast<size_t>(hv.rows()) * gs, 0.0);
         }
 
-        // Source-node scatter rows collide across destinations, so the
-        // backward stays serial.
-        std::vector<double> dalpha;  // per-edge scratch for the current (i, head)
-        const auto backward_dest = [&](int i, int head) {
-          const int col0 = head * dim;
+        // Destination i: the aggregate's gradient into h_j, then back
+        // through the softmax and LeakyReLU to the scores. d s_l(i, ·) is
+        // complete here and goes straight on; d s_r collects per source.
+        // Source rows collide across destinations, so the pass is serial.
+        const auto backward_dest = [&](int i) {
           const int64_t begin = edges->row_ptr[i];
           const int64_t end = edges->row_ptr[i + 1];
           if (begin == end) return;
-          const double* gi = g.row(i) + col0;
-          dalpha.assign(static_cast<size_t>(end - begin), 0.0);
-          double weighted_sum = 0.0;  // sum_j alpha_ij * dalpha_ij
+          const double* gi = g.row(i);
+          if (scratch.dalpha.size() < static_cast<size_t>(end - begin) * gs) {
+            scratch.dalpha.resize(static_cast<size_t>(end - begin) * gs);
+          }
+          double* sums = scratch.sums.data();
+          std::fill(sums, sums + groups, 0.0);
           for (int64_t k = begin; k < end; ++k) {
             const int j = edges->col_idx[k];
-            const double a = (*alpha)[static_cast<size_t>(k) * heads + head];
-            const double* hj = hv.row(j) + col0;
-            double dot = 0.0;
-            for (int c = 0; c < dim; ++c) dot += gi[c] * hj[c];
-            dalpha[static_cast<size_t>(k - begin)] = dot;
-            weighted_sum += a * dot;
-            if (need_h) {
-              double* dhj = dh->row(j) + col0;
-              for (int c = 0; c < dim; ++c) dhj[c] += a * gi[c];
+            const double* hj = hv.row(j);
+            const double* a = saved->alpha.data() + static_cast<size_t>(k) * gs;
+            double* da = scratch.dalpha.data() + static_cast<size_t>(k - begin) * gs;
+            double* dhj = dh != nullptr ? dh->row(j) : nullptr;
+            for (int gr = 0; gr < groups; ++gr) {
+              const double alpha = a[gr];
+              const double* gg = gi + gr * dim;
+              const double* hg = hj + gr * dim;
+              double dot = 0.0;
+              for (int c = 0; c < dim; ++c) dot += gg[c] * hg[c];
+              da[gr] = dot;
+              sums[gr] += alpha * dot;
+              if (dhj == nullptr) continue;
+              double* dg = dhj + gr * dim;
+              for (int c = 0; c < dim; ++c) dg[c] += alpha * gg[c];
             }
           }
-          if (!need_attn) return;
+          const double* sl = saved->left.data() + static_cast<size_t>(i) * gs;
+          double* dsl = scratch.left.data();
+          std::fill(dsl, dsl + groups, 0.0);
           for (int64_t k = begin; k < end; ++k) {
             const int j = edges->col_idx[k];
-            const double a = (*alpha)[static_cast<size_t>(k) * heads + head];
-            const double de =
-                a * (dalpha[static_cast<size_t>(k - begin)] - weighted_sum);
-            const double dz =
-                (*z_pos)[static_cast<size_t>(k) * heads + head] ? de : leaky_slope * de;
-            if (dsl != nullptr) (*dsl)(i, head) += dz;
-            if (dsr != nullptr) (*dsr)(j, head) += dz;
+            const double* sr = saved->right.data() + static_cast<size_t>(j) * gs;
+            const double* a = saved->alpha.data() + static_cast<size_t>(k) * gs;
+            const double* da = scratch.dalpha.data() + static_cast<size_t>(k - begin) * gs;
+            double* dsr = scratch.right.data() + static_cast<size_t>(j) * gs;
+            for (int gr = 0; gr < groups; ++gr) {
+              const double de = a[gr] * (da[gr] - sums[gr]);
+              const double dz = sl[gr] + sr[gr] > 0.0 ? de : leaky_slope * de;
+              dsl[gr] += dz;
+              dsr[gr] += dz;
+            }
           }
+          GroupScoresBackward(hv.row(i), dsl, al, dal, dh != nullptr ? dh->row(i) : nullptr);
         };
-        for (int head = 0; head < heads; ++head) {
-          if (supp != nullptr) {
-            for (int i : *supp) backward_dest(i, head);
-          } else {
-            for (int i = 0; i < n; ++i) backward_dest(i, head);
-          }
+        // Source j: its collected d s_r, then the scratch row is cleared.
+        const auto backward_source = [&](int j) {
+          double* dsr = scratch.right.data() + static_cast<size_t>(j) * gs;
+          GroupScoresBackward(hv.row(j), dsr, ar, dar, dh != nullptr ? dh->row(j) : nullptr);
+          std::fill(dsr, dsr + groups, 0.0);
+        };
+        if (supp != nullptr) {
+          for (int i : *supp) backward_dest(i);
+          for (int j : scratch.sources) backward_source(j);
+        } else {
+          for (int i = 0; i < edges->num_nodes; ++i) backward_dest(i);
+          for (int j = 0; j < hv.rows(); ++j) backward_source(j);
         }
       });
 }

@@ -53,10 +53,11 @@ Var SpMM(const std::shared_ptr<const SparseOperand>& sp, Var x);
 // narrow op in one pass; per-lane column windows never mix, and each lane's
 // forward/backward is bitwise identical to the narrow op applied to that
 // lane's windows (the la::Backend::GemmLanes* contract). SpMM, elementwise
-// ops, AddRowVec, ConcatCols and GatherRows are column-count-invariant per
-// element, so the lane-wide graph reuses them UNCHANGED — only ops that
-// contract over columns (GEMM) or mix a row's columns (softmax, NLL picks)
-// need lane-aware variants.
+// ops, AddRowVec and GatherRows are column-count-invariant per element, and
+// GatAttention is group-count-invariant per attention group, so the
+// lane-wide graph reuses them UNCHANGED — only ops that contract over
+// columns (GEMM) or mix a row's columns (softmax, NLL picks) need lane-aware
+// variants.
 
 // Lane-blocked dense product. `a` is lane-shared when a.cols() == b.rows()
 // (e.g. the feature matrix under a lane-wide weight; must not need grad for
@@ -77,11 +78,6 @@ Var LogSoftmaxRowsLanes(Var logits, int lanes);
 Var WeightedNllLanes(Var logp, const std::vector<int>& rows,
                      const std::vector<int>& labels,
                      const std::vector<double>& weights, double denom, int lanes);
-
-// Copies columns [col0, col0 + width) of `a` into a new node (the lane
-// extraction primitive for ops that stay per-lane, e.g. GAT attention).
-// Backward adds the gradient back into the parent window, support-aware.
-Var SliceCols(Var a, int col0, int width);
 
 // ---- Elementwise / broadcast ----
 
@@ -122,7 +118,6 @@ Var WeightedNll(Var logp, const std::vector<int>& rows, const std::vector<int>& 
 // ---- Shape ops / reductions ----
 
 Var GatherRows(Var a, const std::vector<int>& indices);
-Var ConcatCols(const std::vector<Var>& parts);
 Var SumAll(Var a);   // -> 1x1
 Var MeanAll(Var a);  // -> 1x1
 Var RowSums(Var a);  // n x c -> n x 1
@@ -133,16 +128,20 @@ Var RowSums(Var a);  // n x c -> n x 1
 // Backward: dL/dY = 2 L Y. This is the InFoRM individual-fairness bias term.
 Var LaplacianQuadratic(const std::shared_ptr<const la::CsrMatrix>& laplacian, Var y);
 
-// Fused GAT attention: for every head h and destination i,
-//   z_ij = attn_left(i,h) + attn_right(j,h),  e_ij = LeakyReLU(z_ij, slope)
+// Fused multi-head GAT attention. `h` is n_src x (groups·d), one d-column
+// block per attention group; attn_left and attn_right are d x groups. For
+// every group g and destination i (the leading edges->num_nodes rows of h):
+//   s_l(i,g) = h_i[g-block]·attn_left[:,g],  s_r(j,g) = h_j[g-block]·attn_right[:,g]
+//   e_ij = LeakyReLU(s_l(i,g) + s_r(j,g), slope)
 //   alpha_ij = softmax_j(e_ij)  over j in N(i)
-//   out_i[h-block] = sum_j alpha_ij * h_j[h-block]
-// `h` is n_src x (heads*dim) and attn_right n_src x heads over the sources;
-// attn_left and the output have one row per destination (edges->num_nodes
-// <= n_src, fewer on a block hop).
-Var EdgeSoftmaxAggregate(Var h, Var attn_left, Var attn_right,
-                         const std::shared_ptr<const EdgeSet>& edges, int heads,
-                         double leaky_slope);
+//   out_i[g-block] = sum_j alpha_ij * h_j[g-block]
+// The output is edges->num_nodes x (groups·d); a destination without edges
+// gets a zero row. No group's arithmetic depends on `groups`, so a lane-major
+// input of `lanes` replays with group l·heads + h = lane l's head h is
+// bitwise `lanes` narrow calls (the lane-blocked contract above).
+Var GatAttention(Var h, Var attn_left, Var attn_right,
+                 const std::shared_ptr<const EdgeSet>& edges, int groups,
+                 double leaky_slope);
 
 }  // namespace ppfr::ag
 

@@ -1,7 +1,6 @@
 #ifndef PPFR_NN_GAT_CONV_H_
 #define PPFR_NN_GAT_CONV_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -14,7 +13,9 @@ namespace ppfr::nn {
 //   per head h: H_h = X W_h,  e_ij = LeakyReLU(a_lᵀ H_h[i] + a_rᵀ H_h[j])
 //   alpha = softmax_j(e_ij) over j ∈ N(i) ∪ {i},  out_i = Σ_j alpha_ij H_h[j]
 // with the heads concatenated (heads·out_dim columns; the output layer has
-// one head).
+// one head). The heads share one projection, W = [W_1 | … | W_heads], and
+// one attention op (ag::GatAttention) with head h's a_l, a_r in column h of
+// attn_left / attn_right.
 class GatConv {
  public:
   GatConv(int in_dim, int out_dim, int heads, uint64_t seed);
@@ -26,14 +27,12 @@ class GatConv {
   // the context's edge set on the full graph, or a block hop's
   // SampledHop::edges, whose destinations are the leading rows of x.
   // `lanes` > 1 runs the fused-replay lane-wide graph (see GcnConv::Forward):
-  // the per-head projections and attention-score GEMMs run lane-wide, then
-  // the edge softmax-aggregate — whose per-row softmax would mix lanes — runs
-  // per lane on sliced windows, and the lane outputs concatenate back into
-  // the lane-major wide layout.
+  // the widened parameters make the projection lane-major and give the
+  // attention op heads·lanes groups, group l·heads + h being lane l's head h.
   ag::Var Forward(ag::Tape& tape, ag::Var x,
                   const std::shared_ptr<const ag::EdgeSet>& edges, int lanes = 1);
 
-  // The first layer over sparse raw features: each head's X·W_h is an SpMM,
+  // The first layer over sparse raw features: the projection X·W is an SpMM,
   // which computes every output column on its own, so it serves lane-wide
   // weights as is.
   ag::Var ForwardFeatures(ag::Tape& tape,
@@ -43,16 +42,14 @@ class GatConv {
   std::vector<ag::Parameter*> Params();
 
  private:
-  // Projects the input per head with `project` (x ↦ x·W_h for a head's
-  // weight leaf), then scores and aggregates the projections over `edges`.
-  ag::Var Attend(ag::Tape& tape, const std::function<ag::Var(ag::Var)>& project,
+  // Scores and aggregates the projection H = X·W over `edges`.
+  ag::Var Attend(ag::Tape& tape, ag::Var projected,
                  const std::shared_ptr<const ag::EdgeSet>& edges, int lanes);
 
-  int out_dim_;
   int heads_;
-  std::vector<ag::Parameter> weights_;     // per head: in_dim x out_dim
-  std::vector<ag::Parameter> attn_left_;   // per head: out_dim x 1
-  std::vector<ag::Parameter> attn_right_;  // per head: out_dim x 1
+  ag::Parameter weight_;      // in_dim x heads·out_dim, head h in [h·out_dim, (h+1)·out_dim)
+  ag::Parameter attn_left_;   // out_dim x heads
+  ag::Parameter attn_right_;  // out_dim x heads
 };
 
 }  // namespace ppfr::nn

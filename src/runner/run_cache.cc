@@ -47,12 +47,16 @@ KeyHasher& KeyHasher::Mix(const std::string& s) {
 namespace {
 
 // The training-schedule prefix every trained-model stage depends on.
-void MixTrainPrefix(KeyHasher* h, const core::MethodConfig& config) {
+void MixTrainPrefix(KeyHasher* h, nn::ModelKind kind, const core::MethodConfig& config) {
   // Names the first layer's numerics: models trained with the dense X·W
   // (before the features became one CSR operand) are keyed without it, so
   // they miss once instead of mixing.
-  h->Mix("first-layer:sparse-x")
-      .Mix(config.train.epochs)
+  h->Mix("first-layer:sparse-x");
+  // Names GAT's attention numerics: GAT stages from the per-head score GEMMs
+  // (before one fused attention op computed the scores) are keyed without
+  // it, so they miss once instead of mixing. Other models keep their keys.
+  if (kind == nn::ModelKind::kGat) h->Mix("gat:fused-attention");
+  h->Mix(config.train.epochs)
       .Mix(config.train.lr)
       .Mix(config.train.weight_decay)
       .Mix(config.train.sage_fanout)
@@ -86,7 +90,7 @@ uint64_t RunCache::VanillaKey(nn::ModelKind kind, const core::ExperimentEnv& env
                               const core::MethodConfig& config) {
   KeyHasher h;
   h.Mix("vanilla").Mix(EnvKey(env.id, env.env_seed)).Mix(static_cast<int>(kind));
-  MixTrainPrefix(&h, config);
+  MixTrainPrefix(&h, kind, config);
   return h.hash();
 }
 
@@ -128,7 +132,7 @@ uint64_t RunCache::CellKey(const Scenario& cell, uint64_t env_seed) {
       .Mix(EnvKey(cell.dataset, env_seed))
       .Mix(static_cast<int>(cell.model))
       .Mix(static_cast<int>(cell.method));
-  MixTrainPrefix(&h, config);
+  MixTrainPrefix(&h, cell.model, config);
   MixFrPrefix(&h, config);
   h.Mix(config.lambda)
       .Mix(config.dp_epsilon)

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
 #include "autograd/tape.h"
 #include "common/rng.h"
+#include "la/backend.h"
 #include "test_util.h"
 
 namespace ppfr::ag {
@@ -364,15 +368,13 @@ TEST(GradCheckTest, SoftmaxRows) {
   EXPECT_LT(r.max_rel_error, kTol);
 }
 
-TEST(GradCheckTest, GatherConcatRowSums) {
+TEST(GradCheckTest, GatherRowSums) {
   Rng rng(16);
   Parameter a = MakeParam("a", 6, 3, &rng);
   const std::vector<int> idx{0, 0, 4, 5, 2};
   auto build = [&](Tape& t) {
-    Var x = t.Leaf(&a);
-    Var g = GatherRows(x, idx);
-    Var cat = ConcatCols({g, Square(g)});
-    return MeanAll(Square(RowSums(cat)));
+    Var g = GatherRows(t.Leaf(&a), idx);
+    return MeanAll(Square(RowSums(Add(g, Square(g)))));
   };
   const GradCheckResult r = GradCheck(build, {&a}, &rng);
   EXPECT_LT(r.max_rel_error, kTol);
@@ -439,49 +441,301 @@ TEST(LaplacianQuadraticTest, EqualsPairwiseForm) {
   EXPECT_NEAR(quad.scalar(), pairwise, 1e-10);
 }
 
-TEST(GradCheckTest, EdgeSoftmaxAggregate) {
-  Rng rng(19);
-  const int n = 5, heads = 2, dim = 3;
-  Parameter h = MakeParam("h", n, heads * dim, &rng);
-  Parameter sl = MakeParam("sl", n, heads, &rng);
-  Parameter sr = MakeParam("sr", n, heads, &rng);
-  // Small graph with self-loops, destination-grouped.
+// ---- GatAttention ----
+
+// Destination-grouped edges from per-destination source lists.
+std::shared_ptr<EdgeSet> EdgesFromLists(const std::vector<std::vector<int>>& nbrs) {
   auto edges = std::make_shared<EdgeSet>();
-  edges->num_nodes = n;
-  const std::vector<std::vector<int>> nbrs{{0, 1, 2}, {1, 0}, {2, 0, 3}, {3, 2, 4}, {4, 3}};
-  edges->row_ptr.assign(n + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    edges->row_ptr[i + 1] = edges->row_ptr[i] + static_cast<int64_t>(nbrs[i].size());
-    for (int j : nbrs[i]) edges->col_idx.push_back(j);
+  edges->num_nodes = static_cast<int>(nbrs.size());
+  edges->row_ptr.assign(1, 0);
+  for (const std::vector<int>& list : nbrs) {
+    edges->col_idx.insert(edges->col_idx.end(), list.begin(), list.end());
+    edges->row_ptr.push_back(edges->num_edges());
   }
-  auto build = [&](Tape& t) {
-    Var out = EdgeSoftmaxAggregate(t.Leaf(&h), t.Leaf(&sl), t.Leaf(&sr), edges, heads,
-                                   0.2);
-    return MeanAll(Square(out));
+  return edges;
+}
+
+// A block hop's shape: 5 destinations (the leading source rows) over 9
+// sources, destination 3 without edges, sources 5..8 only ever read.
+std::shared_ptr<EdgeSet> BlockEdges() {
+  return EdgesFromLists({{0, 5, 7}, {1, 0, 6, 8}, {2, 8}, {}, {4, 1, 5, 6, 7, 2}});
+}
+
+// GatAttention's value and the gradients of its three inputs.
+struct GatResult {
+  la::Matrix out, dh, dleft, dright;
+  int negative_scores = 0;  // edges x groups with z <= 0 (reference only)
+};
+
+// The op written out per (destination, group) with plain loops, and its
+// backward for an output gradient `seed`, derived by hand:
+//   dalpha_j = seed_i·h_j,  de_j = alpha_j (dalpha_j − Σ_k alpha_k dalpha_k),
+//   dz_j = de_j · (z_j > 0 ? 1 : slope), which reaches s_l(i) and s_r(j);
+//   a score s = h_row·a passes ds·h_row to a and ds·a to h_row.
+GatResult ReferenceGat(const la::Matrix& h, const la::Matrix& left,
+                       const la::Matrix& right, const EdgeSet& edges, double slope,
+                       const la::Matrix& seed) {
+  const int groups = left.cols();
+  const int dim = left.rows();
+  GatResult ref{la::Matrix(edges.num_nodes, h.cols()), la::Matrix(h.rows(), h.cols()),
+                la::Matrix(dim, groups), la::Matrix(dim, groups)};
+  auto score = [&](const la::Matrix& a, int row, int g) {
+    double s = 0.0;
+    for (int c = 0; c < dim; ++c) s += h(row, g * dim + c) * a(c, g);
+    return s;
   };
-  const GradCheckResult r = GradCheck(build, {&h, &sl, &sr}, &rng, 20);
+  for (int i = 0; i < edges.num_nodes; ++i) {
+    const std::vector<int> nbrs(edges.col_idx.begin() + edges.row_ptr[i],
+                                edges.col_idx.begin() + edges.row_ptr[i + 1]);
+    for (int g = 0; g < groups && !nbrs.empty(); ++g) {
+      const int c0 = g * dim;
+      std::vector<double> z, alpha, dalpha;
+      double mx = -INFINITY;
+      for (int j : nbrs) {
+        z.push_back(score(left, i, g) + score(right, j, g));
+        ref.negative_scores += z.back() <= 0.0;
+        alpha.push_back(z.back() > 0.0 ? z.back() : slope * z.back());
+        mx = std::max(mx, alpha.back());
+      }
+      double denom = 0.0;
+      for (double& a : alpha) {
+        a = std::exp(a - mx);
+        denom += a;
+      }
+      double weighted = 0.0;
+      for (size_t k = 0; k < nbrs.size(); ++k) {
+        const int j = nbrs[k];
+        alpha[k] /= denom;
+        double dot = 0.0;
+        for (int c = c0; c < c0 + dim; ++c) {
+          ref.out(i, c) += alpha[k] * h(j, c);
+          dot += seed(i, c) * h(j, c);
+          ref.dh(j, c) += alpha[k] * seed(i, c);
+        }
+        dalpha.push_back(dot);
+        weighted += alpha[k] * dot;
+      }
+      for (size_t k = 0; k < nbrs.size(); ++k) {
+        const int j = nbrs[k];
+        const double dz = alpha[k] * (dalpha[k] - weighted) * (z[k] > 0.0 ? 1.0 : slope);
+        for (int c = 0; c < dim; ++c) {
+          ref.dleft(c, g) += dz * h(i, c0 + c);
+          ref.dh(i, c0 + c) += dz * left(c, g);
+          ref.dright(c, g) += dz * h(j, c0 + c);
+          ref.dh(j, c0 + c) += dz * right(c, g);
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+// GatAttention over leaves at slope 0.2, back-propagating `seed`: as a whole
+// matrix (unknown row support: the full backward) or, when `sparse`, as its
+// nonzero entries (known row support: the row-support backward).
+GatResult RunGat(Parameter* h, Parameter* left, Parameter* right,
+                 const std::shared_ptr<const EdgeSet>& edges, const la::Matrix& seed,
+                 bool sparse) {
+  for (Parameter* p : {h, left, right}) p->ZeroGrad();
+  Tape tape;
+  Var out = GatAttention(tape.Leaf(h), tape.Leaf(left), tape.Leaf(right), edges,
+                         left->value.cols(), 0.2);
+  if (sparse) {
+    std::vector<int> rows, cols;
+    std::vector<double> values;
+    for (int r = 0; r < seed.rows(); ++r) {
+      for (int c = 0; c < seed.cols(); ++c) {
+        if (seed(r, c) == 0.0) continue;
+        rows.push_back(r);
+        cols.push_back(c);
+        values.push_back(seed(r, c));
+      }
+    }
+    tape.BackwardWithSparseSeed(out, rows, cols, values);
+  } else {
+    tape.BackwardWithSeed(out, seed);
+  }
+  return {out.value(), h->grad, left->grad, right->grad};
+}
+
+double RelErr(const la::Matrix& want, const la::Matrix& got) {
+  EXPECT_TRUE(want.SameShape(got));
+  return la::Sub(got, want).FrobeniusNorm() / std::max(want.FrobeniusNorm(), 1e-300);
+}
+
+void ExpectBitwiseEq(const la::Matrix& want, const la::Matrix& got, const char* what) {
+  ASSERT_TRUE(want.SameShape(got)) << what;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want.data()[i], got.data()[i]) << what << " entry " << i;
+  }
+}
+
+// The op runs its own loops on every backend; these pin that each one agrees.
+constexpr la::BackendKind kBackends[] = {la::BackendKind::kReference,
+                                         la::BackendKind::kParallel,
+                                         la::BackendKind::kSimd};
+
+la::Matrix Columns(const la::Matrix& m, int col0, int width) {
+  la::Matrix out(m.rows(), width);
+  for (int r = 0; r < m.rows(); ++r) {
+    for (int c = 0; c < width; ++c) out(r, c) = m(r, col0 + c);
+  }
+  return out;
+}
+
+TEST(GatAttentionTest, MatchesPlainLoopReference) {
+  Rng rng(19);
+  const int groups = 3, dim = 4;
+  const auto edges = BlockEdges();
+  Parameter h = MakeParam("h", 9, groups * dim, &rng);
+  Parameter left = MakeParam("left", dim, groups, &rng);
+  Parameter right = MakeParam("right", dim, groups, &rng);
+  const la::Matrix dense_seed = RandomMatrix(5, groups * dim, &rng);
+  la::Matrix sparse_seed(5, groups * dim);
+  sparse_seed(0, 1) = 0.7;
+  sparse_seed(3, 5) = -1.2;  // the edge-less destination
+  sparse_seed(4, 0) = 1.5;
+  sparse_seed(4, 11) = -0.4;
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse seed" : "dense seed");
+    const la::Matrix& seed = sparse ? sparse_seed : dense_seed;
+    const GatResult want =
+        ReferenceGat(h.value, left.value, right.value, *edges, 0.2, seed);
+    EXPECT_GT(want.negative_scores, 0);
+    EXPECT_LT(want.negative_scores, static_cast<int>(edges->num_edges()) * groups);
+    for (const la::BackendKind backend : kBackends) {
+      SCOPED_TRACE(la::BackendKindName(backend));
+      la::ScopedBackend scoped(backend, 4);
+      const GatResult got = RunGat(&h, &left, &right, edges, seed, sparse);
+      EXPECT_LT(RelErr(want.out, got.out), 1e-12);
+      EXPECT_LT(RelErr(want.dh, got.dh), 1e-12);
+      EXPECT_LT(RelErr(want.dleft, got.dleft), 1e-12);
+      EXPECT_LT(RelErr(want.dright, got.dright), 1e-12);
+      for (int c = 0; c < groups * dim; ++c) EXPECT_EQ(got.out(3, c), 0.0);
+    }
+  }
+}
+
+TEST(GradCheckTest, GatAttention) {
+  Rng rng(24);
+  const int groups = 2, dim = 3;
+  const auto edges = BlockEdges();
+  Parameter h = MakeParam("h", 9, groups * dim, &rng);
+  Parameter left = MakeParam("left", dim, groups, &rng);
+  Parameter right = MakeParam("right", dim, groups, &rng);
+  auto build = [&](Tape& t) {
+    return MeanAll(Square(
+        GatAttention(t.Leaf(&h), t.Leaf(&left), t.Leaf(&right), edges, groups, 0.2)));
+  };
+  const GradCheckResult r = GradCheck(build, {&h, &left, &right}, &rng, 20);
   EXPECT_LT(r.max_rel_error, 1e-4);
 }
 
-TEST(EdgeSoftmaxAggregateTest, UniformAttentionAverages) {
-  // With zero attention scores every neighbour gets weight 1/deg, so the op
-  // reduces to a plain neighbourhood mean.
-  const int n = 3;
+TEST(GatAttentionTest, UniformAttentionAverages) {
+  // With zero attention vectors every score is zero and every neighbour gets
+  // weight 1/deg, so the op reduces to a plain neighbourhood mean.
   Tape tape;
   la::Matrix h(3, 2);
   h(0, 0) = 1;
   h(1, 0) = 3;
   h(2, 0) = 5;
-  auto edges = std::make_shared<EdgeSet>();
-  edges->num_nodes = n;
-  edges->row_ptr = {0, 3, 4, 5};
-  edges->col_idx = {0, 1, 2, 1, 2};
-  Var out = EdgeSoftmaxAggregate(tape.Constant(h), tape.Constant(la::Matrix(3, 1)),
-                                 tape.Constant(la::Matrix(3, 1)), edges, 1, 0.2);
+  const auto edges = EdgesFromLists({{0, 1, 2}, {1}, {2}});
+  Var out = GatAttention(tape.Constant(h), tape.Constant(la::Matrix(2, 1)),
+                         tape.Constant(la::Matrix(2, 1)), edges, 1, 0.2);
   EXPECT_NEAR(out.value()(0, 0), 3.0, 1e-12);  // (1+3+5)/3
   EXPECT_NEAR(out.value()(1, 0), 3.0, 1e-12);
   EXPECT_NEAR(out.value()(2, 0), 5.0, 1e-12);
 }
+
+// Lane-major inputs — replay lane l's head h is group l·heads + h — must give
+// each lane exactly what a narrow call on that lane's columns gives.
+class GatAttentionLanes : public ::testing::TestWithParam<int> {};
+
+TEST_P(GatAttentionLanes, EqualsNarrowCallsBitwisePerLane) {
+  const int lanes = GetParam();
+  const int heads = 2, dim = 3, width = heads * dim;
+  Rng rng(25);
+  const auto edges = BlockEdges();
+  Parameter h = MakeParam("h", 9, width * lanes, &rng);
+  Parameter left = MakeParam("left", dim, heads * lanes, &rng);
+  Parameter right = MakeParam("right", dim, heads * lanes, &rng);
+  const la::Matrix dense_seed = RandomMatrix(5, width * lanes, &rng);
+  la::Matrix sparse_seed(5, width * lanes);
+  for (int l = 0; l < lanes; ++l) {
+    sparse_seed(0, l * width + 1) = rng.Normal();
+    sparse_seed(3, l * width + 4) = rng.Normal();
+    sparse_seed(4, l * width) = rng.Normal();
+    sparse_seed(4, l * width + 5) = rng.Normal();
+  }
+  for (const la::BackendKind backend : kBackends) {
+    la::ScopedBackend scoped(backend, 4);
+    for (const bool sparse : {false, true}) {
+      SCOPED_TRACE(std::string(sparse ? "sparse seed on " : "dense seed on ") +
+                   la::BackendKindName(backend));
+      const la::Matrix& seed = sparse ? sparse_seed : dense_seed;
+      const GatResult wide = RunGat(&h, &left, &right, edges, seed, sparse);
+      for (int l = 0; l < lanes; ++l) {
+        SCOPED_TRACE("lane " + std::to_string(l));
+        Parameter hl("h", Columns(h.value, l * width, width));
+        Parameter ll("left", Columns(left.value, l * heads, heads));
+        Parameter rl("right", Columns(right.value, l * heads, heads));
+        const GatResult narrow =
+            RunGat(&hl, &ll, &rl, edges, Columns(seed, l * width, width), sparse);
+        ExpectBitwiseEq(narrow.out, Columns(wide.out, l * width, width), "out");
+        ExpectBitwiseEq(narrow.dh, Columns(wide.dh, l * width, width), "dh");
+        ExpectBitwiseEq(narrow.dleft, Columns(wide.dleft, l * heads, heads), "dleft");
+        ExpectBitwiseEq(narrow.dright, Columns(wide.dright, l * heads, heads), "dright");
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, GatAttentionLanes, ::testing::Values(1, 2, 8));
+
+// GAT's first-layer shape (4 heads x 8 dims) over a 600-node graph with
+// self-loops: more than twice the op's 1024-edge grain at that width, so the
+// forward fans out over several destination chunks.
+class GatAttentionThreads : public ::testing::TestWithParam<la::BackendKind> {};
+
+TEST_P(GatAttentionThreads, MultiChunkPassIsBitwiseThreadInvariant) {
+  const data::NodeClassificationData data = ppfr::testing::SmallSbm(3, 600);
+  std::vector<std::vector<int>> nbrs(static_cast<size_t>(data.graph.num_nodes()));
+  for (int v = 0; v < data.graph.num_nodes(); ++v) {
+    nbrs[static_cast<size_t>(v)].push_back(v);
+    for (int u : data.graph.Neighbors(v)) nbrs[static_cast<size_t>(v)].push_back(u);
+  }
+  const auto edges = EdgesFromLists(nbrs);
+  const int groups = 4, dim = 8;
+  ASSERT_GE(edges->num_edges(), 2 * 1024);
+  Rng rng(26);
+  Parameter h = MakeParam("h", edges->num_nodes, groups * dim, &rng);
+  Parameter left = MakeParam("left", dim, groups, &rng);
+  Parameter right = MakeParam("right", dim, groups, &rng);
+  const la::Matrix dense_seed = RandomMatrix(edges->num_nodes, groups * dim, &rng);
+  la::Matrix sparse_seed(edges->num_nodes, groups * dim);
+  for (int r : {5, 120, 121, 599}) sparse_seed(r, r % (groups * dim)) = rng.Normal();
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse seed" : "dense seed");
+    const la::Matrix& seed = sparse ? sparse_seed : dense_seed;
+    GatResult want;
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      la::ScopedBackend scoped(GetParam(), threads);
+      const GatResult got = RunGat(&h, &left, &right, edges, seed, sparse);
+      if (threads == 1) {
+        want = got;
+        continue;
+      }
+      ExpectBitwiseEq(want.out, got.out, "out");
+      ExpectBitwiseEq(want.dh, got.dh, "dh");
+      ExpectBitwiseEq(want.dleft, got.dleft, "dleft");
+      ExpectBitwiseEq(want.dright, got.dright, "dright");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, GatAttentionThreads, ::testing::ValuesIn(kBackends),
+                         [](const auto& info) { return la::BackendKindName(info.param); });
 
 TEST(GradCheckTest, RiskSurrogateShapedExpression) {
   // Composite expression mirroring the risk surrogate: means, variances,

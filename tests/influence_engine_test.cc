@@ -401,11 +401,11 @@ INSTANTIATE_TEST_SUITE_P(Models, BlockPathInfluence,
                            return nn::ModelKindName(info.param);
                          });
 
-TEST(EdgeSoftmaxSupportTest, SparseSeedEqualsDenseSeedBitwise) {
-  // Drives the fused GAT op directly: a sparse-seeded backward (known row
-  // support → support-pruned path) must reproduce a dense whole-matrix seed
-  // with the same nonzeros (unknown support → dense path) exactly, for every
-  // parent (h, attn_left, attn_right).
+TEST(GatAttentionSupportTest, SparseSeedEqualsDenseSeedBitwise) {
+  // Drives the fused GAT attention op directly: a sparse-seeded backward
+  // (known row support → support-pruned path) must reproduce a dense
+  // whole-matrix seed with the same nonzeros (unknown support → dense path)
+  // exactly, for every parent (h, attn_left, attn_right).
   Rng rng(21);
   const int n = 7;
   const int heads = 2;
@@ -420,16 +420,15 @@ TEST(EdgeSoftmaxSupportTest, SparseSeedEqualsDenseSeedBitwise) {
     edges->row_ptr.push_back(static_cast<int64_t>(edges->col_idx.size()));
   }
   ag::Parameter hp("h", ppfr::testing::RandomMatrix(n, heads * dim, &rng));
-  ag::Parameter lp("attn_l", ppfr::testing::RandomMatrix(n, heads, &rng));
-  ag::Parameter rp("attn_r", ppfr::testing::RandomMatrix(n, heads, &rng));
+  ag::Parameter lp("attn_l", ppfr::testing::RandomMatrix(dim, heads, &rng));
+  ag::Parameter rp("attn_r", ppfr::testing::RandomMatrix(dim, heads, &rng));
   const std::vector<ag::Parameter*> params{&hp, &lp, &rp};
 
   auto run = [&](bool sparse_seed) {
     for (ag::Parameter* p : params) p->ZeroGrad();
     ag::Tape tape;
-    ag::Var out = ag::EdgeSoftmaxAggregate(tape.Leaf(&hp), tape.Leaf(&lp),
-                                           tape.Leaf(&rp), edges, heads,
-                                           /*leaky_slope=*/0.2);
+    ag::Var out = ag::GatAttention(tape.Leaf(&hp), tape.Leaf(&lp), tape.Leaf(&rp),
+                                   edges, heads, /*leaky_slope=*/0.2);
     if (sparse_seed) {
       tape.BackwardWithSparseSeed(out, {3, 3}, {2, 4}, {1.5, -0.5});
     } else {

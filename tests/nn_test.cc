@@ -161,6 +161,49 @@ TEST(ModelGradientTest, GatEndToEndGradCheck) {
   EXPECT_LT(r.max_rel_error, 1e-3);
 }
 
+TEST(GatParamsTest, FreshModelHoldsThePerHeadGlorotDraws) {
+  // Each layer draws every head's (W_h, a_l, a_r) in turn from its seed and
+  // keeps head h in weight columns [h·d, (h+1)·d) and attention column h,
+  // so a fresh GAT is the stack of single-head layers it always was.
+  const int in_dim = 24, classes = 3, hidden = 8, heads = 4;
+  const uint64_t seed = 17;
+  auto model = MakeModel(ModelKind::kGat, in_dim, classes, seed);
+  const std::vector<ag::Parameter*> params = model->Params();
+  ASSERT_EQ(params.size(), 6u);
+  struct Layer {
+    int in, out, heads;
+    uint64_t seed;
+  };
+  const Layer layers[] = {{in_dim, hidden, heads, seed},
+                          {hidden * heads, classes, 1, seed + 101}};
+  for (int layer = 0; layer < 2; ++layer) {
+    const Layer& shape = layers[layer];
+    const ag::Parameter& w = *params[3 * static_cast<size_t>(layer)];
+    const ag::Parameter& al = *params[3 * static_cast<size_t>(layer) + 1];
+    const ag::Parameter& ar = *params[3 * static_cast<size_t>(layer) + 2];
+    ASSERT_EQ(w.value.rows(), shape.in);
+    ASSERT_EQ(w.value.cols(), shape.heads * shape.out);
+    ASSERT_EQ(al.value.rows(), shape.out);
+    ASSERT_EQ(al.value.cols(), shape.heads);
+    ASSERT_TRUE(ar.value.SameShape(al.value));
+    Rng rng(shape.seed);
+    for (int h = 0; h < shape.heads; ++h) {
+      const la::Matrix wh = GlorotUniform(shape.in, shape.out, &rng);
+      const la::Matrix lh = GlorotUniform(shape.out, 1, &rng);
+      const la::Matrix rh = GlorotUniform(shape.out, 1, &rng);
+      for (int r = 0; r < shape.in; ++r) {
+        for (int c = 0; c < shape.out; ++c) {
+          ASSERT_EQ(w.value(r, h * shape.out + c), wh(r, c)) << "layer " << layer;
+        }
+      }
+      for (int c = 0; c < shape.out; ++c) {
+        ASSERT_EQ(al.value(c, h), lh(c, 0)) << "layer " << layer << " head " << h;
+        ASSERT_EQ(ar.value(c, h), rh(c, 0)) << "layer " << layer << " head " << h;
+      }
+    }
+  }
+}
+
 TEST(ModelGradientTest, SageEndToEndGradCheck) {
   Fixture f(9);
   GraphSage model(f.ctx.feature_dim(), 8, f.data.num_classes, 11);
@@ -184,24 +227,14 @@ TEST(ModelGradientTest, SageEndToEndGradCheck) {
 // is (agg·X)·W_neigh. The contract is 1e-12 relative on the logits and on
 // every parameter gradient.
 
-// One GAT layer: per head H_h = x·W_h with attention scores H_h·a_l and
-// H_h·a_r, then the fused softmax-aggregate (GatConv's slope 0.2). The
-// layer's parameters start at p[first] as (W, a_l, a_r) triples.
+// One GAT layer: the dense projection x·W, then the attention op over the
+// context's edges (GatConv's slope 0.2). The layer's parameters start at
+// p[first] as (W, a_l, a_r), with one a_l column per head.
 ag::Var OracleGatLayer(ag::Tape& tape, ag::Var x, const std::vector<ag::Parameter*>& p,
-                       size_t first, int heads, const GraphContext& ctx) {
-  std::vector<ag::Var> hf, ls, rs;
-  for (int h = 0; h < heads; ++h) {
-    const size_t k = first + 3 * static_cast<size_t>(h);
-    ag::Var hh = ag::MatMul(x, tape.Leaf(p[k]));
-    hf.push_back(hh);
-    ls.push_back(ag::MatMul(hh, tape.Leaf(p[k + 1])));
-    rs.push_back(ag::MatMul(hh, tape.Leaf(p[k + 2])));
-  }
-  if (heads == 1) {
-    return ag::EdgeSoftmaxAggregate(hf[0], ls[0], rs[0], ctx.edges_with_self, 1, 0.2);
-  }
-  return ag::EdgeSoftmaxAggregate(ag::ConcatCols(hf), ag::ConcatCols(ls),
-                                  ag::ConcatCols(rs), ctx.edges_with_self, heads, 0.2);
+                       size_t first, const GraphContext& ctx) {
+  return ag::GatAttention(ag::MatMul(x, tape.Leaf(p[first])), tape.Leaf(p[first + 1]),
+                          tape.Leaf(p[first + 2]), ctx.edges_with_self,
+                          p[first + 1]->value.cols(), 0.2);
 }
 
 ag::Var DenseOracleForward(ModelKind kind, const std::vector<ag::Parameter*>& p,
@@ -216,11 +249,8 @@ ag::Var DenseOracleForward(ModelKind kind, const std::vector<ag::Parameter*>& p,
       };
       return layer(ag::Relu(layer(x, 0)), 2);
     }
-    case ModelKind::kGat: {
-      const int heads = static_cast<int>(p.size() / 3) - 1;  // + one output head
-      ag::Var h = ag::Elu(OracleGatLayer(tape, x, p, 0, heads, ctx));
-      return OracleGatLayer(tape, h, p, 3 * static_cast<size_t>(heads), 1, ctx);
-    }
+    case ModelKind::kGat:
+      return OracleGatLayer(tape, ag::Elu(OracleGatLayer(tape, x, p, 0, ctx)), p, 3, ctx);
     case ModelKind::kGraphSage: {
       auto layer = [&](ag::Var in, size_t first) {
         ag::Var self = ag::MatMul(in, tape.Leaf(p[first]));

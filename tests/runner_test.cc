@@ -108,6 +108,12 @@ TEST(KeyHasherTest, GoldenValuesStableAcrossProcesses) {
   const Scenario cell = Cell(data::DatasetId::kCoraLike, nn::ModelKind::kGcn,
                              core::MethodKind::kPpFr, 50);
   EXPECT_EQ(RunCache::CellKey(cell, 123), 0x5616d2e46b2c937bULL);
+  // GAT's training prefix also carries the fused-attention salt: GAT stages
+  // from the per-head score GEMMs miss; the GCN keys above did not move.
+  EXPECT_EQ(RunCache::VanillaKey(nn::ModelKind::kGat, env, cfg), 0x2a29976b2839d1d0ULL);
+  const Scenario gat_cell = Cell(data::DatasetId::kCoraLike, nn::ModelKind::kGat,
+                                 core::MethodKind::kPpFr, 50);
+  EXPECT_EQ(RunCache::CellKey(gat_cell, 123), 0xdc7e3c13fea5cb8fULL);
 
   // The namespace tags must actually namespace: stages whose remaining
   // fields coincide still get distinct keys (guards the const char* → bool
