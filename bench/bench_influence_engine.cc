@@ -26,10 +26,9 @@
 //     block algebra GFLOP/s, and parity against the k=1 oracle; the headline
 //     `cg_block_speedup` is per-RHS k=1 over k=8.
 //
-// The fused-replay columns sit on top of the pipeline sweep: the same
-// cg_block sweep with --replay_lanes=1 (one tape replay per probe point)
-// versus the fused width, gated BITWISE — plus a direct per-width {1,2,8}
-// probe-gradient parity check and a warm-pool reuse pass (cell-scoped
+// Two checks close the run: the probe-gradient engine (BatchTrainGrad, one
+// tape replay per probe point) driven at tape_pool_lanes {1,2,4} on one
+// fixed probe batch, gated BITWISE, and a warm-pool reuse pass (cell-scoped
 // ReplayCache) asserting the second calculator's allocation counts.
 //
 // Emits BENCH_influence.json for the cross-PR perf trajectory (schema pinned
@@ -328,8 +327,7 @@ int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   bench::RejectUnknownFlags(flags, {"nodes", "degree", "train", "lanes", "epochs",
                                     "reps", "json", "la_backend", "la_threads",
-                                    "cg_block", "cg_targets", "cg_dim",
-                                    "replay_lanes"});
+                                    "cg_block", "cg_targets", "cg_dim"});
   la::ConfigureBackendFromFlags(flags);
   // Default to the acceptance configuration — parallel backend, 4 threads,
   // 4 tape-pool lanes — unless the caller pinned a thread count.
@@ -346,9 +344,6 @@ int Main(int argc, char** argv) {
   const int cg_block = flags.GetInt("cg_block", 8);
   const int cg_targets = flags.GetInt("cg_targets", 16);
   const int cg_dim = flags.GetInt("cg_dim", 1280);
-  // 0 = auto (PPFR_REPLAY_LANES, else 8) — the fused tape-replay width.
-  const int replay_lanes =
-      influence::ResolveReplayLanes(flags.GetInt("replay_lanes", 0));
 
   data::SbmConfig sbm;
   sbm.name = "bench-influence";
@@ -378,7 +373,6 @@ int Main(int argc, char** argv) {
 
   influence::InfluenceConfig after;
   after.tape_pool_lanes = lanes;
-  after.replay_lanes = replay_lanes;
 
   // The block path's gradient contract against the full-graph oracle.
   constexpr double kPerNodeTolerance = 1e-12;
@@ -424,42 +418,25 @@ int Main(int argc, char** argv) {
   // load-bearing result here. ---
   const int num_targets = std::min(static_cast<int>(split.train.size()), cg_targets);
   const std::vector<int> targets(split.train.begin(), split.train.begin() + num_targets);
-  PipelineBlockRun pipe_single, pipe_block, pipe_block_serial;
+  PipelineBlockRun pipe_single, pipe_block;
   {
     la::ScopedBackend scoped(la::BackendKind::kSimd, la::ActiveBackend().num_threads());
-    influence::InfluenceConfig serial_replay = after;
-    serial_replay.replay_lanes = 1;
-    // Baseline = the legacy engine exactly as it shipped before lane fusion:
-    // single-RHS CG with one tape replay per probe point.
-    pipe_single = TimeNodeLossSweep(model.get(), ctx, split.train, data.labels,
-                                    serial_replay, /*block=*/1, targets, reps);
+    pipe_single = TimeNodeLossSweep(model.get(), ctx, split.train, data.labels, after,
+                                    /*block=*/1, targets, reps);
     pipe_block = TimeNodeLossSweep(model.get(), ctx, split.train, data.labels, after,
                                    cg_block, targets, reps);
-    // The SAME block sweep with fusion off (one replay per probe point) —
-    // isolates the lane-fused replay's contribution, and its result must be
-    // BITWISE identical to the fused run's: every fused lane's arithmetic is
-    // the serial graph's.
-    pipe_block_serial = TimeNodeLossSweep(model.get(), ctx, split.train, data.labels,
-                                          serial_replay, cg_block, targets, reps);
   }
   const double pipe_parity = MaxRowRelErr(pipe_block.influence, pipe_single.influence);
   const bool pipe_parity_ok = pipe_parity < 1e-3;
   const double pipe_speedup = pipe_single.seconds / pipe_block.seconds;
-  const bool fused_bitwise =
-      BitwiseEqual(pipe_block.influence, pipe_block_serial.influence);
-  const double fused_replay_speedup = pipe_block_serial.seconds / pipe_block.seconds;
   std::printf("node-loss sweep, cg_block=%d vs single-RHS oracle: %.2fx per-RHS, "
               "max rel err %.2e (%s)\n",
               cg_block, pipe_speedup, pipe_parity, pipe_parity_ok ? "OK" : "FAIL");
-  std::printf("fused replay (width %d) vs serial replay at cg_block=%d: %.2fx, "
-              "bitwise %s\n",
-              replay_lanes, cg_block, fused_replay_speedup,
-              fused_bitwise ? "OK" : "FAIL");
 
-  // --- Per-lane-width parity: the probe-gradient engine itself, driven
-  // directly at widths {1, 2, 8} on one fixed probe batch — every width must
-  // reproduce the width-1 gradients bit for bit. ---
-  bool fused_lane_parity_ok = true;
+  // --- Probe-lane parity: the probe-gradient engine itself, driven directly
+  // at tape_pool_lanes {1, 2, 4} on one fixed probe batch — every lane count
+  // must reproduce the one-lane gradients bit for bit. ---
+  bool probe_lane_parity_ok = true;
   {
     la::ScopedBackend scoped(la::BackendKind::kSimd, la::ActiveBackend().num_threads());
     const std::vector<double> theta0 = influence::FlattenValues(model->Params());
@@ -470,18 +447,18 @@ int Main(int argc, char** argv) {
       for (double& v : p) v += 1e-3 * probe_rng.Normal();
     }
     std::vector<std::vector<double>> want;
-    for (const int w : {1, 2, 8}) {
+    for (const int pool_lanes : {1, 2, 4}) {
       influence::InfluenceConfig cfg = after;
-      cfg.replay_lanes = w;
+      cfg.tape_pool_lanes = pool_lanes;
       influence::InfluenceCalculator calc(model.get(), ctx, split.train,
                                           data.labels, cfg);
       const auto grads = calc.BatchTrainGrad()(points);
-      if (w == 1) {
+      if (pool_lanes == 1) {
         want = grads;
       } else {
         const bool same = BitwiseEqual(grads, want);
-        fused_lane_parity_ok = fused_lane_parity_ok && same;
-        std::printf("fused replay width %d vs width 1: bitwise %s\n", w,
+        probe_lane_parity_ok = probe_lane_parity_ok && same;
+        std::printf("probe replay at %d lanes vs 1 lane: bitwise %s\n", pool_lanes,
                     same ? "OK" : "FAIL");
       }
     }
@@ -489,7 +466,7 @@ int Main(int argc, char** argv) {
 
   // --- Warm-pool reuse across calculators (cell-scoped ReplayCache): the
   // second calculator re-acquires the recorded forward tape (re-warmed by an
-  // allocation-free replay) and the fused lane pool (no refresh needed), so
+  // allocation-free replay) and the probe lane pool (no refresh needed), so
   // its sweep allocates strictly less than the cold one and the lane-pool
   // acquisition allocates nothing at all. ---
   int64_t cold_calc_allocs = 0, warm_calc_allocs = 0, warm_lane_allocs = 0;
@@ -589,7 +566,7 @@ int Main(int argc, char** argv) {
 
   JsonWriter json;
   json.BeginObject();
-  json.Key("schema_version").Int(6);
+  json.Key("schema_version").Int(7);
   json.Key("nodes").Int(nodes);
   json.Key("train").Int(train_count);
   json.Key("backend").String(la::ActiveBackend().name());
@@ -600,7 +577,6 @@ int Main(int argc, char** argv) {
   json.Key("arena_peak_bytes").Int(la::ArenaPeakBytes());
   json.Key("process_peak_rss_bytes").Int(la::ProcessPeakRssBytes());
   json.Key("lanes").Int(lanes);
-  json.Key("replay_lanes").Int(replay_lanes);
   json.Key("per_node_grads_ms_serial").Number(serial.seconds * 1e3);
   json.Key("per_node_grads_ms_pooled").Number(pooled.seconds * 1e3);
   json.Key("per_node_throughput_serial").Number(tput_serial);
@@ -633,11 +609,8 @@ int Main(int argc, char** argv) {
   json.Key("pipeline_block_iterations").Int(pipe_block.stats.block_iterations);
   json.Key("pipeline_grad_evals_single").Int(pipe_single.stats.grad_evals);
   json.Key("pipeline_grad_evals_block").Int(pipe_block.stats.grad_evals);
-  // Lane-fused tape replay: fused vs one-replay-per-probe at the same block
-  // width, plus the bitwise gates and warm-pool reuse counters.
-  json.Key("fused_replay_speedup").Number(fused_replay_speedup);
-  json.Key("fused_bitwise_identical").Bool(fused_bitwise);
-  json.Key("fused_lane_parity_ok").Bool(fused_lane_parity_ok);
+  // Probe replay: the lane-count bitwise gate and warm-pool reuse counters.
+  json.Key("probe_lane_parity_ok").Bool(probe_lane_parity_ok);
   json.Key("warm_calc_allocs").Int(warm_calc_allocs);
   json.Key("cold_calc_allocs").Int(cold_calc_allocs);
   json.Key("warm_lane_allocs").Int(warm_lane_allocs);
@@ -666,7 +639,7 @@ int Main(int argc, char** argv) {
   std::printf("wrote %s\n", json_path.c_str());
 
   return per_node_ok && simd_per_node_ok && pipe_parity_ok && sweep_parity_ok &&
-                 fused_bitwise && fused_lane_parity_ok && warm_reuse_ok
+                 probe_lane_parity_ok && warm_reuse_ok
              ? 0
              : 1;
 }

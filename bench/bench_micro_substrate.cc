@@ -211,9 +211,9 @@ void RunBackendComparison(const Flags& flags) {
   const la::CsrMatrix& adj = ctx.gcn_adj->mat;
   la::Matrix spmm_x(ctx.num_nodes(), 64), spmm_out(ctx.num_nodes(), 64);
   for (int64_t i = 0; i < spmm_x.size(); ++i) spmm_x.data()[i] = rng.Normal();
-  // The lane-fused replay regime: a hidden-16 operand widened to 8 probe
-  // lanes = 128 contiguous columns per row, the shape the multi-column
-  // SpmmRow kernel keeps in registers across a row's whole nonzero list.
+  // A wide operand: 128 contiguous columns per row, the shape the
+  // multi-column SpmmRow kernel keeps in registers across a row's whole
+  // nonzero list.
   la::Matrix spmm_wide_x(ctx.num_nodes(), 128), spmm_wide_out(ctx.num_nodes(), 128);
   for (int64_t i = 0; i < spmm_wide_x.size(); ++i) {
     spmm_wide_x.data()[i] = rng.Normal();
@@ -245,7 +245,7 @@ void RunBackendComparison(const Flags& flags) {
                    }});
   cases.push_back({"spmm_wide8",
                    std::to_string(adj.rows()) + "x" + std::to_string(adj.cols()) +
-                       " (" + std::to_string(adj.nnz()) + " nnz) x 16x8lanes",
+                       " (" + std::to_string(adj.nnz()) + " nnz) x 128",
                    2.0 * static_cast<double>(adj.nnz()) * 128,
                    [&](const la::Backend& be) {
                      be.SpmmAccum(adj, spmm_wide_x, 1.0, &spmm_wide_out);

@@ -275,7 +275,6 @@ PointResult RunPoint(const ScalePoint& point, const BenchOptions& opts) {
     inf_cfg.cg.tolerance = 1e-6;
     inf_cfg.cg.max_iterations = 25;
     inf_cfg.tape_pool_lanes = 2;
-    inf_cfg.replay_lanes = 2;
 
     const influence::FrontierPartition partition =
         influence::PartitionByTwoHopSupport(ctx.graph, targets,

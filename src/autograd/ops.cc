@@ -161,50 +161,6 @@ Var MatMul(Var a, Var b) {
       });
 }
 
-Var MatMulLanes(Var a, Var b, int lanes) {
-  if (lanes == 1) return MatMul(a, b);
-  Tape* tape = CommonTape({a, b});
-  const la::Matrix& av = a.value();
-  const la::Matrix& bv = b.value();
-  PPFR_CHECK_GE(lanes, 1);
-  PPFR_CHECK_EQ(bv.cols() % lanes, 0);
-  const bool a_shared = av.cols() == bv.rows();
-  PPFR_CHECK(a_shared || av.cols() == bv.rows() * lanes)
-      << "MatMulLanes: a is " << av.rows() << "x" << av.cols()
-      << ", expected shared k=" << bv.rows() << " or wide k*L=" << bv.rows() * lanes;
-  // A lane-shared left operand must be a constant (features, masks): its
-  // gradient would reduce over lanes, which the fused replay never needs and
-  // whose accumulation order would be a fresh bitwise contract to maintain.
-  PPFR_CHECK(!(a_shared && tape->NeedsGrad(a)))
-      << "MatMulLanes: lane-shared `a` must not require grad";
-  la::Matrix out = tape->NewValue(av.rows(), bv.cols(), /*zero_init=*/false);
-  la::ActiveBackend().GemmLanes(av, bv, &out, lanes);
-  const bool needs = AnyNeedsGrad({a, b});
-  const int out_id = tape->num_nodes();
-  return MakeOp(
-      tape, std::move(out), needs, {a, b},
-      [a, b, lanes, a_shared, out_id](Tape& tp, const la::Matrix& g) {
-        const std::vector<int>* supp = tp.GradRowSupport(Var{&tp, out_id});
-        if (tp.NeedsGrad(a)) {
-          // a is lane-wide here (the shared case is CHECKed grad-free).
-          if (supp != nullptr) {
-            la::GemmLanesTransBAccumRows(g, tp.Value(b), &tp.GradRefPartial(a, *supp),
-                                         *supp, lanes);
-          } else {
-            tp.GradRef(a).Axpy(1.0, la::MatMulLanesTransB(g, tp.Value(b), lanes));
-          }
-        }
-        if (tp.NeedsGrad(b)) {
-          if (supp != nullptr) {
-            la::GemmLanesTransAAccumRows(tp.Value(a), g, &tp.GradRef(b), *supp, lanes);
-          } else {
-            tp.GradRef(b).Axpy(
-                1.0, la::MatMulLanesTransA(tp.Value(a), g, lanes, a_shared));
-          }
-        }
-      });
-}
-
 Var SpMM(const std::shared_ptr<const SparseOperand>& sp, Var x) {
   Tape* tape = CommonTape({x});
   const la::Matrix& xv = x.value();
@@ -566,72 +522,6 @@ Var LogSoftmaxRows(Var logits) { return SoftmaxLike(logits, /*log_space=*/true);
 
 Var SoftmaxRows(Var logits) { return SoftmaxLike(logits, /*log_space=*/false); }
 
-Var LogSoftmaxRowsLanes(Var logits, int lanes) {
-  if (lanes == 1) return LogSoftmaxRows(logits);
-  Tape* tape = CommonTape({logits});
-  const la::Matrix& x = logits.value();
-  PPFR_CHECK_GE(lanes, 1);
-  PPFR_CHECK_EQ(x.cols() % lanes, 0);
-  const int w = x.cols() / lanes;
-  PPFR_CHECK_GT(w, 0);
-  la::Matrix out = tape->NewValue(x.rows(), x.cols(), /*zero_init=*/false);
-  {
-    // Per lane window: the exact stable log-softmax loop of SoftmaxLike —
-    // max, exp-sum, lse in the same order over the same w entries, so lane
-    // l's output window is bitwise the narrow forward of that window.
-    la::ActiveBackend().Apply(x.rows(), RowGrain(x.cols()), [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        for (int l = 0; l < lanes; ++l) {
-          const double* in = x.row(static_cast<int>(r)) + l * w;
-          double* o = out.row(static_cast<int>(r)) + l * w;
-          double mx = in[0];
-          for (int c = 1; c < w; ++c) mx = std::max(mx, in[c]);
-          double sum = 0.0;
-          for (int c = 0; c < w; ++c) sum += std::exp(in[c] - mx);
-          const double lse = mx + std::log(sum);
-          for (int c = 0; c < w; ++c) o[c] = in[c] - lse;
-        }
-      }
-    });
-  }
-  const bool needs = tape->NeedsGrad(logits);
-  const int out_id = tape->num_nodes();
-  return MakeOp(
-      tape, std::move(out), needs, {logits},
-      [logits, out_id, lanes, w](Tape& tp, const la::Matrix& g) {
-        if (!tp.NeedsGrad(logits)) return;
-        const Var out_var{&tp, out_id};
-        const la::Matrix& y = tp.Value(out_var);
-        const std::vector<int>* supp = tp.GradRowSupport(out_var);
-        if (supp != nullptr) {
-          la::Matrix& dx = tp.GradRefPartial(logits, *supp);
-          for (int r : *supp) {
-            for (int l = 0; l < lanes; ++l) {
-              SoftmaxRowBackward(/*log_space=*/true, g.row(r) + l * w,
-                                 y.row(r) + l * w, dx.row(r) + l * w, w);
-            }
-          }
-          return;
-        }
-        la::Matrix& dx = tp.GradRef(logits);
-        la::ActiveBackend().Apply(
-            g.rows(), RowGrain(g.cols()), [&](int64_t r0, int64_t r1) {
-              for (int64_t r = r0; r < r1; ++r) {
-                for (int l = 0; l < lanes; ++l) {
-                  const double* gr = g.row(static_cast<int>(r)) + l * w;
-                  // Per-WINDOW all-zero skip: a lane whose narrow serial
-                  // backward would skip the row skips it here too, so the
-                  // lanes stay bitwise independent of their batch-mates.
-                  if (RowAllZero(gr, w)) continue;
-                  SoftmaxRowBackward(/*log_space=*/true, gr,
-                                     y.row(static_cast<int>(r)) + l * w,
-                                     dx.row(static_cast<int>(r)) + l * w, w);
-                }
-              }
-            });
-      });
-}
-
 Var WeightedNll(Var logp, const std::vector<int>& rows, const std::vector<int>& labels,
                 const std::vector<double>& weights, double denom) {
   Tape* tape = CommonTape({logp});
@@ -658,50 +548,6 @@ Var WeightedNll(Var logp, const std::vector<int>& rows, const std::vector<int>& 
                   const double scale = g(0, 0) / denom;
                   for (size_t k = 0; k < rows.size(); ++k) {
                     dl(rows[k], labels[k]) -= scale * weights[k];
-                  }
-                });
-}
-
-Var WeightedNllLanes(Var logp, const std::vector<int>& rows,
-                     const std::vector<int>& labels,
-                     const std::vector<double>& weights, double denom, int lanes) {
-  if (lanes == 1) return WeightedNll(logp, rows, labels, weights, denom);
-  Tape* tape = CommonTape({logp});
-  PPFR_CHECK_EQ(rows.size(), labels.size());
-  PPFR_CHECK_EQ(rows.size(), weights.size());
-  PPFR_CHECK_GT(denom, 0.0);
-  const la::Matrix& lp = logp.value();
-  PPFR_CHECK_GE(lanes, 1);
-  PPFR_CHECK_EQ(lp.cols() % lanes, 0);
-  const int w = lp.cols() / lanes;
-  // Scalar output = Σ_l loss_l, each lane's loss accumulated in the narrow
-  // op's k-order then divided by denom — the per-lane value is bitwise the
-  // narrow forward; only the cross-lane sum is new (and is never
-  // differentiated through: the backward below writes per-lane entries
-  // directly).
-  double total = 0.0;
-  for (int l = 0; l < lanes; ++l) {
-    double loss = 0.0;
-    for (size_t k = 0; k < rows.size(); ++k) {
-      PPFR_CHECK_GE(labels[k], 0);
-      PPFR_CHECK_LT(labels[k], w);
-      loss -= weights[k] * lp(rows[k], l * w + labels[k]);
-    }
-    total += loss / denom;
-  }
-  la::Matrix out = tape->NewValue(1, 1, /*zero_init=*/false);
-  out(0, 0) = total;
-  const bool needs = tape->NeedsGrad(logp);
-  return MakeOp(tape, std::move(out), needs, {logp},
-                [logp, rows, labels, weights, denom, lanes, w](Tape& tp,
-                                                               const la::Matrix& g) {
-                  if (!tp.NeedsGrad(logp)) return;
-                  la::Matrix& dl = tp.GradRefPartial(logp, rows);
-                  const double scale = g(0, 0) / denom;
-                  for (int l = 0; l < lanes; ++l) {
-                    for (size_t k = 0; k < rows.size(); ++k) {
-                      dl(rows[k], l * w + labels[k]) -= scale * weights[k];
-                    }
                   }
                 });
 }

@@ -46,39 +46,6 @@ Var MatMul(Var a, Var b);
 // Sparse-dense product sp @ x.
 Var SpMM(const std::shared_ptr<const SparseOperand>& sp, Var x);
 
-// ---- Lane-blocked ops (fused multi-point tape replay) ----
-//
-// A lane-wide tensor of base width w stores replay lane l in columns
-// [l·w, (l+1)·w). The lane ops below run `lanes` independent copies of the
-// narrow op in one pass; per-lane column windows never mix, and each lane's
-// forward/backward is bitwise identical to the narrow op applied to that
-// lane's windows (the la::Backend::GemmLanes* contract). SpMM, elementwise
-// ops, AddRowVec and GatherRows are column-count-invariant per element, and
-// GatAttention is group-count-invariant per attention group, so the
-// lane-wide graph reuses them UNCHANGED — only ops that contract over
-// columns (GEMM) or mix a row's columns (softmax, NLL picks) need lane-aware
-// variants.
-
-// Lane-blocked dense product. `a` is lane-shared when a.cols() == b.rows()
-// (e.g. the feature matrix under a lane-wide weight; must not need grad for
-// lanes > 1 — a shared operand's gradient would sum over lanes, which no
-// fused-replay consumer needs), otherwise lane-wide. lanes == 1 is exactly
-// MatMul.
-Var MatMulLanes(Var a, Var b, int lanes);
-
-// Lane-blocked row-wise log-softmax: an independent stable log-softmax over
-// every lane window of each row. lanes == 1 is exactly LogSoftmaxRows.
-Var LogSoftmaxRowsLanes(Var logits, int lanes);
-
-// Lane-blocked weighted NLL: the scalar output is the SUM over lanes of the
-// narrow WeightedNll loss evaluated on that lane's window. Backward writes
-// each lane's picked entries with the same per-entry arithmetic as the
-// narrow op under a unit seed, so lane gradients are bitwise identical to
-// `lanes` serial replays. lanes == 1 is exactly WeightedNll.
-Var WeightedNllLanes(Var logp, const std::vector<int>& rows,
-                     const std::vector<int>& labels,
-                     const std::vector<double>& weights, double denom, int lanes);
-
 // ---- Elementwise / broadcast ----
 
 Var Add(Var a, Var b);
@@ -136,9 +103,9 @@ Var LaplacianQuadratic(const std::shared_ptr<const la::CsrMatrix>& laplacian, Va
 //   alpha_ij = softmax_j(e_ij)  over j in N(i)
 //   out_i[g-block] = sum_j alpha_ij * h_j[g-block]
 // The output is edges->num_nodes x (groups·d); a destination without edges
-// gets a zero row. No group's arithmetic depends on `groups`, so a lane-major
-// input of `lanes` replays with group l·heads + h = lane l's head h is
-// bitwise `lanes` narrow calls (the lane-blocked contract above).
+// gets a zero row. Groups never mix: each group's output block depends only
+// on its own h block and attention columns, and no group's arithmetic
+// depends on `groups`.
 Var GatAttention(Var h, Var attn_left, Var attn_right,
                  const std::shared_ptr<const EdgeSet>& edges, int groups,
                  double leaky_slope);

@@ -12,7 +12,7 @@ FrOutput ComputeFairnessWeights(nn::GnnModel* model, const nn::GraphContext& ctx
                                 const std::shared_ptr<const la::CsrMatrix>& laplacian,
                                 const FrConfig& config) {
   // Cell-scoped warm-pool cache: every influence consumer in this FR compute
-  // (the shared-forward TapePool, the fused probe GradLanePool) shares one
+  // (the shared-forward TapePool, the probe GradLanePool) shares one
   // set of warm pools instead of rebuilding them per use-site.
   influence::ReplayCache replay_cache;
   influence::InfluenceConfig influence_config = config.influence;

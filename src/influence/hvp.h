@@ -15,11 +15,11 @@ using GradFn = std::function<std::vector<double>()>;
 
 // Evaluates the flat training-loss gradient at each of the given ABSOLUTE
 // parameter points, returning one gradient per point (same order). Must
-// leave the model's parameters as it found them. Implementations replay a
-// recorded loss tape once per point — serially, or fanned across a
-// GradLanePool of model clones (see influence/tape_pool.h); either way each
-// point's gradient is independent of the batching, so results are bitwise
-// identical for any lane count.
+// leave the model's parameters as it found them. The library's
+// implementation (InfluenceCalculator::BatchTrainGrad) replays a recorded
+// loss graph once per point on a GradLanePool of model clones (see
+// influence/tape_pool.h); each point's gradient is independent of the
+// batching, so results are bitwise identical for any lane or thread count.
 using BatchGradFn = std::function<std::vector<std::vector<double>>(
     const std::vector<std::vector<double>>& points)>;
 

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/flags.h"
 #include "fairness/bias_metric.h"
 #include "influence/param_vector.h"
 #include "la/backend.h"
@@ -44,18 +45,16 @@ std::shared_ptr<const SeedBlock> MakeSeedBlock(const nn::GnnModel& model,
   return out;
 }
 
-// The mean NLL of the seeds' labels over their block, lane-wide at `lanes`
-// (lanes == 1 is the plain loss graph).
+// The mean NLL of the seeds' labels over their block.
 ReusableLossGraph::Builder SeedLossBuilder(nn::GnnModel* model,
                                            std::shared_ptr<const SeedBlock> block,
-                                           std::vector<int> labels, int lanes) {
-  return [model, block = std::move(block), labels = std::move(labels),
-          lanes](ag::Tape& tape) {
-    ag::Var logits = model->ForwardBlock(tape, block->block, block->inputs, lanes);
-    ag::Var logp = ag::LogSoftmaxRowsLanes(logits, lanes);
+                                           std::vector<int> labels) {
+  return [model, block = std::move(block), labels = std::move(labels)](ag::Tape& tape) {
+    ag::Var logits = model->ForwardBlock(tape, block->block, block->inputs);
+    ag::Var logp = ag::LogSoftmaxRows(logits);
     const std::vector<double> ones(block->rows.size(), 1.0);
-    return ag::WeightedNllLanes(logp, block->rows, labels, ones,
-                                static_cast<double>(block->rows.size()), lanes);
+    return ag::WeightedNll(logp, block->rows, labels, ones,
+                           static_cast<double>(block->rows.size()));
   };
 }
 
@@ -88,18 +87,12 @@ InfluenceCalculator::InfluenceCalculator(nn::GnnModel* model,
 
 int ResolveCgBlock(int configured) {
   if (configured > 0) return configured;
-  if (const char* env = std::getenv("PPFR_CG_BLOCK")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 8;
-}
-
-int ResolveReplayLanes(int configured) {
-  if (configured > 0) return configured;
-  if (const char* env = std::getenv("PPFR_REPLAY_LANES")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
+  if (const char* env = std::getenv("PPFR_CG_BLOCK"); env != nullptr && *env != '\0') {
+    int64_t v = 0;
+    PPFR_CHECK(ParseInt64Strict(env, &v) && v >= std::numeric_limits<int>::min() &&
+               v <= std::numeric_limits<int>::max())
+        << "PPFR_CG_BLOCK must be an integer, got '" << env << "'";
+    if (v > 0) return static_cast<int>(v);
   }
   return 8;
 }
@@ -108,11 +101,7 @@ int InfluenceCalculator::ResolvedCgBlock() const {
   return ResolveCgBlock(config_.cg_block);
 }
 
-int InfluenceCalculator::ResolvedReplayLanes() const {
-  return ResolveReplayLanes(config_.replay_lanes);
-}
-
-int InfluenceCalculator::ResolvedLanes(int num_items) const {
+int InfluenceCalculator::ResolvedLaneCount(int num_items) const {
   int lanes = config_.tape_pool_lanes;
   if (lanes <= 0) lanes = std::min(la::ActiveBackend().num_threads(), 8);
   return std::max(1, std::min(lanes, num_items));
@@ -126,7 +115,7 @@ const std::shared_ptr<const SeedBlock>& InfluenceCalculator::TrainBlock() {
 std::vector<double> InfluenceCalculator::TrainingLossGrad() {
   if (train_grad_graph_ == nullptr) {
     train_grad_graph_ = std::make_unique<ReusableLossGraph>(
-        SeedLossBuilder(model_, TrainBlock(), train_labels_, /*lanes=*/1), params_);
+        SeedLossBuilder(model_, TrainBlock(), train_labels_), params_);
   }
   return train_grad_graph_->Grad();
 }
@@ -153,7 +142,7 @@ std::vector<std::vector<double>> InfluenceCalculator::SeedLossGrads(
   // Lane count saturates at the backend's thread budget; PerSeedGrads clamps
   // to the seed count per call, and results are lane-count-invariant bit for
   // bit, so one pool serves sweeps of every size.
-  const int lanes = ResolvedLanes(std::numeric_limits<int>::max());
+  const int lanes = ResolvedLaneCount(std::numeric_limits<int>::max());
   // The builder captures the model by pointer and the block by value (never
   // `this`): a cache-owned pool outlives this calculator and rewarms against
   // the same model object from a later one.
@@ -208,52 +197,35 @@ InfluenceCalculator::PerNodeLossGradsSerialReference() {
 
 BatchGradFn InfluenceCalculator::BatchTrainGrad() {
   if (grad_lane_pool_ == nullptr) {
-    // Every lane owns a full model clone, WIDENED to `width` parameter-column
-    // blocks: one replay of its lane-wide loss graph over the training block
-    // evaluates the gradient at `width` probe points through wide BLAS-3
-    // passes. Probe evaluation never touches the real parameters. Thread-lane
-    // count follows tape_pool_lanes over the CHUNK count (a chunk = one fused
-    // replay); the per-point gradients are invariant bit for bit to both the
-    // thread-lane count and the fused width (each fused lane's arithmetic IS
-    // the serial graph's — see autograd/ops.cc lane ops).
-    // Central differencing never produces more than 2·cg_block probes per
-    // call, so a wider pool would only ever run pad lanes: clamp the fused
-    // width to the probe budget (replay_lanes = 8 at cg_block = 1 → width 2).
-    const int width =
-        std::min(ResolvedReplayLanes(), std::max(1, 2 * ResolvedCgBlock()));
-    const int chunks =
-        std::max(1, (2 * ResolvedCgBlock() + width - 1) / width);
-    // A wide clone's tapes are `width`× a narrow clone's, so chunk workers
-    // beyond the backend's thread budget buy no concurrency and multiply the
-    // working set past cache — clamp to the threads that actually exist.
-    // Results are lane-count invariant bit for bit, so this only moves time.
-    const int lanes = std::max(
-        1, std::min(ResolvedLanes(chunks), la::ActiveBackend().num_threads()));
+    // Every lane owns a full model clone and replays its loss graph over the
+    // training block once per probe point, so probe evaluation never touches
+    // the real parameters. Central differencing issues at most 2·cg_block
+    // points per call; lane count follows tape_pool_lanes over that budget,
+    // clamped to the backend's thread count, since workers beyond it buy no
+    // concurrency. Per-point gradients are bitwise invariant to the lane
+    // count, so the clamp only moves time.
+    const int lanes = std::max(1, std::min(ResolvedLaneCount(2 * ResolvedCgBlock()),
+                                           la::ActiveBackend().num_threads()));
     // Captures are by value / stable pointer (never `this`): a cache-owned
     // pool outlives this calculator.
     nn::GnnModel* model = model_;
-    const GradLanePool::WideLaneFactory factory =
-        [model, block = TrainBlock(), labels = train_labels_](int w) {
-          GradLane lane;
-          std::unique_ptr<nn::GnnModel> clone = model->Clone();
-          nn::GnnModel* m = clone.get();
-          nn::WidenModelParams(m, w);
-          lane.width = w;
-          lane.params = m->Params();
-          lane.graph = std::make_unique<ReusableLossGraph>(
-              SeedLossBuilder(m, block, labels, w), lane.params);
-          lane.owner = std::shared_ptr<void>(std::move(clone));
-          return lane;
-        };
+    const GradLanePool::LaneFactory factory = [model, block = TrainBlock(),
+                                               labels = train_labels_] {
+      GradLane lane;
+      std::unique_ptr<nn::GnnModel> clone = model->Clone();
+      lane.params = clone->Params();
+      lane.graph = std::make_unique<ReusableLossGraph>(
+          SeedLossBuilder(clone.get(), block, labels), lane.params);
+      lane.owner = std::shared_ptr<void>(std::move(clone));
+      return lane;
+    };
     if (config_.replay_cache != nullptr) {
       const std::string key = "lanes:" + ModelKey(model_) + ":" + TrainBlock()->key +
-                              ":" + std::to_string(lanes) + "x" + std::to_string(width);
-      grad_lane_pool_ = config_.replay_cache->GetOrCreateGradLanes(key, [&] {
-        return std::make_unique<GradLanePool>(factory, lanes, width);
-      });
+                              ":" + std::to_string(lanes);
+      grad_lane_pool_ = config_.replay_cache->GetOrCreateGradLanePool(
+          key, [&] { return std::make_unique<GradLanePool>(factory, lanes); });
     } else {
-      owned_grad_lane_pool_ =
-          std::make_unique<GradLanePool>(factory, lanes, width);
+      owned_grad_lane_pool_ = std::make_unique<GradLanePool>(factory, lanes);
       grad_lane_pool_ = owned_grad_lane_pool_.get();
     }
   }

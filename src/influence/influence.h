@@ -41,13 +41,9 @@ struct InfluenceConfig {
   // same bits regardless of thread or lane counts.
   int cg_block = 0;
 
-  // Fused replay width for batched probe-gradient evaluation (BatchTrainGrad):
-  // each tape replay evaluates this many parameter points at once through a
-  // lane-widened loss graph, turning the probe sweep's GEMMs into wide BLAS-3
-  // passes. 0 — the default — resolves from PPFR_REPLAY_LANES, else 8; 1
-  // disables fusion (the pre-fusion one-replay-per-point path). Results are
-  // bitwise identical at every width: each fused lane's arithmetic IS the
-  // width-1 graph's (see autograd/ops.cc lane ops).
+  // Unused: nothing in the library reads this field. It remains only because
+  // perfbench/scale.cc assigns it; the next change to the benchmark deletes
+  // both the field and that assignment.
   int replay_lanes = 0;
 
   // Optional cell-scoped warm-pool cache (non-owning). When set, the
@@ -59,18 +55,12 @@ struct InfluenceConfig {
 };
 
 // The block width a configured cg_block value resolves to at runtime
-// (configured if > 0, else the PPFR_CG_BLOCK environment variable, else 8).
+// (configured if > 0, else the PPFR_CG_BLOCK environment variable if > 0,
+// else 8). The variable parses strictly: a value that is not an integer in
+// int range ("8x", "abc", overflow) fails a check naming it; empty is unset.
 // Cache keys over FR results mix THIS value, not the raw config field, so
 // runs under different environments never share an entry.
 int ResolveCgBlock(int configured);
-
-// The fused replay width a configured replay_lanes value resolves to at
-// runtime (configured if > 0, else the PPFR_REPLAY_LANES environment
-// variable, else 8). Like ResolveCgBlock, FR cache keys mix THIS value: the
-// fused path is bitwise-identical to serial by design, but keying the
-// resolved width keeps any regression attributable instead of silently
-// shared across environments.
-int ResolveReplayLanes(int configured);
 
 // Aggregate instrumentation over the block solves an InfluenceCalculator has
 // issued since construction (or the last Reset) — surfaced into
@@ -111,7 +101,7 @@ struct SeedBlock;
 // aggregation order differs, and GCN's first layer is reassociated to
 // (Â·X)·W); influence agrees within 1e-8 with the same number of gradient
 // evaluations; within the block path every result is bitwise invariant to
-// pool lanes, replay width, thread count and call order.
+// pool lanes, thread count and call order.
 //
 // One forward pass per seed block is reused for all of its per-node loss
 // gradients via repeated seeded backward passes; H⁻¹∇f is a damped
@@ -168,10 +158,6 @@ class InfluenceCalculator {
   // (config.cg_block, else PPFR_CG_BLOCK, else 8).
   int ResolvedCgBlock() const;
 
-  // The fused replay width BatchTrainGrad will use (config.replay_lanes,
-  // else PPFR_REPLAY_LANES, else 8).
-  int ResolvedReplayLanes() const;
-
   // Instrumentation over every block solve issued so far.
   const BlockSolveStats& block_stats() const { return block_stats_; }
   void ResetBlockStats() { block_stats_.Reset(); }
@@ -197,7 +183,7 @@ class InfluenceCalculator {
   std::vector<double> FunctionGrad(const FunctionBuilder& build_f);
   std::vector<std::vector<double>> PerNodeLossGradsSerialReference();
   // Lanes for pooled per-seed backward / batched probe gradients.
-  int ResolvedLanes(int num_items) const;
+  int ResolvedLaneCount(int num_items) const;
   // The training nodes' block, built on first use.
   const std::shared_ptr<const SeedBlock>& TrainBlock();
   // ∇θ of each seed's own loss -log p(label_k | seed k), from one shared

@@ -80,19 +80,6 @@ GradLanePool::GradLanePool(const LaneFactory& factory, int num_lanes) {
   PPFR_CHECK_GE(num_lanes, 1);
   lanes_.reserve(static_cast<size_t>(num_lanes));
   for (int l = 0; l < num_lanes; ++l) lanes_.push_back(factory());
-  for (const GradLane& lane : lanes_) PPFR_CHECK_EQ(lane.width, 1);
-  if (num_lanes > 1) pool_ = std::make_unique<ThreadPool>(num_lanes);
-}
-
-GradLanePool::GradLanePool(const WideLaneFactory& factory, int num_lanes, int width)
-    : width_(width) {
-  PPFR_CHECK_GE(num_lanes, 1);
-  PPFR_CHECK_GE(width, 1);
-  lanes_.reserve(static_cast<size_t>(num_lanes));
-  for (int l = 0; l < num_lanes; ++l) {
-    lanes_.push_back(factory(width));
-    PPFR_CHECK_EQ(lanes_.back().width, width);
-  }
   if (num_lanes > 1) pool_ = std::make_unique<ThreadPool>(num_lanes);
 }
 
@@ -111,97 +98,11 @@ void GradLanePool::RunLane(int lane, int begin, int end,
   }
 }
 
-void GradLanePool::RunLaneFused(int lane, int chunk_begin, int chunk_end,
-                                int kernel_threads,
-                                const std::vector<std::vector<double>>& points,
-                                std::vector<std::vector<double>>* grads) {
-  // Unlike the narrow path, a fused sweep often has FEWER chunk workers than
-  // cores (e.g. 16 probes at width 8 = 2 chunks), so the threads the workers
-  // don't occupy are handed to each worker's private backend. Kernels are
-  // bitwise invariant to their thread count, so this moves wall-clock only,
-  // never bits.
-  const std::unique_ptr<la::Backend> backend =
-      la::MakeBackend(la::ActiveBackendKind(), std::max(1, kernel_threads));
-  la::ThreadLocalBackendGuard backend_guard(backend.get());
-  GradLane& state = lanes_[static_cast<size_t>(lane)];
-  const int width = state.width;
-  const int n = static_cast<int>(points.size());
-  for (int c = chunk_begin; c < chunk_end; ++c) {
-    const int p0 = c * width;
-    const int count = std::min(width, n - p0);
-    PPFR_CHECK_GE(count, 1);
-    // Scatter: fused lane l of every WIDE parameter (rows x base_cols·width)
-    // takes point p0+l's block, column window [l·base_cols, (l+1)·base_cols).
-    // Short final chunks replicate their last point into the pad lanes —
-    // lanes are arithmetically independent, so pad results are discarded
-    // without ever influencing a real lane's bits.
-    int64_t flat_dim = 0;  // narrow (per-point) flat size, accumulated below
-    for (ag::Parameter* p : state.params) {
-      la::Matrix& value = p->value;
-      PPFR_CHECK_EQ(value.cols() % width, 0);
-      const int cols = value.cols() / width;
-      for (int l = 0; l < width; ++l) {
-        const std::vector<double>& pt =
-            points[static_cast<size_t>(p0 + std::min(l, count - 1))];
-        for (int r = 0; r < value.rows(); ++r) {
-          const double* src = pt.data() + flat_dim + static_cast<int64_t>(r) * cols;
-          std::copy(src, src + cols, value.row(r) + static_cast<int64_t>(l) * cols);
-        }
-      }
-      flat_dim += static_cast<int64_t>(value.rows()) * cols;
-    }
-    // One replay of the lane-wide graph evaluates all `count` gradients.
-    const std::vector<double> wide = state.graph->Grad();
-    PPFR_CHECK_EQ(static_cast<int64_t>(wide.size()), flat_dim * width);
-    // De-interleave the wide flat gradient back into per-point order: wide
-    // element (param i, row r, lane l, col c2) sits at
-    //   width·off_i + r·cols_i·width + l·cols_i + c2,
-    // the narrow destination at off_i + r·cols_i + c2.
-    for (int l = 0; l < count; ++l) {
-      std::vector<double>& g = (*grads)[static_cast<size_t>(p0 + l)];
-      g.resize(static_cast<size_t>(flat_dim));
-      int64_t off = 0;
-      for (ag::Parameter* p : state.params) {
-        const int cols = p->value.cols() / width;
-        const double* base = wide.data() + off * width;
-        for (int r = 0; r < p->value.rows(); ++r) {
-          const double* src =
-              base + (static_cast<int64_t>(r) * width + l) * cols;
-          std::copy(src, src + cols, g.data() + off + static_cast<int64_t>(r) * cols);
-        }
-        off += static_cast<int64_t>(p->value.rows()) * cols;
-      }
-    }
-  }
-}
-
 std::vector<std::vector<double>> GradLanePool::GradsAt(
     const std::vector<std::vector<double>>& points) {
   const int n = static_cast<int>(points.size());
   std::vector<std::vector<double>> grads(points.size());
   if (n == 0) return grads;
-  if (width_ > 1) {
-    // Two-level parallelism: `width_` fused lanes per replay × thread lanes
-    // over chunks. The chunk grid depends only on width_, and each chunk is
-    // self-contained, so any thread-lane count produces the same bits.
-    const int chunks = (n + width_ - 1) / width_;
-    const int lanes = std::min<int>(num_lanes(), chunks);
-    const int kernel_threads =
-        std::max(1, la::ActiveBackend().num_threads() / std::max(1, lanes));
-    if (lanes == 1 || pool_ == nullptr) {
-      RunLaneFused(0, 0, chunks, kernel_threads, points, &grads);
-      return grads;
-    }
-    pool_->ParallelFor(0, lanes, 1, [&](int64_t l0, int64_t l1) {
-      for (int64_t l = l0; l < l1; ++l) {
-        const int begin = static_cast<int>(l * chunks / lanes);
-        const int end = static_cast<int>((l + 1) * chunks / lanes);
-        RunLaneFused(static_cast<int>(l), begin, end, kernel_threads, points,
-                     &grads);
-      }
-    });
-    return grads;
-  }
   const int lanes = std::min<int>(num_lanes(), n);
   if (lanes == 1 || pool_ == nullptr) {
     RunLane(0, 0, n, points, &grads);
@@ -230,7 +131,7 @@ TapePool* ReplayCache::GetOrCreateTapePool(
   return slot.get();
 }
 
-GradLanePool* ReplayCache::GetOrCreateGradLanes(
+GradLanePool* ReplayCache::GetOrCreateGradLanePool(
     const std::string& key,
     const std::function<std::unique_ptr<GradLanePool>()>& make) {
   std::unique_ptr<GradLanePool>& slot = grad_lane_pools_[key];

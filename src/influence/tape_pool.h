@@ -99,57 +99,34 @@ struct GradLane {
   std::vector<ag::Parameter*> params;
   std::unique_ptr<ReusableLossGraph> graph;
   std::shared_ptr<void> owner;
-  // Fused lane width: how many parameter points this lane's graph evaluates
-  // per replay. Width w > 1 means every parameter is WIDENED to w column
-  // blocks (see nn::WidenModelParams) and the recorded graph is the lane-wide
-  // loss graph, whose per-lane arithmetic is bitwise the width-1 graph.
-  int width = 1;
 };
 
 // Evaluates the loss gradient at many ABSOLUTE parameter points, fanned
 // across lanes — the BatchGradFn engine behind the block-CG solver's batched
-// finite-difference HVPs. Each point's gradient comes from replaying one
+// finite-difference HVPs. Each point's gradient comes from one replay of one
 // lane's recorded graph at that point, under a private single-threaded
 // backend of the active kind (the shared ParallelBackend pool is never
-// entered concurrently). Which lane evaluates a point never affects its
-// bits, so results are bitwise identical for any lane count.
+// entered concurrently). Lanes take contiguous point ranges, and which lane
+// evaluates a point never affects its bits, so results are bitwise
+// identical for any lane count and any backend thread count.
 class GradLanePool {
  public:
   using LaneFactory = std::function<GradLane()>;
-  // Factory for fused lanes: builds a lane whose graph evaluates `width`
-  // points per replay (parameters widened to `width` column blocks).
-  using WideLaneFactory = std::function<GradLane(int width)>;
 
   GradLanePool(const LaneFactory& factory, int num_lanes);
-
-  // Fused construction: points are processed in chunks of `width` per
-  // replay. The chunk grid is FIXED by width alone — chunk c always covers
-  // points [c·width, (c+1)·width) — and thread lanes take contiguous chunk
-  // ranges, so results are bitwise invariant to the lane count. A short
-  // final chunk is padded by replicating its last point; lanes are
-  // arithmetically independent, so pad lanes never touch a real result.
-  GradLanePool(const WideLaneFactory& factory, int num_lanes, int width);
 
   // Flat loss gradient at each point, in point order.
   std::vector<std::vector<double>> GradsAt(
       const std::vector<std::vector<double>>& points);
 
   int num_lanes() const { return static_cast<int>(lanes_.size()); }
-  int width() const { return width_; }
 
  private:
   void RunLane(int lane, int begin, int end,
                const std::vector<std::vector<double>>& points,
                std::vector<std::vector<double>>* grads);
-  // Fused path: [chunk_begin, chunk_end) on the fixed width_-point grid.
-  // `kernel_threads` sizes the worker's private backend (threads left over by
-  // having fewer chunk workers than cores).
-  void RunLaneFused(int lane, int chunk_begin, int chunk_end, int kernel_threads,
-                    const std::vector<std::vector<double>>& points,
-                    std::vector<std::vector<double>>* grads);
 
   std::vector<GradLane> lanes_;
-  int width_ = 1;
   std::unique_ptr<ThreadPool> pool_;  // only when num_lanes > 1
 };
 
@@ -173,7 +150,7 @@ class ReplayCache {
       const std::string& key,
       const std::function<std::unique_ptr<TapePool>()>& make);
 
-  GradLanePool* GetOrCreateGradLanes(
+  GradLanePool* GetOrCreateGradLanePool(
       const std::string& key,
       const std::function<std::unique_ptr<GradLanePool>()>& make);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -140,153 +141,6 @@ void SerialSpmmAccumRows(const CsrMatrix& a, const Matrix& x, double alpha,
 }
 
 // ---------------------------------------------------------------------------
-// Naive lane-blocked kernels: per-lane windowed copies of the loops above,
-// walking lane windows in lane order. Each lane's window reproduces the
-// corresponding narrow kernel's per-element operation sequence exactly, so
-// lane l's output bits equal a narrow call on the lane views — the base-class
-// (and small-shape) implementations of the Backend::GemmLanes* family.
-// ---------------------------------------------------------------------------
-
-void NaiveGemmLanes(const Matrix& a, const Matrix& b, Matrix* out, int lanes) {
-  const int n = b.cols() / lanes;
-  const bool a_shared = a.cols() == b.rows();
-  if (a_shared) {
-    // Shared a means every lane multiplies by the SAME a(i, kk): the per-lane
-    // j loops are adjacent column windows of one contiguous row, and each
-    // output element's kk-order accumulation is untouched by fusing them — so
-    // the wide call IS the narrow naive kernel on the full-width b, bit for
-    // bit, with lanes-times-longer streaming inner loops.
-    NaiveGemm(a, b, out);
-    return;
-  }
-  const int k = a.cols() / lanes;
-  out->Zero();
-  // Wide a: the lane loop sits between kk and j, so the inner walk covers the
-  // full contiguous width of out/b rows (one short j block per lane) while
-  // each element still accumulates in ascending kk exactly like a narrow
-  // call on its lane window. The aik == 0 skip stays per-lane.
-  for (int i = 0; i < a.rows(); ++i) {
-    double* out_row = out->row(i);
-    const double* a_row = a.row(i);
-    for (int kk = 0; kk < k; ++kk) {
-      const double* b_row = b.row(kk);
-      for (int l = 0; l < lanes; ++l) {
-        const double ail = a_row[l * k + kk];
-        if (ail == 0.0) continue;
-        const int b0 = l * n;
-        for (int j = 0; j < n; ++j) out_row[b0 + j] += ail * b_row[b0 + j];
-      }
-    }
-  }
-}
-
-void NaiveGemmLanesTransA(const Matrix& a, const Matrix& b, Matrix* out, int lanes) {
-  const int n = b.cols() / lanes;
-  const int ka = out->rows();
-  const bool a_shared = a.cols() == ka;
-  if (a_shared) {
-    // Same fusion as NaiveGemmLanes: a(k, i) is lane-invariant, the lane
-    // windows of b/out are adjacent, and per-element accumulation stays in
-    // ascending k — the narrow naive kernel on the full-width b is bitwise
-    // the per-lane loop with longer inner streams.
-    NaiveGemmTransA(a, b, out);
-    return;
-  }
-  out->Zero();
-  for (int l = 0; l < lanes; ++l) {
-    const int a0 = l * ka;
-    const int b0 = l * n;
-    for (int k = 0; k < a.rows(); ++k) {
-      const double* a_row = a.row(k) + a0;
-      const double* b_row = b.row(k) + b0;
-      for (int i = 0; i < ka; ++i) {
-        const double aki = a_row[i];
-        if (aki == 0.0) continue;
-        double* out_row = out->row(i) + b0;
-        for (int j = 0; j < n; ++j) out_row[j] += aki * b_row[j];
-      }
-    }
-  }
-}
-
-void NaiveGemmLanesTransB(const Matrix& a, const Matrix& b, Matrix* out, int lanes) {
-  // Overwrites like NaiveGemmTransB — no pre-zero.
-  const int n = a.cols() / lanes;
-  const int kb = b.rows();
-  for (int l = 0; l < lanes; ++l) {
-    const int a0 = l * n;
-    const int o0 = l * kb;
-    for (int i = 0; i < a.rows(); ++i) {
-      const double* a_row = a.row(i) + a0;
-      double* out_row = out->row(i) + o0;
-      for (int j = 0; j < kb; ++j) {
-        const double* b_row = b.row(j) + a0;
-        double s = 0.0;
-        for (int k = 0; k < n; ++k) s += a_row[k] * b_row[k];
-        out_row[j] = s;
-      }
-    }
-  }
-}
-
-void SerialGemmLanesTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,
-                                    const std::vector<int>& rows, int lanes) {
-  const int n = g.cols() / lanes;
-  const int kb = b.rows();
-  for (int r : rows) {
-    for (int l = 0; l < lanes; ++l) {
-      const double* g_row = g.row(r) + l * n;
-      double* out_row = out->row(r) + l * kb;
-      for (int j = 0; j < kb; ++j) {
-        const double* b_row = b.row(j) + l * n;
-        double s = 0.0;
-        for (int c = 0; c < n; ++c) s += g_row[c] * b_row[c];
-        out_row[j] += s;
-      }
-    }
-  }
-}
-
-void SerialGemmLanesTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* out,
-                                    const std::vector<int>& rows, int lanes) {
-  const int n = g.cols() / lanes;
-  const int ka = out->rows();
-  const bool a_shared = a.cols() == ka;
-  // r in list order outer (like the narrow kernel), lanes inner: per lane
-  // window every output element accumulates its row contributions in the
-  // same order as a narrow call.
-  if (a_shared) {
-    // ari is lane-invariant and the lane windows of g/out rows are adjacent,
-    // so the lane loop fuses into ONE full-width streaming update per (r, i)
-    // — per-element bits identical, lanes-times-fewer/longer inner loops.
-    const int wide = n * lanes;
-    for (int r : rows) {
-      const double* a_row = a.row(r);
-      const double* g_row = g.row(r);
-      for (int i = 0; i < ka; ++i) {
-        const double ari = a_row[i];
-        if (ari == 0.0) continue;
-        double* out_row = out->row(i);
-        for (int j = 0; j < wide; ++j) out_row[j] += ari * g_row[j];
-      }
-    }
-    return;
-  }
-  for (int r : rows) {
-    for (int l = 0; l < lanes; ++l) {
-      const double* a_row = a.row(r) + l * ka;
-      const double* g_row = g.row(r) + l * n;
-      for (int i = 0; i < ka; ++i) {
-        const double ari = a_row[i];
-        if (ari == 0.0) continue;
-        double* out_row = out->row(i) + l * n;
-        for (int j = 0; j < n; ++j) out_row[j] += ari * g_row[j];
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Leaf-kernel table. The ParallelBackend owns blocking, packing, cutoffs and
 // the thread pool; the innermost register/vector loops are routed through
 // this table so the SimdBackend can swap in the AVX2/FMA (or AVX-512)
@@ -317,7 +171,7 @@ struct LeafKernels {
   // (for k: axpy(alpha·vals[k], x.row(cols[k]), out_row, n)); the vector
   // variant (simd::SpmmRow) keeps out_row columns in registers across the
   // whole nonzero list instead of re-loading/re-storing them per nonzero —
-  // the win that widens with the fused-replay column count.
+  // the win that widens with the operand's column count.
   void (*spmm_row)(const double* vals, const int* cols, int64_t nnz, double alpha,
                    const double* x, int64_t x_stride, double* out_row, int64_t n);
 };
@@ -767,167 +621,6 @@ class ParallelBackend : public Backend {
     pool_.ParallelFor(0, static_cast<int64_t>(rows.size()), grain, run);
   }
 
-  // Lane-blocked GEMM family. Every dispatch decision is re-derived from the
-  // PER-LANE shape with the exact narrow predicates: a batched lane must
-  // never flip between the naive (mul+add, two roundings per term) and
-  // blocked (FMA, one rounding) patterns relative to its serial narrow call,
-  // or bitwise parity with the serial replay dies. Once a lane is blocked,
-  // the per-element k-panel FMA chain is independent of the total packed
-  // column count, so shared-A lanes collapse into ONE wide packed GEMM (A
-  // packed once for all lanes — the BLAS-3 win) and wide-A lanes run as
-  // windowed packed calls over the shared output buffer.
-
-  void GemmLanes(const Matrix& a, const Matrix& b, Matrix* out,
-                 int lanes) const override {
-    const int n = b.cols() / lanes;
-    const bool a_shared = a.cols() == b.rows();
-    const int k = a_shared ? a.cols() : a.cols() / lanes;
-    const int64_t work = static_cast<int64_t>(a.rows()) * n * k;
-    if (work < kGemmSerialCutoff || n < kNr || k < 8) {
-      NaiveGemmLanes(a, b, out, lanes);
-      return;
-    }
-    if (a_shared) {
-      BlockedGemm(a, b, out);
-      return;
-    }
-    out->Zero();
-    for (int l = 0; l < lanes; ++l) {
-      BlockedGemmWindow(a, l * k, k, b, l * n, n, out, l * n);
-    }
-  }
-
-  void GemmLanesTransA(const Matrix& a, const Matrix& b, Matrix* out,
-                       int lanes) const override {
-    const int n = b.cols() / lanes;
-    const int ka = out->rows();
-    const bool a_shared = a.cols() == ka;
-    const int m = a.rows();
-    const int64_t work = static_cast<int64_t>(ka) * n * m;
-    if (work < kGemmSerialCutoff || n < kNr || m < 8) {
-      NaiveGemmLanesTransA(a, b, out, lanes);
-      return;
-    }
-    out->Zero();
-    if (a_shared) {
-      Matrix at(a.cols(), a.rows());
-      Transpose(a, &at);
-      BlockedGemmWindow(at, 0, m, b, 0, b.cols(), out, 0);
-      return;
-    }
-    Matrix at(ka, m);  // one per-lane transposed window, reused across lanes
-    for (int l = 0; l < lanes; ++l) {
-      for (int r = 0; r < m; ++r) {
-        const double* a_row = a.row(r) + l * ka;
-        for (int i = 0; i < ka; ++i) at(i, r) = a_row[i];
-      }
-      BlockedGemmWindow(at, 0, m, b, l * n, n, out, l * n);
-    }
-  }
-
-  void GemmLanesTransB(const Matrix& a, const Matrix& b, Matrix* out,
-                       int lanes) const override {
-    const int n = a.cols() / lanes;
-    const int kb = b.rows();
-    const int64_t work = static_cast<int64_t>(a.rows()) * kb * n;
-    if (work < kGemmSerialCutoff || kb < kNr || n < 8) {
-      NaiveGemmLanesTransB(a, b, out, lanes);
-      return;
-    }
-    out->Zero();
-    Matrix bt(n, kb);  // per-lane transposed window, reused across lanes
-    for (int l = 0; l < lanes; ++l) {
-      for (int r = 0; r < kb; ++r) {
-        const double* b_row = b.row(r) + l * n;
-        for (int c = 0; c < n; ++c) bt(c, r) = b_row[c];
-      }
-      BlockedGemmWindow(a, l * n, n, bt, 0, kb, out, l * kb);
-    }
-  }
-
-  void GemmLanesTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,
-                                const std::vector<int>& rows,
-                                int lanes) const override {
-    const int n = g.cols() / lanes;
-    const int kb = b.rows();
-    const int64_t per_row = static_cast<int64_t>(kb) * n * lanes;
-    const int64_t work = static_cast<int64_t>(rows.size()) * per_row;
-    auto run = [&](int64_t lo, int64_t hi) {
-      for (int64_t idx = lo; idx < hi; ++idx) {
-        const int r = rows[static_cast<size_t>(idx)];
-        for (int l = 0; l < lanes; ++l) {
-          const double* g_row = g.row(r) + l * n;
-          double* out_row = out->row(r) + l * kb;
-          for (int j = 0; j < kb; ++j) {
-            out_row[j] += kernels_.dot(g_row, b.row(j) + l * n, n);
-          }
-        }
-      }
-    };
-    if (work < kGemmSerialCutoff) {
-      run(0, static_cast<int64_t>(rows.size()));
-      return;
-    }
-    PPFR_DCHECK(RowsDistinct(rows))
-        << "GemmLanesTransBAccumRows: duplicate support rows would race when split";
-    const int64_t grain =
-        std::max<int64_t>(1, kGemmSerialCutoff / std::max<int64_t>(per_row, 1));
-    pool_.ParallelFor(0, static_cast<int64_t>(rows.size()), grain, run);
-  }
-
-  void GemmLanesTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* out,
-                                const std::vector<int>& rows,
-                                int lanes) const override {
-    const int n = g.cols() / lanes;
-    const int ka = out->rows();
-    const bool a_shared = a.cols() == ka;
-    const int64_t per_lane = static_cast<int64_t>(rows.size()) * ka * n;
-    // Lanes are disjoint output-column blocks, so the lane loop is the
-    // parallel axis (the narrow kernel partitions output columns the same
-    // way); every worker walks `rows` in list order, keeping per-element
-    // accumulation order identical to the serial lane loop.
-    auto run = [&](int64_t l0, int64_t l1) {
-      if (a_shared) {
-        // ari is lane-invariant and the worker's lane range [l0, l1) is a
-        // contiguous column window of g/out, so the whole range collapses
-        // into ONE streaming axpy per (r, i). Per-element bits are unchanged
-        // (the axpy leaves round each element independently of the call's
-        // offset/length — see simd::VAxpy), but the leaf runs lanes-times
-        // fewer times over lanes-times-longer vectors.
-        const int g0 = static_cast<int>(l0) * n;
-        const int wide = static_cast<int>(l1 - l0) * n;
-        for (int r : rows) {
-          const double* a_row = a.row(r);
-          const double* g_row = g.row(r) + g0;
-          for (int i = 0; i < ka; ++i) {
-            const double ari = a_row[i];
-            if (ari == 0.0) continue;
-            kernels_.axpy(ari, g_row, out->row(i) + g0, wide);
-          }
-        }
-        return;
-      }
-      for (int64_t l = l0; l < l1; ++l) {
-        const int a0 = static_cast<int>(l) * ka;
-        const int g0 = static_cast<int>(l) * n;
-        for (int r : rows) {
-          const double* a_row = a.row(r) + a0;
-          const double* g_row = g.row(r) + g0;
-          for (int i = 0; i < ka; ++i) {
-            const double ari = a_row[i];
-            if (ari == 0.0) continue;
-            kernels_.axpy(ari, g_row, out->row(i) + g0, n);
-          }
-        }
-      }
-    };
-    if (per_lane * lanes < kGemmSerialCutoff) {
-      run(0, lanes);
-      return;
-    }
-    pool_.ParallelFor(0, lanes, 1, run);
-  }
-
  private:
   // Runs a fused update+square-reduce leaf over the VDot reduce-block grid
   // and sums the partials in block order (the VDot determinism scheme).
@@ -970,19 +663,8 @@ class ParallelBackend : public Backend {
   // panels into MR-wide k-major slivers; both are zero-padded to full tiles
   // so the register kernel never branches on edges.
   void BlockedGemm(const Matrix& a, const Matrix& b, Matrix* out) const {
+    const int m = a.rows(), k = a.cols(), n = b.cols();
     out->Zero();
-    BlockedGemmWindow(a, 0, a.cols(), b, 0, b.cols(), out, 0);
-  }
-
-  // Windowed GEBP core behind both BlockedGemm and the lane-blocked family:
-  // accumulates a(:, a0:a0+k) · b(0:k, b0:b0+n) into out(:, o0:o0+n) WITHOUT
-  // zeroing (callers zero the full output once, so per-lane windowed calls
-  // over one shared buffer compose). The loop structure, packing and micro
-  // calls are the original BlockedGemm body with column offsets threaded
-  // through, so the (0, full, 0) instantiation reproduces it bit for bit.
-  void BlockedGemmWindow(const Matrix& a, int a0, int k, const Matrix& b, int b0,
-                         int n, Matrix* out, int o0) const {
-    const int m = a.rows();
     if (m == 0 || n == 0 || k == 0) return;
 
     // B slivers are packed to the active micro-kernel's register-tile width
@@ -999,7 +681,7 @@ class ParallelBackend : public Backend {
           double* dst = bpack.data() + static_cast<size_t>(p) * kb * nrp;
           const int valid = std::min(nrp, nc - p * nrp);
           for (int kk = 0; kk < kb; ++kk) {
-            const double* b_row = b.row(kc + kk) + b0 + jc + p * nrp;
+            const double* b_row = b.row(kc + kk) + jc + p * nrp;
             for (int j = 0; j < valid; ++j) dst[kk * nrp + j] = b_row[j];
           }
         }
@@ -1014,14 +696,13 @@ class ParallelBackend : public Backend {
             for (int64_t blk = blk0; blk < blk1; ++blk) {
               const int ic = static_cast<int>(blk) * kMc;
               const int mc = std::min(kMc, m - ic);
-              const int mcp = PackA(a, ic, mc, a0 + kc, kb, &apack);
+              const int mcp = PackA(a, ic, mc, kc, kb, &apack);
               for (int p = 0; p < num_p_panels; ++p) {
                 const double* bp = bpack.data() + static_cast<size_t>(p) * kb * nrp;
                 const int nr = std::min(nrp, nc - p * nrp);
                 for (int q = 0; q < mcp / kMr; ++q) {
                   const double* ap = apack.data() + static_cast<size_t>(q) * kb * kMr;
-                  kernels_.gemm_micro(ap, bp, kb,
-                                      out->row(ic + q * kMr) + o0 + jc + p * nrp,
+                  kernels_.gemm_micro(ap, bp, kb, out->row(ic + q * kMr) + jc + p * nrp,
                                       out->cols(), std::min(kMr, mc - q * kMr), nr);
                 }
               }
@@ -1036,7 +717,7 @@ class ParallelBackend : public Backend {
           for (int64_t blk = 0; blk < num_ic_blocks; ++blk) {
             const int ic = static_cast<int>(blk) * kMc;
             const int mc = std::min(kMc, m - ic);
-            const int mcp = PackA(a, ic, mc, a0 + kc, kb, &apack);
+            const int mcp = PackA(a, ic, mc, kc, kb, &apack);
             pool_.ParallelFor(0, num_p_panels, 1, [&](int64_t p0, int64_t p1) {
               for (int64_t p = p0; p < p1; ++p) {
                 const double* bp = bpack.data() + static_cast<size_t>(p) * kb * nrp;
@@ -1045,7 +726,7 @@ class ParallelBackend : public Backend {
                   const double* ap = apack.data() + static_cast<size_t>(q) * kb * kMr;
                   kernels_.gemm_micro(
                       ap, bp, kb,
-                      out->row(ic + q * kMr) + o0 + jc + static_cast<int>(p) * nrp,
+                      out->row(ic + q * kMr) + jc + static_cast<int>(p) * nrp,
                       out->cols(), std::min(kMr, mc - q * kMr), nr);
                 }
               }
@@ -1141,7 +822,17 @@ void InitFromEnvIfNeeded() {
             << value << "'";
       }
     }
-    if (const char* env = std::getenv("PPFR_LA_THREADS")) threads = std::atoi(env);
+    // Strict: "4x" or an out-of-int value dies naming the variable; empty is
+    // unset and a value <= 0 means one thread per core.
+    const char* threads_env = std::getenv("PPFR_LA_THREADS");
+    if (threads_env != nullptr && *threads_env != '\0') {
+      int64_t v = 0;
+      PPFR_CHECK(ParseInt64Strict(threads_env, &v) &&
+                 v >= std::numeric_limits<int>::min() &&
+                 v <= std::numeric_limits<int>::max())
+          << "PPFR_LA_THREADS must be an integer, got '" << threads_env << "'";
+      threads = static_cast<int>(v);
+    }
     SetActiveBackend(kind, threads);
   });
 }
@@ -1162,38 +853,6 @@ void Backend::SpmmAccumRows(const CsrMatrix& a, const Matrix& x, double alpha,
                             Matrix* out, const std::vector<int>& rows,
                             const std::vector<uint8_t>& x_row_nonzero) const {
   SerialSpmmAccumRows(a, x, alpha, out, rows, x_row_nonzero);
-}
-
-// Base lane-blocked kernels: the serial per-lane windowed naive loops.
-// ReferenceBackend inherits these, which makes it the per-lane bitwise
-// oracle; ParallelBackend/SimdBackend override with blocked/threaded paths
-// that must match them lane for lane.
-
-void Backend::GemmLanes(const Matrix& a, const Matrix& b, Matrix* out,
-                        int lanes) const {
-  NaiveGemmLanes(a, b, out, lanes);
-}
-
-void Backend::GemmLanesTransA(const Matrix& a, const Matrix& b, Matrix* out,
-                              int lanes) const {
-  NaiveGemmLanesTransA(a, b, out, lanes);
-}
-
-void Backend::GemmLanesTransB(const Matrix& a, const Matrix& b, Matrix* out,
-                              int lanes) const {
-  NaiveGemmLanesTransB(a, b, out, lanes);
-}
-
-void Backend::GemmLanesTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,
-                                       const std::vector<int>& rows,
-                                       int lanes) const {
-  SerialGemmLanesTransBAccumRows(g, b, out, rows, lanes);
-}
-
-void Backend::GemmLanesTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* out,
-                                       const std::vector<int>& rows,
-                                       int lanes) const {
-  SerialGemmLanesTransAAccumRows(a, g, out, rows, lanes);
 }
 
 // Unfused compositions — the bitwise definition of the fused contracts

@@ -96,44 +96,6 @@ class Backend {
                              Matrix* out, const std::vector<int>& rows,
                              const std::vector<uint8_t>& x_row_nonzero) const;
 
-  // Lane-blocked GEMM family behind the fused multi-point tape replay
-  // (autograd MatMulLanes). A lane-wide matrix of base width w stores lane l
-  // in columns [l·w, (l+1)·w); `lanes` copies of a GEMM run in one call, with
-  // the operand `a` either SHARED across lanes (detected by shape:
-  // a.cols() == b.rows(), e.g. the feature matrix under a lane-wide weight)
-  // or itself lane-wide.
-  //
-  // Bitwise contract (the fused-replay determinism story rests on it): lane
-  // l's output window equals the corresponding narrow kernel applied to the
-  // lane's operand windows BIT FOR BIT, on every backend and thread count.
-  // The base-class implementations are per-lane windowed copies of the naive
-  // loops; ParallelBackend re-derives its naive/blocked dispatch decision
-  // from the PER-LANE shape (so a lane never flips between the naive
-  // mul+add and the blocked-FMA rounding pattern just because it was
-  // batched), and runs shared-`a` blocked lanes as ONE wide packed GEMM —
-  // the per-element k-panel FMA chain is independent of the total column
-  // count, which is exactly where the fusion's BLAS-3 win comes from.
-  //
-  // out = [a_0·b_0 | … ], a: (m,k) shared or (m,k·L), b: (k,n·L), out: (m,n·L).
-  virtual void GemmLanes(const Matrix& a, const Matrix& b, Matrix* out,
-                         int lanes) const;
-  // out_l = a_lᵀ·b_l, a: (m,k) shared or (m,k·L), b: (m,n·L), out: (k,n·L).
-  virtual void GemmLanesTransA(const Matrix& a, const Matrix& b, Matrix* out,
-                               int lanes) const;
-  // out_l = a_l·b_lᵀ, a: (m,n·L), b: (k,n·L), out: (m,k·L).
-  virtual void GemmLanesTransB(const Matrix& a, const Matrix& b, Matrix* out,
-                               int lanes) const;
-  // Lane-blocked row-support variants of the two Accum kernels below:
-  // out_l(r,:) += g_l(r,:)·b_lᵀ for r in rows (g: (m,n·L), b: (k,n·L),
-  // out: (m,k·L)), and out_l += Σ_{r in rows} a_l(r,:)ᵀ⊗g_l(r,:) (a: (m,k)
-  // shared or (m,k·L), g: (m,n·L), out: (k,n·L)).
-  virtual void GemmLanesTransBAccumRows(const Matrix& g, const Matrix& b,
-                                        Matrix* out, const std::vector<int>& rows,
-                                        int lanes) const;
-  virtual void GemmLanesTransAAccumRows(const Matrix& a, const Matrix& g,
-                                        Matrix* out, const std::vector<int>& rows,
-                                        int lanes) const;
-
   // Flat-vector kernels (parameter vectors in the influence machinery, and
   // Matrix::Axpy/Scale over the contiguous buffer).
   virtual double VDot(const double* a, const double* b, int64_t n) const = 0;
@@ -169,7 +131,8 @@ std::unique_ptr<Backend> MakeBackend(BackendKind kind, int num_threads);
 // Process-wide active backend. On first use it is initialised from the
 // PPFR_LA_BACKEND ("reference"|"parallel"|"simd") and PPFR_LA_THREADS
 // environment variables, defaulting to the parallel backend with one thread
-// per core.
+// per core. Both parse strictly: a malformed value fails a check that names
+// the variable and the value; an empty one counts as unset.
 Backend& ActiveBackend();
 BackendKind ActiveBackendKind();
 

@@ -205,60 +205,6 @@ void GemmTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* out,
   ActiveBackend().GemmTransAAccumRows(a, g, out, rows);
 }
 
-Matrix MatMulLanes(const Matrix& a, const Matrix& b, int lanes) {
-  PPFR_CHECK_GE(lanes, 1);
-  PPFR_CHECK_EQ(b.cols() % lanes, 0);
-  const bool a_shared = a.cols() == b.rows();
-  PPFR_CHECK(a_shared || a.cols() == b.rows() * lanes)
-      << "MatMulLanes: a is " << a.rows() << "x" << a.cols()
-      << ", expected shared k=" << b.rows() << " or wide k*L=" << b.rows() * lanes;
-  Matrix out(a.rows(), b.cols());
-  ActiveBackend().GemmLanes(a, b, &out, lanes);
-  return out;
-}
-
-Matrix MatMulLanesTransA(const Matrix& a, const Matrix& b, int lanes,
-                         bool a_shared) {
-  PPFR_CHECK_GE(lanes, 1);
-  PPFR_CHECK_EQ(b.cols() % lanes, 0);
-  PPFR_CHECK_EQ(a.rows(), b.rows());
-  if (!a_shared) PPFR_CHECK_EQ(a.cols() % lanes, 0);
-  const int ka = a_shared ? a.cols() : a.cols() / lanes;
-  Matrix out(ka, b.cols());
-  ActiveBackend().GemmLanesTransA(a, b, &out, lanes);
-  return out;
-}
-
-Matrix MatMulLanesTransB(const Matrix& a, const Matrix& b, int lanes) {
-  PPFR_CHECK_GE(lanes, 1);
-  PPFR_CHECK_EQ(a.cols() % lanes, 0);
-  PPFR_CHECK_EQ(a.cols(), b.cols());
-  Matrix out(a.rows(), b.rows() * lanes);
-  ActiveBackend().GemmLanesTransB(a, b, &out, lanes);
-  return out;
-}
-
-void GemmLanesTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,
-                              const std::vector<int>& rows, int lanes) {
-  PPFR_CHECK_GE(lanes, 1);
-  PPFR_CHECK_EQ(g.cols() % lanes, 0);
-  PPFR_CHECK_EQ(g.cols(), b.cols());
-  PPFR_CHECK_EQ(out->rows(), g.rows());
-  PPFR_CHECK_EQ(out->cols(), b.rows() * lanes);
-  ActiveBackend().GemmLanesTransBAccumRows(g, b, out, rows, lanes);
-}
-
-void GemmLanesTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* out,
-                              const std::vector<int>& rows, int lanes) {
-  PPFR_CHECK_GE(lanes, 1);
-  PPFR_CHECK_EQ(g.cols() % lanes, 0);
-  PPFR_CHECK_EQ(a.rows(), g.rows());
-  const bool a_shared = out->rows() == a.cols();
-  PPFR_CHECK(a_shared || a.cols() == out->rows() * lanes);
-  PPFR_CHECK_EQ(out->cols(), g.cols());
-  ActiveBackend().GemmLanesTransAAccumRows(a, g, out, rows, lanes);
-}
-
 Matrix SoftmaxRows(const Matrix& logits) {
   Matrix out(logits.rows(), logits.cols());
   for (int r = 0; r < logits.rows(); ++r) {

@@ -196,32 +196,6 @@ void GemmTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,
 void GemmTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* out,
                          const std::vector<int>& rows);
 
-// Lane-blocked GEMM wrappers behind the fused multi-point tape replay
-// (see Backend::GemmLanes* in la/backend.h for the lane layout and bitwise
-// contract). `a` may be lane-SHARED (a.cols() == b.rows() for MatMulLanes;
-// shape-detected) or lane-wide. Shapes below use L = lanes, per-lane widths
-// inferred from the wide operand.
-//
-// out = [a_0·b_0 | …]: a (m,k) or (m,k·L), b (k,n·L) -> out (m,n·L).
-Matrix MatMulLanes(const Matrix& a, const Matrix& b, int lanes);
-// out_l = a_lᵀ·b_l: a (m,k) or (m,k·L), b (m,n·L) -> out (k,n·L). A shared
-// `a` can be shape-ambiguous here (its width alone does not reveal the
-// per-lane k), so the caller states it: the recording op knows whether its
-// left operand was lane-shared.
-Matrix MatMulLanesTransA(const Matrix& a, const Matrix& b, int lanes,
-                         bool a_shared);
-// out_l = a_l·b_lᵀ: a (m,n·L), b (k,n·L) -> out (m,k·L).
-Matrix MatMulLanesTransB(const Matrix& a, const Matrix& b, int lanes);
-// Row-support lane accumulators (see GemmTransBAccumRows/GemmTransAAccumRows
-// above for the narrow contracts; these run all L lanes per listed row):
-// out_l(r,:) += g_l(r,:)·b_lᵀ — g (m,n·L), b (k,n·L), out (m,k·L).
-void GemmLanesTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,
-                              const std::vector<int>& rows, int lanes);
-// out_l += Σ_{r in rows} a_l(r,:)ᵀ⊗g_l(r,:) — a (m,k) or (m,k·L), g (m,n·L),
-// out (k,n·L).
-void GemmLanesTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* out,
-                              const std::vector<int>& rows, int lanes);
-
 // Row-wise softmax (numerically stable).
 Matrix SoftmaxRows(const Matrix& logits);
 

@@ -90,7 +90,7 @@ double XpayDot(double beta, const double* x, double* y, int64_t n);
 // register blocking over columns: each 8-wide output block is loaded and
 // stored ONCE for the whole nonzero list instead of once per nonzero, which
 // turns the x-row gathers into the only memory traffic — and widens with the
-// fused-replay lane count.
+// operand's column count.
 void SpmmRow(const double* vals, const int* cols, int64_t nnz, double alpha,
              const double* x, int64_t x_stride, double* out_row, int64_t n);
 

@@ -34,21 +34,20 @@ GatConv::GatConv(int in_dim, int out_dim, int heads, uint64_t seed)
 }
 
 ag::Var GatConv::Forward(ag::Tape& tape, ag::Var x,
-                         const std::shared_ptr<const ag::EdgeSet>& edges, int lanes) {
-  return Attend(tape, ag::MatMulLanes(x, tape.Leaf(&weight_), lanes), edges, lanes);
+                         const std::shared_ptr<const ag::EdgeSet>& edges) {
+  return Attend(tape, ag::MatMul(x, tape.Leaf(&weight_)), edges);
 }
 
 ag::Var GatConv::ForwardFeatures(ag::Tape& tape,
                                  const std::shared_ptr<const ag::SparseOperand>& features,
-                                 const std::shared_ptr<const ag::EdgeSet>& edges,
-                                 int lanes) {
-  return Attend(tape, ag::SpMM(features, tape.Leaf(&weight_)), edges, lanes);
+                                 const std::shared_ptr<const ag::EdgeSet>& edges) {
+  return Attend(tape, ag::SpMM(features, tape.Leaf(&weight_)), edges);
 }
 
 ag::Var GatConv::Attend(ag::Tape& tape, ag::Var projected,
-                        const std::shared_ptr<const ag::EdgeSet>& edges, int lanes) {
+                        const std::shared_ptr<const ag::EdgeSet>& edges) {
   return ag::GatAttention(projected, tape.Leaf(&attn_left_), tape.Leaf(&attn_right_),
-                          edges, heads_ * lanes, kLeakySlope);
+                          edges, heads_, kLeakySlope);
 }
 
 std::vector<ag::Parameter*> GatConv::Params() {

@@ -26,25 +26,20 @@ class GatConv {
   // Attention over `edges` (destination rows, source columns over x's rows):
   // the context's edge set on the full graph, or a block hop's
   // SampledHop::edges, whose destinations are the leading rows of x.
-  // `lanes` > 1 runs the fused-replay lane-wide graph (see GcnConv::Forward):
-  // the widened parameters make the projection lane-major and give the
-  // attention op heads·lanes groups, group l·heads + h being lane l's head h.
   ag::Var Forward(ag::Tape& tape, ag::Var x,
-                  const std::shared_ptr<const ag::EdgeSet>& edges, int lanes = 1);
+                  const std::shared_ptr<const ag::EdgeSet>& edges);
 
-  // The first layer over sparse raw features: the projection X·W is an SpMM,
-  // which computes every output column on its own, so it serves lane-wide
-  // weights as is.
+  // The first layer over sparse raw features: the projection X·W is an SpMM.
   ag::Var ForwardFeatures(ag::Tape& tape,
                           const std::shared_ptr<const ag::SparseOperand>& features,
-                          const std::shared_ptr<const ag::EdgeSet>& edges, int lanes = 1);
+                          const std::shared_ptr<const ag::EdgeSet>& edges);
 
   std::vector<ag::Parameter*> Params();
 
  private:
   // Scores and aggregates the projection H = X·W over `edges`.
   ag::Var Attend(ag::Tape& tape, ag::Var projected,
-                 const std::shared_ptr<const ag::EdgeSet>& edges, int lanes);
+                 const std::shared_ptr<const ag::EdgeSet>& edges);
 
   int heads_;
   ag::Parameter weight_;      // in_dim x heads·out_dim, head h in [h·out_dim, (h+1)·out_dim)

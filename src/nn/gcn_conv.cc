@@ -13,8 +13,8 @@ GcnConv::GcnConv(int in_dim, int out_dim, uint64_t seed)
       bias_("gcn.bias", Zeros(1, out_dim)) {}
 
 ag::Var GcnConv::Forward(ag::Tape& tape, ag::Var x,
-                         const std::shared_ptr<const ag::SparseOperand>& adj, int lanes) {
-  return Aggregate(tape, ag::MatMulLanes(x, tape.Leaf(&weight_), lanes), adj);
+                         const std::shared_ptr<const ag::SparseOperand>& adj) {
+  return Aggregate(tape, ag::MatMul(x, tape.Leaf(&weight_)), adj);
 }
 
 ag::Var GcnConv::ForwardFeatures(ag::Tape& tape,

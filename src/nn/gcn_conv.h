@@ -22,13 +22,9 @@ class GcnConv {
   // out = adj·(x·W) + b over dense activations `x`. `adj` holds the rows of
   // Â to aggregate (the full operator, or a block hop's SampledHop::gcn); a
   // null `adj` means `x` is already aggregated (Â·X, a block's precomputed
-  // first layer), so the layer is x·W + b. `lanes` > 1 runs the fused-replay
-  // lane-wide graph: weight/bias are column-widened (nn::WidenModelParams)
-  // and `x` is lane-shared (block inputs) or lane-wide (a previous lane-wide
-  // layer's output); only the weight GEMM needs the lane-aware op, since SpMM
-  // and the bias broadcast are column-count-invariant per element.
+  // first layer), so the layer is x·W + b.
   ag::Var Forward(ag::Tape& tape, ag::Var x,
-                  const std::shared_ptr<const ag::SparseOperand>& adj, int lanes = 1);
+                  const std::shared_ptr<const ag::SparseOperand>& adj);
 
   // The first layer over sparse raw features: adj·(X·W) + b, X·W an SpMM.
   ag::Var ForwardFeatures(ag::Tape& tape,

@@ -76,10 +76,9 @@ BlockInputs Gcn::PrepareBlock(const SampledBlock& block, la::Matrix x) const {
 // (Â·X)·W1 where the full-graph forward computes Â·(X·W1): the aggregation
 // is reassociated so the parameter-independent half runs once per block.
 ag::Var Gcn::ForwardBlock(ag::Tape& tape, const SampledBlock& block,
-                          const BlockInputs& inputs, int lanes) {
-  ag::Var h =
-      ag::Relu(conv1_.Forward(tape, tape.StaticConstant(inputs.agg), nullptr, lanes));
-  return conv2_.Forward(tape, h, block.hops[1].gcn, lanes);
+                          const BlockInputs& inputs) {
+  ag::Var h = ag::Relu(conv1_.Forward(tape, tape.StaticConstant(inputs.agg), nullptr));
+  return conv2_.Forward(tape, h, block.hops[1].gcn);
 }
 
 std::vector<ag::Parameter*> Gcn::Params() {
@@ -111,9 +110,9 @@ BlockInputs Gat::PrepareBlock(const SampledBlock& block, la::Matrix x) const {
 }
 
 ag::Var Gat::ForwardBlock(ag::Tape& tape, const SampledBlock& block,
-                          const BlockInputs& inputs, int lanes) {
-  ag::Var h = ag::Elu(conv1_.ForwardFeatures(tape, inputs.x, block.hops[0].edges, lanes));
-  return conv2_.Forward(tape, h, block.hops[1].edges, lanes);
+                          const BlockInputs& inputs) {
+  ag::Var h = ag::Elu(conv1_.ForwardFeatures(tape, inputs.x, block.hops[0].edges));
+  return conv2_.Forward(tape, h, block.hops[1].edges);
 }
 
 std::vector<ag::Parameter*> Gat::Params() {
@@ -149,12 +148,12 @@ BlockInputs GraphSage::PrepareBlock(const SampledBlock& block, la::Matrix x) con
 }
 
 ag::Var GraphSage::ForwardBlock(ag::Tape& tape, const SampledBlock& block,
-                                const BlockInputs& inputs, int lanes) {
+                                const BlockInputs& inputs) {
   ag::Var h = ag::Relu(conv1_.Forward(tape, tape.StaticConstant(inputs.self),
-                                      tape.StaticConstant(inputs.agg), lanes));
+                                      tape.StaticConstant(inputs.agg)));
   const SampledHop& hop = block.hops[1];
   return conv2_.Forward(tape, ag::GatherRows(h, Prefix(hop.num_out())),
-                        ag::SpMM(hop.agg, h), lanes);
+                        ag::SpMM(hop.agg, h));
 }
 
 std::vector<ag::Parameter*> GraphSage::Params() {
@@ -179,15 +178,6 @@ std::unique_ptr<GnnModel> MakeModel(ModelKind kind, int in_dim, int num_classes,
   }
   PPFR_CHECK(false) << "unknown model kind";
   return nullptr;
-}
-
-void WidenModelParams(GnnModel* model, int lanes) {
-  PPFR_CHECK_GE(lanes, 1);
-  if (lanes == 1) return;
-  for (ag::Parameter* p : model->Params()) {
-    p->value = la::Matrix(p->value.rows(), p->value.cols() * lanes);
-    p->grad = la::Matrix(p->grad.rows(), p->grad.cols() * lanes);
-  }
 }
 
 }  // namespace ppfr::nn

@@ -50,14 +50,9 @@ class GnnModel {
   // Forward over a 2-hop block (nn/sampler.h): logits for the block's
   // targets, block.num_targets() rows in frontier order. GCN and GAT need an
   // exact block (GraphContext::ExactBlock); SAGE also runs on sampled
-  // mini-batch blocks. `lanes` > 1 builds the lane-wide graph of the fused
-  // multi-point tape replay: every parameter must have been widened to
-  // `lanes` column blocks (WidenModelParams), the logits come out
-  // (rows x classes·lanes) with lane l in columns [l·classes, (l+1)·classes),
-  // and each lane is bitwise identical to a lanes == 1 forward at that
-  // lane's parameter point.
+  // mini-batch blocks.
   virtual ag::Var ForwardBlock(ag::Tape& tape, const SampledBlock& block,
-                               const BlockInputs& inputs, int lanes = 1) = 0;
+                               const BlockInputs& inputs) = 0;
   virtual std::vector<ag::Parameter*> Params() = 0;
   virtual ModelKind kind() const = 0;
   // Deep copy (used to keep the vanilla model while fine-tuning a clone).
@@ -81,7 +76,7 @@ class Gcn final : public GnnModel {
                   const ForwardOptions& options) override;
   BlockInputs PrepareBlock(const SampledBlock& block, la::Matrix x) const override;
   ag::Var ForwardBlock(ag::Tape& tape, const SampledBlock& block,
-                       const BlockInputs& inputs, int lanes) override;
+                       const BlockInputs& inputs) override;
   std::vector<ag::Parameter*> Params() override;
   ModelKind kind() const override { return ModelKind::kGcn; }
   std::unique_ptr<GnnModel> Clone() const override;
@@ -100,7 +95,7 @@ class Gat final : public GnnModel {
                   const ForwardOptions& options) override;
   BlockInputs PrepareBlock(const SampledBlock& block, la::Matrix x) const override;
   ag::Var ForwardBlock(ag::Tape& tape, const SampledBlock& block,
-                       const BlockInputs& inputs, int lanes) override;
+                       const BlockInputs& inputs) override;
   std::vector<ag::Parameter*> Params() override;
   ModelKind kind() const override { return ModelKind::kGat; }
   std::unique_ptr<GnnModel> Clone() const override;
@@ -119,7 +114,7 @@ class GraphSage final : public GnnModel {
                   const ForwardOptions& options) override;
   BlockInputs PrepareBlock(const SampledBlock& block, la::Matrix x) const override;
   ag::Var ForwardBlock(ag::Tape& tape, const SampledBlock& block,
-                       const BlockInputs& inputs, int lanes) override;
+                       const BlockInputs& inputs) override;
   std::vector<ag::Parameter*> Params() override;
   ModelKind kind() const override { return ModelKind::kGraphSage; }
   std::unique_ptr<GnnModel> Clone() const override;
@@ -132,14 +127,6 @@ class GraphSage final : public GnnModel {
 // Factory with per-kind default hyperparameters (hidden width, heads).
 std::unique_ptr<GnnModel> MakeModel(ModelKind kind, int in_dim, int num_classes,
                                     uint64_t seed);
-
-// Reshapes every parameter of `model` (value and grad) from (r x c) to
-// (r x c·lanes) zeros, the column-blocked layout that a lane-wide
-// GnnModel::ForwardBlock consumes. The widened values are meaningless until
-// the caller scatters per-lane parameter points into the column blocks
-// (influence::GradLanePool does this per replay chunk) — widening is a
-// layout change, not a broadcast.
-void WidenModelParams(GnnModel* model, int lanes);
 
 }  // namespace ppfr::nn
 

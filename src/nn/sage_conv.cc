@@ -16,10 +16,10 @@ SageConv::SageConv(int in_dim, int out_dim, uint64_t seed)
       weight_neigh_("sage.weight_neigh", Glorot(in_dim, out_dim, seed + 1)),
       bias_("sage.bias", Zeros(1, out_dim)) {}
 
-ag::Var SageConv::Forward(ag::Tape& tape, ag::Var self, ag::Var neigh_mean, int lanes) {
+ag::Var SageConv::Forward(ag::Tape& tape, ag::Var self, ag::Var neigh_mean) {
   PPFR_CHECK_EQ(self.rows(), neigh_mean.rows());
-  ag::Var self_term = ag::MatMulLanes(self, tape.Leaf(&weight_self_), lanes);
-  ag::Var neigh_term = ag::MatMulLanes(neigh_mean, tape.Leaf(&weight_neigh_), lanes);
+  ag::Var self_term = ag::MatMul(self, tape.Leaf(&weight_self_));
+  ag::Var neigh_term = ag::MatMul(neigh_mean, tape.Leaf(&weight_neigh_));
   return ag::AddRowVec(ag::Add(self_term, neigh_term), tape.Leaf(&bias_));
 }
 

@@ -24,8 +24,7 @@ class SageConv {
   // holds the output rows' own activations and `neigh_mean` their neighbour
   // mean (agg·x on the full graph; on a block hop the leading rows of the
   // input, by the block's prefix property, and the hop's mean of them).
-  // `lanes` > 1 runs the fused-replay lane-wide graph (see GcnConv::Forward).
-  ag::Var Forward(ag::Tape& tape, ag::Var self, ag::Var neigh_mean, int lanes = 1);
+  ag::Var Forward(ag::Tape& tape, ag::Var self, ag::Var neigh_mean);
 
   // The full-graph first layer over sparse raw features, with the neighbour
   // term reassociated to agg·(X·W_neigh) so both products with X run as SpMM:

@@ -15,6 +15,7 @@
 
 #include "common/check.h"
 #include "common/fault_injection.h"
+#include "common/flags.h"
 #include "common/serialize.h"
 #include "la/backend.h"
 
@@ -171,12 +172,11 @@ int64_t CacheStore::claim_stale_ms() {
   static const int64_t ms = [] {
     const char* env = std::getenv("PPFR_CACHE_CLAIM_STALE_MS");
     if (env == nullptr || *env == '\0') return kDefaultClaimStaleMs;
-    char* end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    PPFR_CHECK(end != nullptr && *end == '\0' && v > 0)
+    int64_t v = 0;
+    PPFR_CHECK(ParseInt64Strict(env, &v) && v > 0)
         << "PPFR_CACHE_CLAIM_STALE_MS wants a positive integer (ms), got '"
         << env << "'";
-    return static_cast<int64_t>(v);
+    return v;
   }();
   return ms;
 }

@@ -76,8 +76,7 @@ void MixFrPrefix(KeyHasher* h, const core::MethodConfig& config) {
       .Mix(config.fr.influence.cg.max_iterations)
       .Mix(config.fr.influence.cg.tolerance)
       .Mix(config.fr.influence.cg.hvp_step)
-      .Mix(influence::ResolveCgBlock(config.fr.influence.cg_block))
-      .Mix(influence::ResolveReplayLanes(config.fr.influence.replay_lanes));
+      .Mix(influence::ResolveCgBlock(config.fr.influence.cg_block));
 }
 
 }  // namespace

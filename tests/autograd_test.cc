@@ -647,25 +647,26 @@ TEST(GatAttentionTest, UniformAttentionAverages) {
   EXPECT_NEAR(out.value()(2, 0), 5.0, 1e-12);
 }
 
-// Lane-major inputs — replay lane l's head h is group l·heads + h — must give
-// each lane exactly what a narrow call on that lane's columns gives.
-class GatAttentionLanes : public ::testing::TestWithParam<int> {};
+// Attention groups never mix: a call over `blocks` consecutive blocks of
+// `heads` groups each (block b's head h is group b·heads + h) must give every
+// block exactly what a separate call on that block's columns gives.
+class GatAttentionGroups : public ::testing::TestWithParam<int> {};
 
-TEST_P(GatAttentionLanes, EqualsNarrowCallsBitwisePerLane) {
-  const int lanes = GetParam();
+TEST_P(GatAttentionGroups, EqualsSeparateCallsBitwisePerBlock) {
+  const int blocks = GetParam();
   const int heads = 2, dim = 3, width = heads * dim;
   Rng rng(25);
   const auto edges = BlockEdges();
-  Parameter h = MakeParam("h", 9, width * lanes, &rng);
-  Parameter left = MakeParam("left", dim, heads * lanes, &rng);
-  Parameter right = MakeParam("right", dim, heads * lanes, &rng);
-  const la::Matrix dense_seed = RandomMatrix(5, width * lanes, &rng);
-  la::Matrix sparse_seed(5, width * lanes);
-  for (int l = 0; l < lanes; ++l) {
-    sparse_seed(0, l * width + 1) = rng.Normal();
-    sparse_seed(3, l * width + 4) = rng.Normal();
-    sparse_seed(4, l * width) = rng.Normal();
-    sparse_seed(4, l * width + 5) = rng.Normal();
+  Parameter h = MakeParam("h", 9, width * blocks, &rng);
+  Parameter left = MakeParam("left", dim, heads * blocks, &rng);
+  Parameter right = MakeParam("right", dim, heads * blocks, &rng);
+  const la::Matrix dense_seed = RandomMatrix(5, width * blocks, &rng);
+  la::Matrix sparse_seed(5, width * blocks);
+  for (int b = 0; b < blocks; ++b) {
+    sparse_seed(0, b * width + 1) = rng.Normal();
+    sparse_seed(3, b * width + 4) = rng.Normal();
+    sparse_seed(4, b * width) = rng.Normal();
+    sparse_seed(4, b * width + 5) = rng.Normal();
   }
   for (const la::BackendKind backend : kBackends) {
     la::ScopedBackend scoped(backend, 4);
@@ -673,24 +674,24 @@ TEST_P(GatAttentionLanes, EqualsNarrowCallsBitwisePerLane) {
       SCOPED_TRACE(std::string(sparse ? "sparse seed on " : "dense seed on ") +
                    la::BackendKindName(backend));
       const la::Matrix& seed = sparse ? sparse_seed : dense_seed;
-      const GatResult wide = RunGat(&h, &left, &right, edges, seed, sparse);
-      for (int l = 0; l < lanes; ++l) {
-        SCOPED_TRACE("lane " + std::to_string(l));
-        Parameter hl("h", Columns(h.value, l * width, width));
-        Parameter ll("left", Columns(left.value, l * heads, heads));
-        Parameter rl("right", Columns(right.value, l * heads, heads));
-        const GatResult narrow =
-            RunGat(&hl, &ll, &rl, edges, Columns(seed, l * width, width), sparse);
-        ExpectBitwiseEq(narrow.out, Columns(wide.out, l * width, width), "out");
-        ExpectBitwiseEq(narrow.dh, Columns(wide.dh, l * width, width), "dh");
-        ExpectBitwiseEq(narrow.dleft, Columns(wide.dleft, l * heads, heads), "dleft");
-        ExpectBitwiseEq(narrow.dright, Columns(wide.dright, l * heads, heads), "dright");
+      const GatResult all = RunGat(&h, &left, &right, edges, seed, sparse);
+      for (int b = 0; b < blocks; ++b) {
+        SCOPED_TRACE("block " + std::to_string(b));
+        Parameter hb("h", Columns(h.value, b * width, width));
+        Parameter lb("left", Columns(left.value, b * heads, heads));
+        Parameter rb("right", Columns(right.value, b * heads, heads));
+        const GatResult one =
+            RunGat(&hb, &lb, &rb, edges, Columns(seed, b * width, width), sparse);
+        ExpectBitwiseEq(one.out, Columns(all.out, b * width, width), "out");
+        ExpectBitwiseEq(one.dh, Columns(all.dh, b * width, width), "dh");
+        ExpectBitwiseEq(one.dleft, Columns(all.dleft, b * heads, heads), "dleft");
+        ExpectBitwiseEq(one.dright, Columns(all.dright, b * heads, heads), "dright");
       }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, GatAttentionLanes, ::testing::Values(1, 2, 8));
+INSTANTIATE_TEST_SUITE_P(Blocks, GatAttentionGroups, ::testing::Values(1, 2, 8));
 
 // GAT's first-layer shape (4 heads x 8 dims) over a 600-node graph with
 // self-loops: more than twice the op's 1024-edge grain at that width, so the

@@ -26,6 +26,7 @@
 #include "runner/cache_store.h"
 #include "runner/run_cache.h"
 #include "runner/runner.h"
+#include "test_util.h"
 
 namespace ppfr::runner {
 namespace {
@@ -297,6 +298,25 @@ TEST(ClaimTest, InjectedClaimFaultSkipsTheCreate) {
       << "a faulted TryClaim must not leave a claim file behind";
   EXPECT_TRUE(store.TryClaim("cell", 1)) << "the re-contend wins";
   store.ReleaseClaim("cell", 1);
+}
+
+// claim_stale_ms() samples PPFR_CACHE_CLAIM_STALE_MS once per process, so
+// each case runs in a freshly exec'd child ("threadsafe" death tests re-run
+// the test body from the start).
+TEST(ClaimTest, StaleBoundEnvParsesStrictly) {
+  const std::string saved_style = ::testing::FLAGS_gtest_death_test_style;
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"5000x", " 5000", "0", "99999999999999999999"}) {
+    ppfr::testing::ScopedEnvVar env("PPFR_CACHE_CLAIM_STALE_MS", bad);
+    EXPECT_DEATH(CacheStore::claim_stale_ms(),
+                 "PPFR_CACHE_CLAIM_STALE_MS wants a positive integer");
+  }
+  {
+    ppfr::testing::ScopedEnvVar env("PPFR_CACHE_CLAIM_STALE_MS", "5000");
+    EXPECT_EXIT(std::exit(CacheStore::claim_stale_ms() == 5000 ? 0 : 1),
+                ::testing::ExitedWithCode(0), "");
+  }
+  ::testing::FLAGS_gtest_death_test_style = saved_style;
 }
 
 // A dead claimant blocking a stage a live sweep needs: the waiter's poll

@@ -54,7 +54,6 @@ struct SweepFixture {
     cfg.cg.tolerance = 1e-8;
     cfg.cg.max_iterations = 100;
     cfg.cg_block = cg_block;
-    cfg.replay_lanes = 2;
     cfg.tape_pool_lanes = 2;
     return cfg;
   }

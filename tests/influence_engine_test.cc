@@ -3,7 +3,7 @@
 // TapePool (parallel per-seed backward over one shared forward tape), the
 // ReusableLossGraph tape arena, and the trainer's cross-epoch tape replay.
 // The contracts: within the block path results are BITWISE invariant to pool
-// lanes, replay width and thread count under every backend; block gradients
+// lanes and thread count under every backend; block gradients
 // match the full-graph oracle within 1e-12 relative, and block influence
 // matches a full-graph solve within 1e-8 with the same evaluation count.
 
@@ -106,14 +106,13 @@ std::vector<std::vector<double>> ProbePoints(const std::vector<double>& theta0,
   return points;
 }
 
-std::vector<std::vector<double>> FusedGradsAt(
-    EngineFixture& fx, int replay_lanes, int pool_lanes,
-    const std::vector<std::vector<double>>& points) {
+// Probe-point training-loss gradients from the calculator's GradLanePool.
+std::vector<std::vector<double>> ProbeGradsAt(
+    EngineFixture& fx, int pool_lanes, const std::vector<std::vector<double>>& points) {
   InfluenceConfig cfg;
-  cfg.replay_lanes = replay_lanes;
   cfg.tape_pool_lanes = pool_lanes;
-  // cg_block bounds the fused width (probe budget clamp); keep it wide
-  // enough that replay_lanes is the binding knob in these tests.
+  // cg_block sets the probe budget the lane count is clamped to; keep it
+  // wide enough that tape_pool_lanes is the binding knob in these tests.
   cfg.cg_block = 8;
   InfluenceCalculator calc(fx.model.get(), fx.ctx, fx.split.train, fx.data.labels,
                            cfg);
@@ -207,32 +206,33 @@ TEST_P(BlockPath, PerNodeGradsAreLaneInvariantAndMatchFullGraph) {
   }
 }
 
-TEST_P(BlockPath, ProbeGradsAreWidthInvariantAndMatchFullGraph) {
-  // The fusion contract on the block: for every lane width, chunk-worker
-  // count and thread count, the fused replay returns the width-1 replay's
-  // gradients bit for bit — and those match the full-graph loss gradient.
+TEST_P(BlockPath, ProbeGradsAreLaneInvariantAndMatchFullGraph) {
+  // The probe replay contract on the block: for every pool lane count and
+  // backend thread count, the probe gradients are bitwise those of one lane
+  // on one thread — and those match the full-graph loss gradient. (Lanes are
+  // clamped to the backend's thread count, and the reference backend reports
+  // one thread, so only parallel and simd run several lanes here.)
   const auto [kind, backend] = GetParam();
-  la::ScopedBackend scoped(backend, 4);
   EngineFixture fx(kind, /*seed=*/47);
   const auto points =
       ProbePoints(FlattenValues(fx.model->Params()), /*count=*/5, /*seed=*/417);
 
-  const auto want = FusedGradsAt(fx, /*replay_lanes=*/1, /*pool_lanes=*/1, points);
+  std::vector<std::vector<double>> want;
+  {
+    la::ScopedBackend single(backend, 1);
+    want = ProbeGradsAt(fx, /*pool_lanes=*/1, points);
+  }
   ASSERT_EQ(want.size(), points.size());
   FullGraphLoss full(fx, fx.model->Clone());
   EXPECT_LT(MaxRowRelErr(full.GradsAt(points), want), 1e-12)
       << "block probe gradients vs full-graph loss gradients";
-  for (const int width : {2, 8}) {
+  for (const int threads : {1, 4}) {
+    la::ScopedBackend scoped(backend, threads);
     for (const int pool_lanes : {1, 3}) {
-      SCOPED_TRACE("width=" + std::to_string(width) +
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " pool_lanes=" + std::to_string(pool_lanes));
-      ExpectBitwiseEqual(want, FusedGradsAt(fx, width, pool_lanes, points));
+      ExpectBitwiseEqual(want, ProbeGradsAt(fx, pool_lanes, points));
     }
-  }
-  {
-    la::ScopedBackend single(backend, 1);
-    SCOPED_TRACE("width=8 threads=1");
-    ExpectBitwiseEqual(want, FusedGradsAt(fx, 8, 1, points));
   }
 }
 
@@ -803,6 +803,24 @@ TEST(BlockCgTest, ZeroAndDuplicateColumnsAreExact) {
   EXPECT_EQ(block.residual_norm[1], block.residual_norm[3]);
 }
 
+TEST(ResolveCgBlockTest, ParsesTheEnvironmentStrictly) {
+  EXPECT_EQ(ResolveCgBlock(3), 3);  // a configured width ignores the variable
+  {
+    ppfr::testing::ScopedEnvVar env("PPFR_CG_BLOCK", "16");
+    EXPECT_EQ(ResolveCgBlock(0), 16);
+    EXPECT_EQ(ResolveCgBlock(5), 5);
+  }
+  for (const char* unset : {"", "0", "-3"}) {
+    ppfr::testing::ScopedEnvVar env("PPFR_CG_BLOCK", unset);
+    EXPECT_EQ(ResolveCgBlock(0), 8) << "'" << unset << "'";
+  }
+  for (const char* bad : {"8x", "abc", "99999999999"}) {
+    ppfr::testing::ScopedEnvVar env("PPFR_CG_BLOCK", bad);
+    EXPECT_DEATH(ResolveCgBlock(0),
+                 "PPFR_CG_BLOCK must be an integer, got '" + std::string(bad) + "'");
+  }
+}
+
 TEST(BlockInfluenceTest, CgBlockOneReproducesSingleRhsOracleBitwise) {
   // On the real GNN pipeline: cg_block = 1 routes every RHS through the
   // single-RHS oracle, so InfluenceOnFunctions must equal the per-function
@@ -901,17 +919,17 @@ INSTANTIATE_TEST_SUITE_P(Backends, BlockCgBackend,
                            return la::BackendKindName(info.param);
                          });
 
-// ---- Lane-fused tape replay: gradient correctness ----
+// ---- Probe replay: gradient correctness ----
 
-TEST(FusedReplayTest, FusedGradsMatchCentralDifferencesOfTheLoss) {
-  // Gradient correctness, not just parity: at each probe point the fused
-  // width-8 gradient must reproduce directional central differences of the
+TEST(ProbeReplayTest, ProbeGradsMatchCentralDifferencesOfTheLoss) {
+  // Gradient correctness, not just parity: at each probe point the pooled
+  // probe gradient must reproduce directional central differences of the
   // training loss evaluated from scratch.
   la::ScopedBackend scoped(la::BackendKind::kSimd, 2);
   EngineFixture fx(nn::ModelKind::kGcn, /*seed=*/59);
   const std::vector<double> theta0 = FlattenValues(fx.model->Params());
   const auto points = ProbePoints(theta0, /*count=*/3, /*seed=*/73);
-  const auto grads = FusedGradsAt(fx, /*replay_lanes=*/8, /*pool_lanes=*/1, points);
+  const auto grads = ProbeGradsAt(fx, /*pool_lanes=*/2, points);
 
   std::unique_ptr<nn::GnnModel> clone = fx.model->Clone();
   nn::GnnModel* m = clone.get();

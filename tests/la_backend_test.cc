@@ -24,6 +24,7 @@ namespace ppfr::la {
 namespace {
 
 using ::ppfr::testing::RandomMatrix;
+using ::ppfr::testing::ScopedEnvVar;
 
 constexpr double kTol = 1e-12;
 // The SIMD kernels contract multiplies and adds into fmas and reduce over
@@ -76,27 +77,6 @@ void ExpectBackendParity(const std::function<Matrix()>& compute) {
   }
 }
 
-// setenv/restore guard for the PPFR_SIMD_* escape hatches, which backends
-// sample at construction time.
-class ScopedEnvVar {
- public:
-  ScopedEnvVar(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) previous_ = old;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnvVar() {
-    if (previous_.has_value()) {
-      ::setenv(name_, previous_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> previous_;
-};
-
 TEST(BackendRegistryTest, KindNamesAndScopedSwap) {
   EXPECT_EQ(BackendKindName(BackendKind::kReference), "reference");
   EXPECT_EQ(BackendKindName(BackendKind::kParallel), "parallel");
@@ -108,6 +88,35 @@ TEST(BackendRegistryTest, KindNamesAndScopedSwap) {
     EXPECT_EQ(ActiveBackend().name(), "reference");
   }
   EXPECT_EQ(ActiveBackendKind(), before);
+}
+
+// The active backend samples PPFR_LA_THREADS once, on first use, so each
+// case runs in a freshly exec'd child ("threadsafe" death tests re-run the
+// test body from the start) that has no backend yet.
+TEST(BackendRegistryTest, ThreadsEnvParsesStrictly) {
+  const std::string saved_style = ::testing::FLAGS_gtest_death_test_style;
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Pinned: the reference backend reports one thread whatever was asked.
+  ScopedEnvVar kind("PPFR_LA_BACKEND", "parallel");
+  {
+    ScopedEnvVar threads("PPFR_LA_THREADS", "4x");
+    EXPECT_DEATH(ActiveBackend(), "PPFR_LA_THREADS must be an integer, got '4x'");
+  }
+  {
+    ScopedEnvVar threads("PPFR_LA_THREADS", "3");
+    EXPECT_EXIT(std::exit(ActiveBackend().num_threads() == 3 ? 0 : 1),
+                ::testing::ExitedWithCode(0), "");
+  }
+  {
+    // Empty counts as unset: one thread per core.
+    ScopedEnvVar threads("PPFR_LA_THREADS", "");
+    EXPECT_EXIT(std::exit(ActiveBackend().num_threads() ==
+                                  MakeBackend(BackendKind::kParallel, 0)->num_threads()
+                              ? 0
+                              : 1),
+                ::testing::ExitedWithCode(0), "");
+  }
+  ::testing::FLAGS_gtest_death_test_style = saved_style;
 }
 
 TEST(BackendRegistryTest, MakeBackendStandaloneInstances) {

@@ -52,7 +52,6 @@ core::MethodConfig PinnedConfig() {
   cfg.fr.influence.cg.tolerance = 1e-6;
   cfg.fr.influence.cg.hvp_step = 1e-4;
   cfg.fr.influence.cg_block = 8;  // pinned: 0 would resolve from PPFR_CG_BLOCK
-  cfg.fr.influence.replay_lanes = 8;  // pinned: 0 would resolve from PPFR_REPLAY_LANES
   cfg.seed = 11;
   return cfg;
 }
@@ -102,18 +101,21 @@ TEST(KeyHasherTest, GoldenValuesStableAcrossProcesses) {
   EXPECT_EQ(RunCache::DpKey(env, cfg), 0xdc379259979ac35fULL);
   EXPECT_EQ(RunCache::PpKey(nn::ModelKind::kGcn, env, cfg), 0x5b9b2aca326d5bc3ULL);
   // FrKey and CellKey also carry the support-restricted influence salt of
-  // the FR prefix: FR results from the full-graph gradients miss.
-  EXPECT_EQ(RunCache::FrKey(nn::ModelKind::kGcn, env, cfg), 0x4519c80cf758f0b6ULL);
-  // (The cell's FR widths resolve to 8 under the default environment.)
+  // the FR prefix: FR results from the full-graph gradients miss. They moved
+  // again when the FR prefix stopped mixing the resolved replay width (the
+  // fused probe replay it named is gone); DP, PP and vanilla keys did not.
+  EXPECT_EQ(RunCache::FrKey(nn::ModelKind::kGcn, env, cfg), 0xb2aff25a97f315feULL);
+  // (The cell's FR cg_block resolves to 8 under the default environment.)
   const Scenario cell = Cell(data::DatasetId::kCoraLike, nn::ModelKind::kGcn,
                              core::MethodKind::kPpFr, 50);
-  EXPECT_EQ(RunCache::CellKey(cell, 123), 0x5616d2e46b2c937bULL);
+  EXPECT_EQ(RunCache::CellKey(cell, 123), 0xbacdb17bbf81fc43ULL);
   // GAT's training prefix also carries the fused-attention salt: GAT stages
-  // from the per-head score GEMMs miss; the GCN keys above did not move.
+  // from the per-head score GEMMs miss; the GCN keys above did not move. The
+  // GAT cell key moved with the FR prefix, like the GCN one.
   EXPECT_EQ(RunCache::VanillaKey(nn::ModelKind::kGat, env, cfg), 0x2a29976b2839d1d0ULL);
   const Scenario gat_cell = Cell(data::DatasetId::kCoraLike, nn::ModelKind::kGat,
                                  core::MethodKind::kPpFr, 50);
-  EXPECT_EQ(RunCache::CellKey(gat_cell, 123), 0xdc7e3c13fea5cb8fULL);
+  EXPECT_EQ(RunCache::CellKey(gat_cell, 123), 0x51396ecaca49bfb7ULL);
 
   // The namespace tags must actually namespace: stages whose remaining
   // fields coincide still get distinct keys (guards the const char* → bool

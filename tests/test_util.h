@@ -1,6 +1,9 @@
 #ifndef PPFR_TESTS_TEST_UTIL_H_
 #define PPFR_TESTS_TEST_UTIL_H_
 
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -9,6 +12,29 @@
 #include "la/matrix.h"
 
 namespace ppfr::testing {
+
+// setenv/restore guard for environment variables the library samples (the
+// PPFR_SIMD_* escape hatches, PPFR_LA_THREADS, PPFR_CG_BLOCK).
+class ScopedEnvVar {
+ public:
+  ScopedEnvVar(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) previous_ = old;
+    ::setenv(name, value, /*overwrite=*/1);
+  }
+  ~ScopedEnvVar() {
+    if (previous_.has_value()) {
+      ::setenv(name_, previous_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnvVar(const ScopedEnvVar&) = delete;
+  ScopedEnvVar& operator=(const ScopedEnvVar&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> previous_;
+};
 
 // A small deterministic SBM instance for fast tests.
 inline data::NodeClassificationData SmallSbm(uint64_t seed = 42, int num_nodes = 120,
