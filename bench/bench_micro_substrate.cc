@@ -15,11 +15,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <sched.h>
+
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -177,10 +181,10 @@ struct CompareCase {
   std::string kernel;
   std::string shape;
   double flops_per_call;
-  std::function<void(const la::Backend&)> run;
+  std::function<void(la::Backend&)> run;
 };
 
-double TimeKernel(const la::Backend& backend, const CompareCase& cc, int reps) {
+double TimeKernel(la::Backend& backend, const CompareCase& cc, int reps) {
   cc.run(backend);  // warmup
   double best_ms = 1e300;
   for (int r = 0; r < reps; ++r) {
@@ -192,6 +196,45 @@ double TimeKernel(const la::Backend& backend, const CompareCase& cc, int reps) {
 }
 
 double Gflops(double flops, double ms) { return flops / (ms * 1e-3) / 1e9; }
+
+std::string ShapeName(std::initializer_list<int> dims) {
+  std::string out;
+  for (const int d : dims) {
+    if (!out.empty()) out += 'x';
+    out += std::to_string(d);
+  }
+  return out;
+}
+
+// The host fingerprint perfbench records: usable cores (the affinity mask,
+// what `nproc` prints), the CPU's widest vector ISA, what this binary was
+// compiled for, and the backend the BM_* suite runs on.
+void WriteHost(JsonWriter* json) {
+  cpu_set_t set;
+  const int cores = sched_getaffinity(0, sizeof(set), &set) == 0
+                        ? CPU_COUNT(&set)
+                        : static_cast<int>(std::thread::hardware_concurrency());
+  __builtin_cpu_init();
+  const char* isa = __builtin_cpu_supports("avx512f") ? "AVX-512"
+                    : __builtin_cpu_supports("avx2")  ? "AVX2"
+                                                      : "scalar";
+#if defined(__AVX512F__)
+  const char* build_isa = "AVX-512";
+#elif defined(__AVX2__) && defined(__FMA__)
+  const char* build_isa = "AVX2+FMA";
+#else
+  const char* build_isa = "baseline";
+#endif
+  const la::Backend& backend = la::ActiveBackend();
+  json->Key("host").BeginObject();
+  json->Key("cores").Int(cores);
+  json->Key("isa").String(isa);
+  json->Key("build_isa").String(build_isa);
+  json->Key("build_type").String(PPFR_BUILD_TYPE);
+  json->Key("backend").String(backend.name());
+  json->Key("la_threads").Int(backend.num_threads());
+  json->EndObject();
+}
 
 void RunBackendComparison(const Flags& flags) {
   const int reps = flags.GetInt("compare_reps", 3);
@@ -260,13 +303,116 @@ void RunBackendComparison(const Flags& flags) {
                      benchmark::DoNotOptimize(d);
                    }});
 
+  const auto random = [&rng](int rows, int cols) {
+    la::Matrix m(rows, cols);
+    for (int64_t i = 0; i < m.size(); ++i) m.data()[i] = rng.Normal();
+    return m;
+  };
+
+  // The paper's narrow products: CoraLike's GAT head (1400 nodes, 32 hidden,
+  // 7 classes) and PubmedLike's GCN head (3000 nodes, 16 hidden, 3 classes),
+  // each as the forward product and its two backward forms. Half the node
+  // side is zero, like a ReLU output.
+  struct NarrowShape {
+    int rows, inner, side;
+    la::Matrix h, w, g;          // nodes x inner (half zeros), inner x side, nodes x side
+    la::Matrix fwd, dw, dh;      // h·w, hᵀ·g, g·wᵀ
+  };
+  std::vector<NarrowShape> narrow;
+  for (const auto& [rows, inner, side] :
+       {std::tuple{1400, 32, 7}, std::tuple{3000, 16, 3}}) {
+    NarrowShape ns{rows,
+                   inner,
+                   side,
+                   random(rows, inner),
+                   random(inner, side),
+                   random(rows, side),
+                   la::Matrix(rows, side),
+                   la::Matrix(inner, side),
+                   la::Matrix(rows, inner)};
+    for (int64_t i = 0; i < ns.h.size(); ++i) {
+      if (rng.Uniform() < 0.5) ns.h.data()[i] = 0.0;
+    }
+    narrow.push_back(std::move(ns));
+  }
+  for (NarrowShape& ns : narrow) {
+    const double flops = 2.0 * ns.rows * ns.inner * ns.side;
+    cases.push_back({"gemm", ShapeName({ns.rows, ns.inner, ns.side}), flops,
+                     [&ns](const la::Backend& be) { be.Gemm(ns.h, ns.w, &ns.fwd); }});
+    cases.push_back({"gemm_transA", ShapeName({ns.inner, ns.rows, ns.side}), flops,
+                     [&ns](const la::Backend& be) {
+                       be.GemmTransA(ns.h, ns.g, &ns.dw);
+                     }});
+    cases.push_back({"gemm_transB", ShapeName({ns.rows, ns.side, ns.inner}), flops,
+                     [&ns](const la::Backend& be) {
+                       be.GemmTransB(ns.g, ns.w, &ns.dh);
+                     }});
+  }
+
+  // The operators DPReg and DPFR train on: CoraLike after EdgeRand at the
+  // sweep's budget and seed (epsilon 4, seed 7), whose A+I has about 11x
+  // the original graph's edges.
+  const auto& cora = CoraLikeData();
+  const nn::GraphContext dp_ctx = nn::GraphContext::Build(
+      privacy::EdgeRand(cora.graph, 4.0, 7 ^ 0xd9ULL), cora.features);
+  const la::CsrMatrix& dp_adj = dp_ctx.gcn_adj->mat;
+  std::vector<std::pair<la::Matrix, la::Matrix>> dp_spmm;
+  for (const int width : {7, 16, 32}) {
+    dp_spmm.emplace_back(random(dp_ctx.num_nodes(), width),
+                         la::Matrix(dp_ctx.num_nodes(), width));
+  }
+  for (auto& [x, out] : dp_spmm) {
+    cases.push_back({"spmm_edgerand",
+                     std::to_string(dp_adj.rows()) + "x" + std::to_string(dp_adj.cols()) +
+                         " (" + std::to_string(dp_adj.nnz()) + " nnz) x " +
+                         std::to_string(x.cols()),
+                     2.0 * static_cast<double>(dp_adj.nnz()) * x.cols(),
+                     [&dp_adj, &x, &out](const la::Backend& be) {
+                       be.SpmmAccum(dp_adj, x, 1.0, &out);
+                     }});
+  }
+
+  // One GatAttention forward plus backward on that graph, as GAT's first
+  // layer (4 heads x 8) and second layer (1 head x 7) run it. The op
+  // dispatches through the calling thread's backend. Flops count the
+  // aggregation's multiply-adds, forward and backward.
+  struct GatCase {
+    int heads, dim;
+    ag::Parameter h, left, right;
+    la::Matrix seed;
+  };
+  std::vector<std::unique_ptr<GatCase>> gat_cases;
+  for (const auto& [heads, dim] : {std::pair{4, 8}, std::pair{1, 7}}) {
+    const int n = dp_ctx.num_nodes();
+    gat_cases.push_back(std::make_unique<GatCase>(
+        GatCase{heads, dim, ag::Parameter("h", random(n, heads * dim)),
+                ag::Parameter("left", random(dim, heads)),
+                ag::Parameter("right", random(dim, heads)), random(n, heads * dim)}));
+  }
+  const std::shared_ptr<const ag::EdgeSet> dp_edges = dp_ctx.edges_with_self;
+  for (const auto& gc : gat_cases) {
+    GatCase* c = gc.get();
+    cases.push_back({"gat_attention_fwd_bwd",
+                     std::to_string(dp_edges->num_edges()) + " edges x " +
+                         std::to_string(c->heads) + " heads x " + std::to_string(c->dim),
+                     4.0 * static_cast<double>(dp_edges->num_edges()) * c->heads * c->dim,
+                     [c, &dp_edges](la::Backend& be) {
+                       la::ThreadLocalBackendGuard guard(&be);
+                       ag::Tape tape;
+                       const ag::Var out = ag::GatAttention(
+                           tape.Leaf(&c->h), tape.Leaf(&c->left), tape.Leaf(&c->right),
+                           dp_edges, c->heads, 0.2);
+                       tape.BackwardWithSeed(out, c->seed);
+                     }});
+  }
+
   const bool simd_active = la::simd::KernelsUsable();
 
   TablePrinter table({"Kernel", "Shape", "thr", "ref ms", "par ms", "par spd",
                       "simd ms", "simd spd", "simd GFLOP/s"});
   JsonWriter json;
   json.BeginObject();
-  json.Key("schema_version").Int(1);
+  json.Key("schema_version").Int(2);
   json.Key("bench").String("micro");
   json.Key("gemm_size").Int(n);
   json.Key("reps").Int(reps);
@@ -274,6 +420,7 @@ void RunBackendComparison(const Flags& flags) {
   json.Key("simd_cpu_avx2_fma").Bool(la::simd::CpuSupportsAvx2Fma());
   json.Key("simd_cpu_avx512").Bool(la::simd::CpuSupportsAvx512());
   json.Key("simd_kernels_active").Bool(simd_active);
+  WriteHost(&json);
   json.Key("kernels").BeginArray();
 
   const auto reference = la::MakeBackend(la::BackendKind::kReference, 1);

@@ -1,8 +1,11 @@
 #include "autograd/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
+#include <memory>
 
 #include "la/backend.h"
 
@@ -674,11 +677,18 @@ Var LaplacianQuadratic(const std::shared_ptr<const la::CsrMatrix>& laplacian, Va
 namespace {
 
 // What GatAttention's backward reads from its forward. An edge's LeakyReLU
-// branch is recomputed from the scores, bit for bit the forward's.
+// branch is recomputed from the scores, bit for bit the forward's. The
+// forward writes every element before anything reads it, so the buffers are
+// not zero-filled.
 struct GatSaved {
-  std::vector<double> alpha;  // edges x groups, edge-major
-  std::vector<double> left;   // s_l: destinations x groups
-  std::vector<double> right;  // s_r: sources x groups
+  GatSaved(size_t edge_groups, size_t dest_groups, size_t source_groups)
+      : alpha(std::make_unique_for_overwrite<double[]>(edge_groups)),
+        left(std::make_unique_for_overwrite<double[]>(dest_groups)),
+        right(std::make_unique_for_overwrite<double[]>(source_groups)) {}
+
+  std::unique_ptr<double[]> alpha;  // edges x groups, edge-major
+  std::unique_ptr<double[]> left;   // s_l: destinations x groups
+  std::unique_ptr<double[]> right;  // s_r: sources x groups
 };
 
 // Per-thread backward scratch, reused across calls: the pooled per-node
@@ -693,6 +703,15 @@ struct GatScratch {
   std::vector<double> left;    // per group: d/d s_l(i, g) of one destination
   std::vector<double> right;   // sources x groups: d/d s_r(j, g)
 };
+
+// z > 0 ? pos : neg through a bit mask. GCC compiles the ternary, and the
+// factor form de·(z > 0 ? 1 : slope), to a conditional jump, which
+// mispredicts on mixed-sign scores.
+inline double SelectPositive(double z, double pos, double neg) {
+  const uint64_t mask = -static_cast<uint64_t>(z > 0.0);
+  return std::bit_cast<double>((std::bit_cast<uint64_t>(pos) & mask) |
+                               (std::bit_cast<uint64_t>(neg) & ~mask));
+}
 
 // h_row[g-block]·attn[:, g] for every group g of a d x groups `attn`.
 inline void GroupScores(const double* h_row, const la::Matrix& attn, double* scores) {
@@ -744,18 +763,24 @@ Var GatAttention(Var h, Var attn_left, Var attn_right,
   PPFR_CHECK_EQ(al.cols(), groups);
   PPFR_CHECK(ar.SameShape(al));
   PPFR_CHECK_EQ(hv.cols(), groups * al.rows());
+  // The forward's LeakyReLU is max(z, slope·z), a select where the ternary
+  // is a branch; the two agree bit for bit only for slopes in [+0, 1].
+  PPFR_CHECK(!std::signbit(leaky_slope) && leaky_slope <= 1.0)
+      << "GatAttention: leaky_slope must lie in [0, 1], got " << leaky_slope;
   const int dim = al.rows();
   const size_t gs = static_cast<size_t>(groups);
 
-  auto saved = std::make_shared<GatSaved>();
-  saved->left.resize(static_cast<size_t>(n) * gs);
-  saved->right.resize(static_cast<size_t>(hv.rows()) * gs);
-  saved->alpha.resize(static_cast<size_t>(edges->num_edges()) * gs);
+  auto saved = std::make_shared<GatSaved>(static_cast<size_t>(edges->num_edges()) * gs,
+                                          static_cast<size_t>(n) * gs,
+                                          static_cast<size_t>(hv.rows()) * gs);
+  double* const s_left = saved->left.get();
+  double* const s_right = saved->right.get();
+  double* const s_alpha = saved->alpha.get();
   la::ActiveBackend().Apply(hv.rows(), RowGrain(hv.cols()), [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       const double* hr = hv.row(static_cast<int>(r));
-      GroupScores(hr, ar, saved->right.data() + static_cast<size_t>(r) * gs);
-      if (r < n) GroupScores(hr, al, saved->left.data() + static_cast<size_t>(r) * gs);
+      GroupScores(hr, ar, s_right + static_cast<size_t>(r) * gs);
+      if (r < n) GroupScores(hr, al, s_left + static_cast<size_t>(r) * gs);
     }
   });
 
@@ -782,21 +807,21 @@ Var GatAttention(Var h, Var attn_left, Var attn_right,
       const int64_t end = edges->row_ptr[i + 1];
       if (begin == end) continue;
       // A stable softmax over e_ij per group, every group of an edge together.
-      const double* sl = saved->left.data() + static_cast<size_t>(i) * gs;
+      const double* sl = s_left + static_cast<size_t>(i) * gs;
       std::fill(mx.begin(), mx.end(), -1e300);
       std::fill(denom.begin(), denom.end(), 0.0);
       for (int64_t k = begin; k < end; ++k) {
-        const double* sr = saved->right.data() + static_cast<size_t>(edges->col_idx[k]) * gs;
-        double* a = saved->alpha.data() + static_cast<size_t>(k) * gs;
+        const double* sr = s_right + static_cast<size_t>(edges->col_idx[k]) * gs;
+        double* a = s_alpha + static_cast<size_t>(k) * gs;
         for (int g = 0; g < groups; ++g) {
           const double z = sl[g] + sr[g];
-          const double e = z > 0.0 ? z : leaky_slope * z;
+          const double e = std::max(z, leaky_slope * z);
           a[g] = e;  // e_ij until normalised
           mx[g] = std::max(mx[g], e);
         }
       }
       for (int64_t k = begin; k < end; ++k) {
-        double* a = saved->alpha.data() + static_cast<size_t>(k) * gs;
+        double* a = s_alpha + static_cast<size_t>(k) * gs;
         for (int g = 0; g < groups; ++g) {
           const double w = std::exp(a[g] - mx[g]);
           a[g] = w;
@@ -806,7 +831,7 @@ Var GatAttention(Var h, Var attn_left, Var attn_right,
       double* o = out.row(static_cast<int>(i));
       for (int64_t k = begin; k < end; ++k) {
         const double* hj = hv.row(edges->col_idx[k]);
-        double* a = saved->alpha.data() + static_cast<size_t>(k) * gs;
+        double* a = s_alpha + static_cast<size_t>(k) * gs;
         for (int g = 0; g < groups; ++g) {
           const double alpha = a[g] / denom[g];
           a[g] = alpha;
@@ -863,6 +888,7 @@ Var GatAttention(Var h, Var attn_left, Var attn_right,
         if (scratch.right.size() < static_cast<size_t>(hv.rows()) * gs) {
           scratch.right.resize(static_cast<size_t>(hv.rows()) * gs, 0.0);
         }
+        const double* s_alpha = saved->alpha.get();
 
         // Destination i: the aggregate's gradient into h_j, then back
         // through the softmax and LeakyReLU to the scores. d s_l(i, ·) is
@@ -881,7 +907,7 @@ Var GatAttention(Var h, Var attn_left, Var attn_right,
           for (int64_t k = begin; k < end; ++k) {
             const int j = edges->col_idx[k];
             const double* hj = hv.row(j);
-            const double* a = saved->alpha.data() + static_cast<size_t>(k) * gs;
+            const double* a = s_alpha + static_cast<size_t>(k) * gs;
             double* da = scratch.dalpha.data() + static_cast<size_t>(k - begin) * gs;
             double* dhj = dh != nullptr ? dh->row(j) : nullptr;
             for (int gr = 0; gr < groups; ++gr) {
@@ -897,20 +923,23 @@ Var GatAttention(Var h, Var attn_left, Var attn_right,
               for (int c = 0; c < dim; ++c) dg[c] += alpha * gg[c];
             }
           }
-          const double* sl = saved->left.data() + static_cast<size_t>(i) * gs;
+          const double* sl = saved->left.get() + static_cast<size_t>(i) * gs;
           double* dsl = scratch.left.data();
           std::fill(dsl, dsl + groups, 0.0);
           for (int64_t k = begin; k < end; ++k) {
             const int j = edges->col_idx[k];
-            const double* sr = saved->right.data() + static_cast<size_t>(j) * gs;
-            const double* a = saved->alpha.data() + static_cast<size_t>(k) * gs;
+            const double* sr = saved->right.get() + static_cast<size_t>(j) * gs;
+            const double* a = s_alpha + static_cast<size_t>(k) * gs;
             const double* da = scratch.dalpha.data() + static_cast<size_t>(k - begin) * gs;
             double* dsr = scratch.right.data() + static_cast<size_t>(j) * gs;
             for (int gr = 0; gr < groups; ++gr) {
               const double de = a[gr] * (da[gr] - sums[gr]);
-              const double dz = sl[gr] + sr[gr] > 0.0 ? de : leaky_slope * de;
-              dsl[gr] += dz;
-              dsr[gr] += dz;
+              // dz = de·(z > 0 ? 1 : slope), the product fused into each sum
+              // where the target has FMA, as compilers contract
+              // `dsl += slope * de`.
+              const double slope = SelectPositive(sl[gr] + sr[gr], 1.0, leaky_slope);
+              dsl[gr] = la::MulAdd(de, slope, dsl[gr]);
+              dsr[gr] = la::MulAdd(de, slope, dsr[gr]);
             }
           }
           GroupScoresBackward(hv.row(i), dsl, al, dal, dh != nullptr ? dh->row(i) : nullptr);

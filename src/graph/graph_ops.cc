@@ -1,5 +1,6 @@
 #include "graph/graph_ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 
@@ -52,26 +53,36 @@ la::CsrMatrix MeanAggregationMatrix(const Graph& g) {
 la::CsrMatrix SampledMeanAggregationMatrix(const Graph& g, int fanout, Rng* rng) {
   PPFR_CHECK_GT(fanout, 0);
   const int n = g.num_nodes();
-  std::vector<la::Triplet> triplets;
+  // Rows come out in order and every adjacency list is sorted and free of
+  // duplicates, so the CSR is written directly; only a row's sampled columns
+  // need sorting.
+  std::vector<int64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
+  std::vector<int> col_idx;
+  std::vector<double> values;
   // nnz is bounded by both n·fanout and the full adjacency; the min keeps the
   // reserve sane when fanout is a "take everything" sentinel like INT_MAX.
-  triplets.reserve(static_cast<size_t>(std::min<int64_t>(
-      static_cast<int64_t>(n) * fanout, 2 * g.num_edges())));
+  const auto max_nnz = static_cast<size_t>(
+      std::min<int64_t>(static_cast<int64_t>(n) * fanout, 2 * g.num_edges()));
+  col_idx.reserve(max_nnz);
+  values.reserve(max_nnz);
   for (int v = 0; v < n; ++v) {
     const auto nbrs = g.Neighbors(v);
     const int deg = static_cast<int>(nbrs.size());
-    if (deg == 0) continue;
     if (deg <= fanout) {
-      const double w = 1.0 / deg;
-      for (int u : nbrs) triplets.push_back({v, u, w});
+      col_idx.insert(col_idx.end(), nbrs.begin(), nbrs.end());
+      values.insert(values.end(), static_cast<size_t>(deg), 1.0 / deg);
     } else {
-      const double w = 1.0 / fanout;
+      const size_t first = col_idx.size();
       for (int idx : rng->SampleWithoutReplacement(deg, fanout)) {
-        triplets.push_back({v, nbrs[idx], w});
+        col_idx.push_back(nbrs[idx]);
       }
+      std::sort(col_idx.begin() + static_cast<int64_t>(first), col_idx.end());
+      values.insert(values.end(), static_cast<size_t>(fanout), 1.0 / fanout);
     }
+    row_ptr[static_cast<size_t>(v) + 1] = static_cast<int64_t>(col_idx.size());
   }
-  return la::CsrMatrix::FromTriplets(n, n, std::move(triplets));
+  return la::CsrMatrix::FromSortedRows(n, n, std::move(row_ptr), std::move(col_idx),
+                                       std::move(values));
 }
 
 std::vector<int> BfsHops(const Graph& g, int source, int max_hops) {

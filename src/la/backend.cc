@@ -17,8 +17,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Naive kernels. These are the original seed loops, kept verbatim: they are
-// the ReferenceBackend (correctness oracle) and the small-problem fallback of
-// the ParallelBackend, where blocking/packing overhead would dominate.
+// the ReferenceBackend (correctness oracle), and the ParallelBackend's narrow
+// register tiles reproduce their rounding sequence bit for bit.
 // ---------------------------------------------------------------------------
 
 void NaiveGemm(const Matrix& a, const Matrix& b, Matrix* out) {
@@ -168,10 +168,9 @@ struct LeafKernels {
   // Multi-column CSR row kernel: for one output row,
   //   out_row[j] += Σ_k (alpha·vals[k]) · x(cols[k], j),  k in CSR order.
   // Must be bitwise equal to the per-nonzero axpy sequence
-  // (for k: axpy(alpha·vals[k], x.row(cols[k]), out_row, n)); the vector
-  // variant (simd::SpmmRow) keeps out_row columns in registers across the
-  // whole nonzero list instead of re-loading/re-storing them per nonzero —
-  // the win that widens with the operand's column count.
+  // (for k: axpy(alpha·vals[k], x.row(cols[k]), out_row, n)); both variants
+  // keep out_row columns in registers across the whole nonzero list instead
+  // of re-loading/re-storing them per nonzero.
   void (*spmm_row)(const double* vals, const int* cols, int64_t nnz, double alpha,
                    const double* x, int64_t x_stride, double* out_row, int64_t n);
 };
@@ -248,15 +247,78 @@ double ScalarXpayDot(double beta, const double* x, double* y, int64_t n) {
   return ScalarDot(y, y, n);
 }
 
-void ScalarSpmmRow(const double* vals, const int* cols, int64_t nnz, double alpha,
-                   const double* x, int64_t x_stride, double* out_row, int64_t n) {
-  // Literally the repeated-ScalarAxpy sequence — the bitwise definition of
-  // the spmm_row contract.
+// The spmm_row leaf: out_row[0, n) += Σ_k (alpha·vals[k]) · x_row_k, k in
+// CSR order, with the output held in locals across the whole nonzero list
+// instead of reloaded and stored at every nonzero. Per element it is the
+// repeated-ScalarAxpy sequence, the bitwise definition of the contract.
+// Each 8-column block gets its own accumulator array: GCC keeps those in
+// vector registers, where one long array gets spilled or shuffled.
+template <int kBlocks>
+void SpmmRowBlocks(const double* vals, const int* cols, int64_t nnz, double alpha,
+                   const double* x, int64_t x_stride, double* out_row) {
+  static_assert(kBlocks >= 1 && kBlocks <= 4);
+  double a0[8], a1[8], a2[8], a3[8];
+  for (int j = 0; j < 8; ++j) {
+    a0[j] = out_row[j];
+    if constexpr (kBlocks > 1) a1[j] = out_row[8 + j];
+    if constexpr (kBlocks > 2) a2[j] = out_row[16 + j];
+    if constexpr (kBlocks > 3) a3[j] = out_row[24 + j];
+  }
   for (int64_t k = 0; k < nnz; ++k) {
     const double w = alpha * vals[k];
     const double* x_row = x + static_cast<size_t>(cols[k]) * x_stride;
-    for (int64_t j = 0; j < n; ++j) out_row[j] += w * x_row[j];
+    for (int j = 0; j < 8; ++j) a0[j] = MulAdd(w, x_row[j], a0[j]);
+    if constexpr (kBlocks > 1) {
+      for (int j = 0; j < 8; ++j) a1[j] = MulAdd(w, x_row[8 + j], a1[j]);
+    }
+    if constexpr (kBlocks > 2) {
+      for (int j = 0; j < 8; ++j) a2[j] = MulAdd(w, x_row[16 + j], a2[j]);
+    }
+    if constexpr (kBlocks > 3) {
+      for (int j = 0; j < 8; ++j) a3[j] = MulAdd(w, x_row[24 + j], a3[j]);
+    }
   }
+  for (int j = 0; j < 8; ++j) {
+    out_row[j] = a0[j];
+    if constexpr (kBlocks > 1) out_row[8 + j] = a1[j];
+    if constexpr (kBlocks > 2) out_row[16 + j] = a2[j];
+    if constexpr (kBlocks > 3) out_row[24 + j] = a3[j];
+  }
+}
+
+// The same for a tail narrower than one block.
+template <int W>
+void SpmmRowTail(const double* vals, const int* cols, int64_t nnz, double alpha,
+                 const double* x, int64_t x_stride, double* out_row) {
+  double acc[W];
+  for (int j = 0; j < W; ++j) acc[j] = out_row[j];
+  for (int64_t k = 0; k < nnz; ++k) {
+    const double w = alpha * vals[k];
+    const double* x_row = x + static_cast<size_t>(cols[k]) * x_stride;
+    for (int j = 0; j < W; ++j) acc[j] = MulAdd(w, x_row[j], acc[j]);
+  }
+  for (int j = 0; j < W; ++j) out_row[j] = acc[j];
+}
+
+using SpmmRowPart = void (*)(const double*, const int*, int64_t, double, const double*,
+                             int64_t, double*);
+constexpr SpmmRowPart kSpmmRowBlocks[5] = {nullptr, &SpmmRowBlocks<1>, &SpmmRowBlocks<2>,
+                                           &SpmmRowBlocks<3>, &SpmmRowBlocks<4>};
+constexpr SpmmRowPart kSpmmRowTails[8] = {
+    nullptr,           &SpmmRowTail<1>, &SpmmRowTail<2>, &SpmmRowTail<3>,
+    &SpmmRowTail<4>, &SpmmRowTail<5>, &SpmmRowTail<6>, &SpmmRowTail<7>};
+
+// Up to 32 columns (every width the paper's models use) take one pass over
+// the nonzeros, plus one for a tail; wider rows take one pass per 32.
+void ScalarSpmmRow(const double* vals, const int* cols, int64_t nnz, double alpha,
+                   const double* x, int64_t x_stride, double* out_row, int64_t n) {
+  int64_t j = 0;
+  while (n - j >= 8) {
+    const int64_t blocks = std::min<int64_t>(4, (n - j) / 8);
+    kSpmmRowBlocks[blocks](vals, cols, nnz, alpha, x + j, x_stride, out_row + j);
+    j += 8 * blocks;
+  }
+  if (j < n) kSpmmRowTails[n - j](vals, cols, nnz, alpha, x + j, x_stride, out_row + j);
 }
 
 constexpr LeafKernels kScalarLeafKernels = {&ScalarMicroKernel, kNr, &ScalarDot,
@@ -293,6 +355,81 @@ LeafKernels SimdLeafKernels() {
   kernels.xpay_dot = &simd::XpayDot;
   kernels.spmm_row = &simd::SpmmRow;
   return kernels;
+}
+
+// ---------------------------------------------------------------------------
+// Narrow register tiles: the ParallelBackend's path for every product below
+// the blocked-GEMM cutoffs, which at the paper's sizes means every product
+// with an output or inner side of 3-7 columns. A kMr x kNr block of outputs
+// stays in locals across the inner dimension, against a right operand packed
+// into zero-padded kNr-wide k-major panels.
+//
+// Each output element starts at +0 and takes one MulAdd per k in ascending
+// order — the naive loops' rounding sequence — and the thread split only
+// decides which thread computes a row block. NaiveGemm and NaiveGemmTransA
+// also skip zero multipliers. Here a zero multiplier adds ±0 to an
+// accumulator that started at +0 and so is never -0, which leaves it
+// unchanged: for finite operands the bits agree. A non-finite b under a zero
+// multiplier gives NaN here, where the naive loops skip it.
+// ---------------------------------------------------------------------------
+
+// A tile operand: element (i, kk) is data[i·stride + row(kk)·k_stride], with
+// row(kk) = k_rows[kk] when a row list is given and kk otherwise. One view
+// serves a (row-major), aᵀ (column-major) and a row subset of either.
+struct TileOperand {
+  const double* data;
+  int64_t stride;
+  int64_t k_stride;
+  const int* k_rows = nullptr;
+
+  const double* KRow(int kk) const {
+    return data + (k_rows != nullptr ? k_rows[kk] : kk) * k_stride;
+  }
+};
+
+// out rows [i0, i0 + mr) x columns [0, nr) of one panel, overwritten or
+// (accumulate) added to: accumulating starts each element's chain at its
+// out value instead of +0. `a` has no row list. Rows past mr reuse the last
+// valid row and are discarded, so the loop body never branches. One
+// accumulator array per row (not a 2-D array) is what GCC keeps in vector
+// registers; it vectorises a 2-D tile across rows, with shuffles.
+void NarrowTile(const TileOperand& a, int i0, int mr, int k, const double* panel,
+                double* out, int64_t out_stride, int nr, bool accumulate) {
+  const auto row = [&](int ir) {
+    return a.data + static_cast<int64_t>(i0 + std::min(ir, mr - 1)) * a.stride;
+  };
+  const double *r0 = row(0), *r1 = row(1), *r2 = row(2), *r3 = row(3);
+  double c0[kNr] = {}, c1[kNr] = {}, c2[kNr] = {}, c3[kNr] = {};
+  static_assert(kMr == 4, "NarrowTile holds one accumulator array per tile row");
+  double* const acc[kMr] = {c0, c1, c2, c3};
+  if (accumulate) {
+    for (int ir = 0; ir < mr; ++ir) std::copy_n(out + ir * out_stride, nr, acc[ir]);
+  }
+  for (int kk = 0; kk < k; ++kk) {
+    const double* bv = panel + static_cast<size_t>(kk) * kNr;
+    const int64_t off = kk * a.k_stride;
+    const double a0 = r0[off], a1 = r1[off], a2 = r2[off], a3 = r3[off];
+    for (int j = 0; j < kNr; ++j) c0[j] = MulAdd(a0, bv[j], c0[j]);
+    for (int j = 0; j < kNr; ++j) c1[j] = MulAdd(a1, bv[j], c1[j]);
+    for (int j = 0; j < kNr; ++j) c2[j] = MulAdd(a2, bv[j], c2[j]);
+    for (int j = 0; j < kNr; ++j) c3[j] = MulAdd(a3, bv[j], c3[j]);
+  }
+  for (int ir = 0; ir < mr; ++ir) std::copy_n(acc[ir], nr, out + ir * out_stride);
+}
+
+// Packs k-rows [k0, k0 + kc) of the right operand `b` (n columns) into
+// ceil(n / kNr) zero-padded k-major panels of width kNr.
+void PackNarrowPanels(const TileOperand& b, int k0, int kc, int n,
+                      std::vector<double>* panels) {
+  const int num_panels = (n + kNr - 1) / kNr;
+  panels->assign(static_cast<size_t>(num_panels) * kc * kNr, 0.0);
+  for (int kk = 0; kk < kc; ++kk) {
+    const double* src = b.KRow(k0 + kk);
+    for (int j = 0; j < n; ++j) {
+      const size_t panel = static_cast<size_t>(j / kNr);
+      (*panels)[(panel * kc + kk) * kNr + j % kNr] = src[j * b.stride];
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -365,22 +502,26 @@ class ParallelBackend : public Backend {
   std::string name() const override { return "parallel"; }
   int num_threads() const override { return pool_.num_threads(); }
 
+  // Below the work cutoff, or with an output narrower than the scalar tile
+  // width (not pack_nr) or a short inner side, packing whole panels costs
+  // more than it saves and the narrow register tiles run instead.
+  static bool Narrow(int64_t work, int n, int k) {
+    return work < kGemmSerialCutoff || n < kNr || k < 8;
+  }
+
   void Gemm(const Matrix& a, const Matrix& b, Matrix* out) const override {
     const int m = a.rows(), k = a.cols(), n = b.cols();
-    const int64_t work = static_cast<int64_t>(m) * n * k;
-    if (work < kGemmSerialCutoff || n < kNr || k < 8) {
-      // The n cutoff is the scalar tile width (not pack_nr): below a full
-      // 8-wide sliver the packing overhead dominates any micro-kernel.
-      NaiveGemm(a, b, out);
+    if (Narrow(static_cast<int64_t>(m) * n * k, n, k)) {
+      NarrowProduct({a.data(), k, 1}, m, k, {b.data(), 1, n}, n, out);
       return;
     }
     BlockedGemm(a, b, out);
   }
 
   void GemmTransA(const Matrix& a, const Matrix& b, Matrix* out) const override {
-    const int64_t work = static_cast<int64_t>(a.cols()) * b.cols() * a.rows();
-    if (work < kGemmSerialCutoff || b.cols() < kNr || a.rows() < 8) {
-      NaiveGemmTransA(a, b, out);
+    const int m = a.cols(), k = a.rows(), n = b.cols();
+    if (Narrow(static_cast<int64_t>(m) * n * k, n, k)) {
+      NarrowProduct({a.data(), 1, m}, m, k, {b.data(), 1, n}, n, out);
       return;
     }
     // aᵀ·b via an explicit transpose; the packed-GEMM throughput dwarfs the
@@ -392,7 +533,11 @@ class ParallelBackend : public Backend {
 
   void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out) const override {
     const int64_t work = static_cast<int64_t>(a.rows()) * b.rows() * a.cols();
-    if (work < kGemmSerialCutoff || b.rows() < kNr || a.cols() < 8) {
+    if (Narrow(work, b.rows(), a.cols())) {
+      // Not tiled: each element is a dot product, which GCC compiles to
+      // vector products summed lane by lane in order plus a contracted
+      // scalar tail. That sequence depends on the vector width the compiler
+      // picks, so no portable tile reproduces it.
       NaiveGemmTransB(a, b, out);
       return;
     }
@@ -550,29 +695,14 @@ class ParallelBackend : public Backend {
     pool_.ParallelFor(0, static_cast<int64_t>(rows.size()), grain, run);
   }
 
+  // out += aᵀ·g on the narrow tiles, the row list indexing the inner
+  // dimension: per element the serial loop's chain over `rows` in list
+  // order, minus its zero skip (see the contract in backend.h).
   void GemmTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* out,
                            const std::vector<int>& rows) const override {
-    const int64_t per_col = static_cast<int64_t>(rows.size()) * a.cols();
-    const int64_t work = per_col * g.cols();
-    auto run = [&](int64_t j_lo, int64_t j_hi) {
-      const int64_t len = j_hi - j_lo;
-      for (int r : rows) {
-        const double* a_row = a.row(r);
-        const double* g_row = g.row(r) + j_lo;
-        for (int i = 0; i < a.cols(); ++i) {
-          const double ari = a_row[i];
-          if (ari == 0.0) continue;
-          kernels_.axpy(ari, g_row, out->row(i) + j_lo, len);
-        }
-      }
-    };
-    if (work < kGemmSerialCutoff) {
-      run(0, g.cols());
-      return;
-    }
-    const int64_t grain =
-        std::max<int64_t>(1, kGemmSerialCutoff / std::max<int64_t>(per_col, 1));
-    pool_.ParallelFor(0, g.cols(), grain, run);
+    NarrowProduct({a.data(), 1, a.cols(), rows.data()}, a.cols(),
+                  static_cast<int>(rows.size()), {g.data(), 1, g.cols(), rows.data()},
+                  g.cols(), out, /*accumulate=*/true);
   }
 
   void SpmmAccumRows(const CsrMatrix& a, const Matrix& x, double alpha, Matrix* out,
@@ -586,26 +716,35 @@ class ParallelBackend : public Backend {
     const std::vector<int>& col_idx = a.col_idx();
     const std::vector<double>& values = a.values();
     const int n = x.cols();
+    // Every row's nonzero list goes through the multi-column leaf (bitwise
+    // the per-nonzero axpy sequence). A masked row first drops the entries
+    // whose x row is marked zero, into the chunk's scratch lists. (Scratch
+    // is per call, never thread_local: a pool worker's thread_local storage
+    // would leak in a forked child, where the worker no longer exists.)
     auto run = [&](int64_t lo, int64_t hi) {
+      std::vector<double> kept_vals;
+      std::vector<int> kept_cols;
       for (int64_t idx = lo; idx < hi; ++idx) {
         const int r = rows[static_cast<size_t>(idx)];
         PPFR_DCHECK_GE(r, 0);
         PPFR_DCHECK_LT(r, a.rows());
-        double* out_row = out->row(r);
-        if (!masked) {
-          // Unmasked rows take the whole nonzero list through the
-          // multi-column leaf (bitwise the per-nonzero axpy sequence).
-          const int64_t k0 = row_ptr[r], k1 = row_ptr[r + 1];
-          if (k0 < k1) {
-            kernels_.spmm_row(values.data() + k0, col_idx.data() + k0, k1 - k0,
-                              alpha, x.data(), x.cols(), out_row, n);
+        const double* vals = values.data() + row_ptr[r];
+        const int* cols = col_idx.data() + row_ptr[r];
+        int64_t count = row_ptr[r + 1] - row_ptr[r];
+        if (masked) {
+          kept_vals.clear();
+          kept_cols.clear();
+          for (int64_t k = 0; k < count; ++k) {
+            if (!x_row_nonzero[cols[k]]) continue;
+            kept_vals.push_back(vals[k]);
+            kept_cols.push_back(cols[k]);
           }
-          continue;
+          vals = kept_vals.data();
+          cols = kept_cols.data();
+          count = static_cast<int64_t>(kept_vals.size());
         }
-        for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-          const int c = col_idx[k];
-          if (!x_row_nonzero[c]) continue;
-          kernels_.axpy(alpha * values[k], x.row(c), out_row, n);
+        if (count > 0) {
+          kernels_.spmm_row(vals, cols, count, alpha, x.data(), x.cols(), out->row(r), n);
         }
       }
     };
@@ -622,6 +761,56 @@ class ParallelBackend : public Backend {
   }
 
  private:
+  // out = a·b (out += a·b when accumulating) on the narrow register tiles;
+  // a is m x k and b is k x n. Above the work cutoff the row blocks are
+  // split across the pool; each output element is still computed whole by
+  // one thread, so the bits do not depend on the split. Each thread walks
+  // the inner dimension in chunks of kKc, packing a chunk's panels (and, for
+  // a row list, gathering its rows of a) into its own scratch; every chunk
+  // after the first continues the chains from out, which keeps the bits and
+  // bounds the scratch.
+  void NarrowProduct(const TileOperand& a, int m, int k, const TileOperand& b, int n,
+                     Matrix* out, bool accumulate = false) const {
+    if (m == 0 || n == 0) return;
+    const int num_panels = (n + kNr - 1) / kNr;
+    const auto run = [&](int64_t blk0, int64_t blk1) {
+      std::vector<double> panels, a_rows;
+      int k0 = 0;
+      do {
+        const int kc = std::min(kKc, k - k0);
+        PackNarrowPanels(b, k0, kc, n, &panels);
+        TileOperand left{a.data + k0 * a.k_stride, a.stride, a.k_stride};
+        if (a.k_rows != nullptr) {
+          a_rows.resize(static_cast<size_t>(kc) * m);
+          for (int kk = 0; kk < kc; ++kk) {
+            const double* src = a.KRow(k0 + kk);
+            double* dst = a_rows.data() + static_cast<size_t>(kk) * m;
+            for (int i = 0; i < m; ++i) dst[i] = src[i * a.stride];
+          }
+          left = {a_rows.data(), 1, m};
+        }
+        for (int64_t blk = blk0; blk < blk1; ++blk) {
+          const int i0 = static_cast<int>(blk) * kMr;
+          const int mr = std::min(kMr, m - i0);
+          for (int p = 0; p < num_panels; ++p) {
+            const double* panel = panels.data() + static_cast<size_t>(p) * kc * kNr;
+            NarrowTile(left, i0, mr, kc, panel, out->row(i0) + p * kNr, n,
+                       std::min(kNr, n - p * kNr), accumulate || k0 > 0);
+          }
+        }
+        k0 += kKc;
+      } while (k0 < k);
+    };
+    const int64_t blocks = (m + kMr - 1) / kMr;
+    const int64_t block_work = static_cast<int64_t>(kMr) * n * std::max(k, 1);
+    if (blocks * block_work < kGemmSerialCutoff) {
+      run(0, blocks);
+      return;
+    }
+    pool_.ParallelFor(0, blocks, std::max<int64_t>(1, kGemmSerialCutoff / block_work),
+                      run);
+  }
+
   // Runs a fused update+square-reduce leaf over the VDot reduce-block grid
   // and sums the partials in block order (the VDot determinism scheme).
   template <typename BlockFn>
@@ -642,8 +831,8 @@ class ParallelBackend : public Backend {
 
   // out(r0:r1, :) += alpha * a(r0:r1, :) * x — one contiguous row range,
   // each row's whole nonzero list routed through the multi-column spmm_row
-  // leaf (bitwise the old per-nonzero axpy sequence; the vector variant holds
-  // the output columns in registers across the nonzeros).
+  // leaf (bitwise the per-nonzero axpy sequence, with the output columns
+  // held in registers across the nonzeros).
   void SpmmRowRange(const CsrMatrix& a, const Matrix& x, double alpha, Matrix* out,
                     int64_t row_begin, int64_t row_end) const {
     const int n = x.cols();

@@ -1,6 +1,7 @@
 #ifndef PPFR_LA_BACKEND_H_
 #define PPFR_LA_BACKEND_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -15,6 +16,21 @@ class Flags;
 
 namespace ppfr::la {
 
+// c + a·b with the rounding the compiler gives the reference loops'
+// `c += a * b`: one fused rounding where the target has FMA (their
+// contracted form), a product and a sum otherwise. The register-tiled
+// kernels write every element update through this so they keep the naive
+// loops' bits even where the vectoriser would split a plain `+=` into
+// separate products and adds. It is never an unconditional std::fma, which
+// is a libm call on targets without the instruction.
+inline double MulAdd(double a, double b, double c) {
+#ifdef __FMA__
+  return std::fma(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
 // Compute backend behind every dense/sparse linear-algebra hot path in the
 // library. The free functions in matrix.h, CsrMatrix::Multiply*, and the
 // flat-vector helpers in influence/param_vector.h all dispatch through the
@@ -23,9 +39,12 @@ namespace ppfr::la {
 //
 // Implementations:
 //   * ReferenceBackend — the original single-threaded loops, kept as the
-//     correctness oracle for tests and as the small-problem fallback.
+//     correctness oracle for tests.
 //   * ParallelBackend  — cache-blocked GEMM with packed operands,
 //     multi-threaded via common/thread_pool.h, and row-partitioned CSR SpMM.
+//     Products below the blocking cutoffs (every narrow product at the
+//     paper's sizes) run on register tiles that keep the reference loops'
+//     bits; see MulAdd and README "Narrow kernels".
 //   * SimdBackend      — the ParallelBackend dispatch/blocking layer with
 //     AVX2+FMA register micro-kernels (la/simd_kernels.h) swapped in as the
 //     leaf kernels; CPU features are probed at construction and any missing
@@ -87,6 +106,9 @@ class Backend {
   virtual void GemmTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,
                                    const std::vector<int>& rows) const;
   // out += Σ_{r in rows} a(r, :)ᵀ ⊗ g(r, :).   a: (m,k), g: (m,n), out: (k,n).
+  // The serial loop skips zero entries of a; ParallelBackend's tiles do not,
+  // which keeps its bits unless out holds a -0 or g a non-finite value
+  // (a gradient buffer starts at +0 and, accumulating, never reaches -0).
   virtual void GemmTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* out,
                                    const std::vector<int>& rows) const;
   // Row-subset SpMM accumulate (CsrMatrix::MultiplyAccumRows): for r in rows,

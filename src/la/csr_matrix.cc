@@ -53,6 +53,30 @@ CsrMatrix CsrMatrix::FromTriplets(int rows, int cols, std::vector<Triplet> tripl
   return m;
 }
 
+CsrMatrix CsrMatrix::FromSortedRows(int rows, int cols, std::vector<int64_t> row_ptr,
+                                     std::vector<int> col_idx,
+                                     std::vector<double> values) {
+  PPFR_CHECK_EQ(static_cast<int64_t>(row_ptr.size()), static_cast<int64_t>(rows) + 1);
+  PPFR_CHECK_EQ(row_ptr.front(), 0);
+  PPFR_CHECK_EQ(row_ptr.back(), static_cast<int64_t>(col_idx.size()));
+  PPFR_CHECK_EQ(col_idx.size(), values.size());
+  for (int r = 0; r < rows; ++r) {
+    PPFR_DCHECK_LE(row_ptr[r], row_ptr[r + 1]);
+    for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      PPFR_DCHECK_GE(col_idx[k], k == row_ptr[r] ? 0 : col_idx[k - 1] + 1);
+      PPFR_DCHECK_LT(col_idx[k], cols);
+    }
+  }
+  CsrMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  m.RegisterArenaBytes();
+  return m;
+}
+
 CsrMatrix CsrMatrix::FromDense(const Matrix& dense) {
   CsrMatrix m(dense.rows(), dense.cols());
   for (int r = 0; r < dense.rows(); ++r) {
@@ -95,14 +119,24 @@ void CsrMatrix::MultiplyAccumRows(const Matrix& x, double alpha, Matrix* out,
 }
 
 CsrMatrix CsrMatrix::Transposed() const {
-  std::vector<Triplet> triplets;
-  triplets.reserve(nnz());
+  // Values move unchanged. A triplet transpose re-sums each from +0, which
+  // differs only for a -0 value, and neither FromTriplets nor FromDense
+  // stores one.
+  std::vector<int64_t> t_row_ptr(static_cast<size_t>(cols_) + 1, 0);
+  for (int c : col_idx_) ++t_row_ptr[static_cast<size_t>(c) + 1];
+  for (int c = 0; c < cols_; ++c) t_row_ptr[c + 1] += t_row_ptr[c];
+  std::vector<int64_t> next(t_row_ptr.begin(), t_row_ptr.end() - 1);
+  std::vector<int> t_col_idx(col_idx_.size());
+  std::vector<double> t_values(values_.size());
   for (int r = 0; r < rows_; ++r) {
     for (int64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      triplets.push_back({col_idx_[k], r, values_[k]});
+      const int64_t dst = next[col_idx_[k]]++;
+      t_col_idx[dst] = r;
+      t_values[dst] = values_[k];
     }
   }
-  return FromTriplets(cols_, rows_, std::move(triplets));
+  return FromSortedRows(cols_, rows_, std::move(t_row_ptr), std::move(t_col_idx),
+                        std::move(t_values));
 }
 
 double CsrMatrix::At(int row, int col) const {

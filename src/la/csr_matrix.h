@@ -36,6 +36,12 @@ class CsrMatrix {
 
   // Builds from triplets; duplicate (row, col) entries are summed.
   static CsrMatrix FromTriplets(int rows, int cols, std::vector<Triplet> triplets);
+  // Adopts CSR arrays that are already in canonical form: row_ptr has rows+1
+  // non-decreasing entries from 0 to nnz, and each row's columns are strictly
+  // increasing and in range. The same matrix FromTriplets builds from those
+  // entries, without the sort.
+  static CsrMatrix FromSortedRows(int rows, int cols, std::vector<int64_t> row_ptr,
+                                  std::vector<int> col_idx, std::vector<double> values);
   // The nonzero entries of a dense matrix, in one row-major pass.
   static CsrMatrix FromDense(const Matrix& dense);
 
@@ -70,6 +76,8 @@ class CsrMatrix {
                          const std::vector<int>& rows,
                          const std::vector<uint8_t>& x_row_nonzero = {}) const;
 
+  // A counting-sort transpose: entries reach each transposed row in source
+  // row order, which is already sorted, so nothing is sorted or merged.
   CsrMatrix Transposed() const;
 
   // Entry lookup by binary search within the row; 0.0 when absent.

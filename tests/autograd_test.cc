@@ -693,6 +693,84 @@ TEST_P(GatAttentionGroups, EqualsSeparateCallsBitwisePerBlock) {
 
 INSTANTIATE_TEST_SUITE_P(Blocks, GatAttentionGroups, ::testing::Values(1, 2, 8));
 
+// Scores that hit z > 0, z < 0 and z = 0 exactly, the three cases of the
+// branch-free LeakyReLU and its backward select. With attn_left picking
+// column 2g and attn_right column 2g+1 of h, s_l(i,g) = h(i,2g) and
+// s_r(j,g) = h(j,2g+1) exactly, and quarter-integer values make many sums
+// cancel to +0. (z = -0 cannot arise: both scores are sums that start at
+// +0, so neither is ever -0.) The 600-node graph spreads the forward over
+// several destination chunks.
+TEST(GatAttentionTest, ExactZeroScoresMatchReferenceAndThreads) {
+  const data::NodeClassificationData data = ppfr::testing::SmallSbm(3, 600);
+  std::vector<std::vector<int>> nbrs(static_cast<size_t>(data.graph.num_nodes()));
+  for (int v = 0; v < data.graph.num_nodes(); ++v) {
+    nbrs[static_cast<size_t>(v)].push_back(v);
+    for (int u : data.graph.Neighbors(v)) nbrs[static_cast<size_t>(v)].push_back(u);
+  }
+  const auto edges = EdgesFromLists(nbrs);
+  const int groups = 2, dim = 2;
+  Rng rng(27);
+  la::Matrix hv(edges->num_nodes, groups * dim);
+  for (int64_t i = 0; i < hv.size(); ++i) {
+    hv.data()[i] = 0.25 * static_cast<double>(static_cast<int>(rng.UniformInt(9)) - 4);
+  }
+  Parameter h("h", hv);
+  Parameter left("left", la::Matrix::FromRows({{1.0, 1.0}, {0.0, 0.0}}));
+  Parameter right("right", la::Matrix::FromRows({{0.0, 0.0}, {1.0, 1.0}}));
+  int positive = 0, negative = 0, zero = 0;
+  for (int i = 0; i < edges->num_nodes; ++i) {
+    for (int64_t k = edges->row_ptr[i]; k < edges->row_ptr[i + 1]; ++k) {
+      for (int g = 0; g < groups; ++g) {
+        const double z = hv(i, 2 * g) + hv(edges->col_idx[k], 2 * g + 1);
+        positive += z > 0.0;
+        negative += z < 0.0;
+        zero += z == 0.0;
+      }
+    }
+  }
+  EXPECT_GT(positive, 0);
+  EXPECT_GT(negative, 0);
+  EXPECT_GT(zero, 0);
+  const la::Matrix seed = RandomMatrix(edges->num_nodes, groups * dim, &rng);
+  const GatResult want =
+      ReferenceGat(h.value, left.value, right.value, *edges, 0.2, seed);
+  for (const la::BackendKind backend : kBackends) {
+    SCOPED_TRACE(la::BackendKindName(backend));
+    GatResult single_thread;
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      la::ScopedBackend scoped(backend, threads);
+      const GatResult got = RunGat(&h, &left, &right, edges, seed, /*sparse=*/false);
+      EXPECT_LT(RelErr(want.out, got.out), 1e-12);
+      EXPECT_LT(RelErr(want.dh, got.dh), 1e-12);
+      EXPECT_LT(RelErr(want.dleft, got.dleft), 1e-12);
+      EXPECT_LT(RelErr(want.dright, got.dright), 1e-12);
+      if (threads == 1) {
+        single_thread = got;
+        continue;
+      }
+      ExpectBitwiseEq(single_thread.out, got.out, "out");
+      ExpectBitwiseEq(single_thread.dh, got.dh, "dh");
+      ExpectBitwiseEq(single_thread.dleft, got.dleft, "dleft");
+      ExpectBitwiseEq(single_thread.dright, got.dright, "dright");
+    }
+  }
+}
+
+// max(z, slope·z) is LeakyReLU only for slopes in [+0, 1].
+TEST(GatAttentionDeathTest, SlopeOutsideUnitIntervalDies) {
+  const auto edges = EdgesFromLists({{0, 1}, {1}});
+  for (const double slope : {1.5, -0.2, -0.0}) {
+    EXPECT_DEATH(
+        {
+          Tape tape;
+          GatAttention(tape.Constant(la::Matrix(2, 1)), tape.Constant(la::Matrix(1, 1)),
+                       tape.Constant(la::Matrix(1, 1)), edges, 1, slope);
+        },
+        "leaky_slope must lie in \\[0, 1\\]");
+  }
+}
+
 // GAT's first-layer shape (4 heads x 8 dims) over a 600-node graph with
 // self-loops: more than twice the op's 1024-edge grain at that width, so the
 // forward fans out over several destination chunks.

@@ -91,6 +91,50 @@ TEST(GraphOpsTest, SampledMeanAggregationRespectsFanout) {
   }
 }
 
+// The sampled mean operator built from triplets, the oracle for the direct
+// CSR build: each row's (sampled) neighbours at weight 1/count, sorted by
+// FromTriplets.
+la::CsrMatrix TripletSampledMean(const Graph& g, int fanout, Rng* rng) {
+  std::vector<la::Triplet> triplets;
+  for (int v = 0; v < g.num_nodes(); ++v) {
+    const auto nbrs = g.Neighbors(v);
+    const int deg = static_cast<int>(nbrs.size());
+    if (deg == 0) continue;
+    if (deg <= fanout) {
+      for (int u : nbrs) triplets.push_back({v, u, 1.0 / deg});
+    } else {
+      for (int idx : rng->SampleWithoutReplacement(deg, fanout)) {
+        triplets.push_back({v, nbrs[idx], 1.0 / fanout});
+      }
+    }
+  }
+  return la::CsrMatrix::FromTriplets(g.num_nodes(), g.num_nodes(), std::move(triplets));
+}
+
+// The direct CSR build gives the same bits and draws the same random
+// numbers as the triplet build, for a fanout that samples most rows and one
+// above the largest degree that samples none.
+TEST(GraphOpsTest, SampledMeanAggregationEqualsTripletBuild) {
+  const auto data = ppfr::testing::SmallSbm(7, 300, 2);
+  const Graph& g = data.graph;
+  int max_degree = 0;
+  for (int v = 0; v < g.num_nodes(); ++v) max_degree = std::max(max_degree, g.Degree(v));
+  for (const int fanout : {2, max_degree + 1}) {
+    SCOPED_TRACE("fanout=" + std::to_string(fanout));
+    Rng want_rng(11), got_rng(11);
+    const la::CsrMatrix want = TripletSampledMean(g, fanout, &want_rng);
+    const la::CsrMatrix got = SampledMeanAggregationMatrix(g, fanout, &got_rng);
+    EXPECT_EQ(got.row_ptr(), want.row_ptr());
+    EXPECT_EQ(got.col_idx(), want.col_idx());
+    ASSERT_EQ(got.values().size(), want.values().size());
+    for (size_t k = 0; k < want.values().size(); ++k) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.values()[k]),
+                std::bit_cast<uint64_t>(want.values()[k]));
+    }
+    EXPECT_EQ(got_rng.NextU64(), want_rng.NextU64());
+  }
+}
+
 TEST(GraphOpsTest, BfsHopsOnPathGraph) {
   const Graph path = Graph::FromEdges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   const std::vector<int> hops = BfsHops(path, 0, 10);

@@ -129,6 +129,46 @@ TEST(CsrMatrixTest, TransposedIsCorrect) {
   EXPECT_DOUBLE_EQ(t.At(2, 1), -2.0);
 }
 
+void ExpectSameCsr(const CsrMatrix& want, const CsrMatrix& got) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  for (size_t k = 0; k < want.values().size(); ++k) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.values()[k]),
+              std::bit_cast<uint64_t>(want.values()[k]))
+        << "entry " << k;
+  }
+}
+
+// The counting-sort transpose equals the triplet-built one bit for bit:
+// rectangular shapes both ways, empty rows and columns, and no entries.
+TEST(CsrMatrixTest, TransposedEqualsTripletTranspose) {
+  Rng rng(6);
+  for (const auto& [rows, cols, nnz] :
+       {std::tuple{7, 19, 40}, std::tuple{23, 5, 60}, std::tuple{9, 9, 0},
+        std::tuple{0, 4, 0}, std::tuple{4, 0, 0}}) {
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+    std::vector<Triplet> triplets;
+    for (int i = 0; i < nnz; ++i) {
+      // Rows 0 mod 3 and columns 0 mod 4 stay empty.
+      const int r = static_cast<int>(rng.UniformInt(rows));
+      const int c = static_cast<int>(rng.UniformInt(cols));
+      if (r % 3 == 0 || c % 4 == 0) continue;
+      triplets.push_back({r, c, rng.Normal()});
+    }
+    const CsrMatrix m = CsrMatrix::FromTriplets(rows, cols, triplets);
+    std::vector<Triplet> flipped;
+    for (int r = 0; r < m.rows(); ++r) {
+      for (int64_t k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k) {
+        flipped.push_back({m.col_idx()[k], r, m.values()[k]});
+      }
+    }
+    ExpectSameCsr(CsrMatrix::FromTriplets(cols, rows, flipped), m.Transposed());
+  }
+}
+
 TEST(CsrMatrixTest, MultiplyAccumAddsScaled) {
   const CsrMatrix m = CsrMatrix::FromTriplets(2, 2, {{0, 0, 1.0}, {1, 1, 2.0}});
   const Matrix x = Matrix::FromRows({{1, 1}, {1, 1}});
