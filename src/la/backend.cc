@@ -16,9 +16,11 @@ namespace ppfr::la {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Naive kernels. These are the original seed loops, kept verbatim: they are
-// the ReferenceBackend (correctness oracle), and the ParallelBackend's narrow
-// register tiles reproduce their rounding sequence bit for bit.
+// Naive kernels. These are the original seed loops: they are the
+// ReferenceBackend (correctness oracle), and the ParallelBackend's narrow
+// register tiles reproduce their rounding sequence bit for bit. Their
+// multiply-adds go through MulAdd, like the tiles', so the two agree at every
+// optimisation level, not only where the compiler contracts `c += a * b`.
 // ---------------------------------------------------------------------------
 
 void NaiveGemm(const Matrix& a, const Matrix& b, Matrix* out) {
@@ -31,7 +33,7 @@ void NaiveGemm(const Matrix& a, const Matrix& b, Matrix* out) {
       const double aik = a_row[k];
       if (aik == 0.0) continue;
       const double* b_row = b.row(k);
-      for (int j = 0; j < b.cols(); ++j) out_row[j] += aik * b_row[j];
+      for (int j = 0; j < b.cols(); ++j) out_row[j] = MulAdd(aik, b_row[j], out_row[j]);
     }
   }
 }
@@ -45,7 +47,7 @@ void NaiveGemmTransA(const Matrix& a, const Matrix& b, Matrix* out) {
       const double aki = a_row[i];
       if (aki == 0.0) continue;
       double* out_row = out->row(i);
-      for (int j = 0; j < b.cols(); ++j) out_row[j] += aki * b_row[j];
+      for (int j = 0; j < b.cols(); ++j) out_row[j] = MulAdd(aki, b_row[j], out_row[j]);
     }
   }
 }
@@ -80,7 +82,7 @@ void NaiveSpmmAccumRows(const CsrMatrix& a, const Matrix& x, double alpha, Matri
     for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
       const double w = alpha * values[k];
       const double* x_row = x.row(col_idx[k]);
-      for (int j = 0; j < n; ++j) out_row[j] += w * x_row[j];
+      for (int j = 0; j < n; ++j) out_row[j] = MulAdd(w, x_row[j], out_row[j]);
     }
   }
 }
@@ -113,7 +115,7 @@ void SerialGemmTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* out,
       const double ari = a_row[i];
       if (ari == 0.0) continue;
       double* out_row = out->row(i);
-      for (int j = 0; j < g.cols(); ++j) out_row[j] += ari * g_row[j];
+      for (int j = 0; j < g.cols(); ++j) out_row[j] = MulAdd(ari, g_row[j], out_row[j]);
     }
   }
 }
@@ -135,7 +137,7 @@ void SerialSpmmAccumRows(const CsrMatrix& a, const Matrix& x, double alpha,
       if (masked && !x_row_nonzero[c]) continue;
       const double w = alpha * values[k];
       const double* x_row = x.row(c);
-      for (int j = 0; j < n; ++j) out_row[j] += w * x_row[j];
+      for (int j = 0; j < n; ++j) out_row[j] = MulAdd(w, x_row[j], out_row[j]);
     }
   }
 }
@@ -198,20 +200,27 @@ constexpr int64_t kReduceBlock = 4096;             // deterministic partial sums
 
 void ScalarMicroKernel(const double* ap, const double* bp, int kb, double* out,
                        int64_t out_stride, int mr, int nr) {
-  // The kMr*kNr accumulators live in registers; the jr loop is the SIMD
-  // dimension (auto-vectorized under -march=native).
-  double acc[kMr * kNr] = {0.0};
+  // The kMr*kNr accumulators live in registers, one array per tile row, and
+  // the j loops are the SIMD dimension (auto-vectorized under -march=native).
+  // GCC vectorises this shape only with the A values loaded into locals
+  // first; a single 2-D array, or av[ir] read inside the loops, gets
+  // shuffles or scalar fmas. Within one k panel each element is the
+  // reference loop's MulAdd chain.
+  static_assert(kMr == 4, "ScalarMicroKernel holds one accumulator array per tile row");
+  double c0[kNr] = {}, c1[kNr] = {}, c2[kNr] = {}, c3[kNr] = {};
   for (int kk = 0; kk < kb; ++kk) {
     const double* av = ap + static_cast<size_t>(kk) * kMr;
     const double* bv = bp + static_cast<size_t>(kk) * kNr;
-    for (int ir = 0; ir < kMr; ++ir) {
-      const double aik = av[ir];
-      for (int jr = 0; jr < kNr; ++jr) acc[ir * kNr + jr] += aik * bv[jr];
-    }
+    const double a0 = av[0], a1 = av[1], a2 = av[2], a3 = av[3];
+    for (int j = 0; j < kNr; ++j) c0[j] = MulAdd(a0, bv[j], c0[j]);
+    for (int j = 0; j < kNr; ++j) c1[j] = MulAdd(a1, bv[j], c1[j]);
+    for (int j = 0; j < kNr; ++j) c2[j] = MulAdd(a2, bv[j], c2[j]);
+    for (int j = 0; j < kNr; ++j) c3[j] = MulAdd(a3, bv[j], c3[j]);
   }
+  const double* const acc[kMr] = {c0, c1, c2, c3};
   for (int ir = 0; ir < mr; ++ir) {
     double* out_row = out + ir * out_stride;
-    for (int jr = 0; jr < nr; ++jr) out_row[jr] += acc[ir * kNr + jr];
+    for (int jr = 0; jr < nr; ++jr) out_row[jr] += acc[ir][jr];
   }
 }
 
@@ -222,7 +231,7 @@ double ScalarDot(const double* a, const double* b, int64_t n) {
 }
 
 void ScalarAxpy(double alpha, const double* x, double* y, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+  for (int64_t i = 0; i < n; ++i) y[i] = MulAdd(alpha, x[i], y[i]);
 }
 
 void ScalarScale(double alpha, double* x, int64_t n) {
@@ -365,8 +374,7 @@ LeafKernels SimdLeafKernels() {
 // into zero-padded kNr-wide k-major panels.
 //
 // Each output element starts at +0 and takes one MulAdd per k in ascending
-// order — the naive loops' rounding sequence — and the thread split only
-// decides which thread computes a row block. NaiveGemm and NaiveGemmTransA
+// order: the naive loops' rounding sequence. NaiveGemm and NaiveGemmTransA
 // also skip zero multipliers. Here a zero multiplier adds ±0 to an
 // accumulator that started at +0 and so is never -0, which leaves it
 // unchanged: for finite operands the bits agree. A non-finite b under a zero
@@ -386,6 +394,25 @@ struct TileOperand {
     return data + (k_rows != nullptr ? k_rows[kk] : kk) * k_stride;
   }
 };
+
+// Packs k-rows [k0, k0 + kc) and columns [j0, j0 + n) of a right operand
+// with unit column stride into ceil(n / nr) zero-padded, k-major panels nr
+// columns wide: the layout the narrow tiles and the GEMM micro-kernels
+// stream.
+void PackPanels(const TileOperand& b, int k0, int kc, int j0, int n, int nr,
+                std::vector<double>* panels) {
+  PPFR_DCHECK_EQ(b.stride, 1);
+  const int num_panels = (n + nr - 1) / nr;
+  panels->assign(static_cast<size_t>(num_panels) * kc * nr, 0.0);
+  for (int p = 0; p < num_panels; ++p) {
+    double* dst = panels->data() + static_cast<size_t>(p) * kc * nr;
+    const int valid = std::min(nr, n - p * nr);
+    for (int kk = 0; kk < kc; ++kk) {
+      const double* src = b.KRow(k0 + kk) + j0 + p * nr;
+      for (int j = 0; j < valid; ++j) dst[kk * nr + j] = src[j];
+    }
+  }
+}
 
 // out rows [i0, i0 + mr) x columns [0, nr) of one panel, overwritten or
 // (accumulate) added to: accumulating starts each element's chain at its
@@ -417,19 +444,43 @@ void NarrowTile(const TileOperand& a, int i0, int mr, int k, const double* panel
   for (int ir = 0; ir < mr; ++ir) std::copy_n(acc[ir], nr, out + ir * out_stride);
 }
 
-// Packs k-rows [k0, k0 + kc) of the right operand `b` (n columns) into
-// ceil(n / kNr) zero-padded k-major panels of width kNr.
-void PackNarrowPanels(const TileOperand& b, int k0, int kc, int n,
-                      std::vector<double>* panels) {
+// out = a·b (out += a·b when accumulating) on the tiles; a is m x k and b is
+// k x n. The inner dimension is walked in chunks of kKc, packing a chunk's
+// panels (and, for a row list, gathering its rows of a) into scratch; every
+// chunk after the first continues the chains from out, which keeps the bits
+// and bounds the scratch. It runs on the calling thread, like the naive
+// loops it replaces: a row split across the pool lost or tied on the
+// paper's shapes and gained nothing measurable on the scale workloads
+// (EXPERIMENTS.md, "Narrow training kernels").
+void NarrowProduct(const TileOperand& a, int m, int k, const TileOperand& b, int n,
+                   Matrix* out, bool accumulate = false) {
+  if (m == 0 || n == 0) return;
   const int num_panels = (n + kNr - 1) / kNr;
-  panels->assign(static_cast<size_t>(num_panels) * kc * kNr, 0.0);
-  for (int kk = 0; kk < kc; ++kk) {
-    const double* src = b.KRow(k0 + kk);
-    for (int j = 0; j < n; ++j) {
-      const size_t panel = static_cast<size_t>(j / kNr);
-      (*panels)[(panel * kc + kk) * kNr + j % kNr] = src[j * b.stride];
+  std::vector<double> panels, a_rows;
+  int k0 = 0;
+  do {
+    const int kc = std::min(kKc, k - k0);
+    PackPanels(b, k0, kc, 0, n, kNr, &panels);
+    TileOperand left{a.data + k0 * a.k_stride, a.stride, a.k_stride};
+    if (a.k_rows != nullptr) {
+      a_rows.resize(static_cast<size_t>(kc) * m);
+      for (int kk = 0; kk < kc; ++kk) {
+        const double* src = a.KRow(k0 + kk);
+        double* dst = a_rows.data() + static_cast<size_t>(kk) * m;
+        for (int i = 0; i < m; ++i) dst[i] = src[i * a.stride];
+      }
+      left = {a_rows.data(), 1, m};
     }
-  }
+    for (int i0 = 0; i0 < m; i0 += kMr) {
+      const int mr = std::min(kMr, m - i0);
+      for (int p = 0; p < num_panels; ++p) {
+        const double* panel = panels.data() + static_cast<size_t>(p) * kc * kNr;
+        NarrowTile(left, i0, mr, kc, panel, out->row(i0) + p * kNr, n,
+                   std::min(kNr, n - p * kNr), accumulate || k0 > 0);
+      }
+    }
+    k0 += kKc;
+  } while (k0 < k);
 }
 
 // ---------------------------------------------------------------------------
@@ -665,10 +716,9 @@ class ParallelBackend : public Backend {
   // Support-guided kernels. `rows` entries are distinct (they are nonzero-row
   // supports), so partitioning the row list hands each worker disjoint output
   // rows. Per-element summation order never depends on the partition: the
-  // TransB variant is a sum of whole-row dot products, the SpMM variant walks
-  // k in CSR order within a row, and the TransA variant (whose output rows
-  // are shared across `rows`) is partitioned over output *columns* instead,
-  // with every worker walking `rows` in list order.
+  // TransB variant is a sum of whole-row dot products and the SpMM variant
+  // walks k in CSR order within a row. The TransA variant, whose output rows
+  // are shared across `rows`, runs on the narrow tiles on the calling thread.
 
   void GemmTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,
                            const std::vector<int>& rows) const override {
@@ -761,56 +811,6 @@ class ParallelBackend : public Backend {
   }
 
  private:
-  // out = a·b (out += a·b when accumulating) on the narrow register tiles;
-  // a is m x k and b is k x n. Above the work cutoff the row blocks are
-  // split across the pool; each output element is still computed whole by
-  // one thread, so the bits do not depend on the split. Each thread walks
-  // the inner dimension in chunks of kKc, packing a chunk's panels (and, for
-  // a row list, gathering its rows of a) into its own scratch; every chunk
-  // after the first continues the chains from out, which keeps the bits and
-  // bounds the scratch.
-  void NarrowProduct(const TileOperand& a, int m, int k, const TileOperand& b, int n,
-                     Matrix* out, bool accumulate = false) const {
-    if (m == 0 || n == 0) return;
-    const int num_panels = (n + kNr - 1) / kNr;
-    const auto run = [&](int64_t blk0, int64_t blk1) {
-      std::vector<double> panels, a_rows;
-      int k0 = 0;
-      do {
-        const int kc = std::min(kKc, k - k0);
-        PackNarrowPanels(b, k0, kc, n, &panels);
-        TileOperand left{a.data + k0 * a.k_stride, a.stride, a.k_stride};
-        if (a.k_rows != nullptr) {
-          a_rows.resize(static_cast<size_t>(kc) * m);
-          for (int kk = 0; kk < kc; ++kk) {
-            const double* src = a.KRow(k0 + kk);
-            double* dst = a_rows.data() + static_cast<size_t>(kk) * m;
-            for (int i = 0; i < m; ++i) dst[i] = src[i * a.stride];
-          }
-          left = {a_rows.data(), 1, m};
-        }
-        for (int64_t blk = blk0; blk < blk1; ++blk) {
-          const int i0 = static_cast<int>(blk) * kMr;
-          const int mr = std::min(kMr, m - i0);
-          for (int p = 0; p < num_panels; ++p) {
-            const double* panel = panels.data() + static_cast<size_t>(p) * kc * kNr;
-            NarrowTile(left, i0, mr, kc, panel, out->row(i0) + p * kNr, n,
-                       std::min(kNr, n - p * kNr), accumulate || k0 > 0);
-          }
-        }
-        k0 += kKc;
-      } while (k0 < k);
-    };
-    const int64_t blocks = (m + kMr - 1) / kMr;
-    const int64_t block_work = static_cast<int64_t>(kMr) * n * std::max(k, 1);
-    if (blocks * block_work < kGemmSerialCutoff) {
-      run(0, blocks);
-      return;
-    }
-    pool_.ParallelFor(0, blocks, std::max<int64_t>(1, kGemmSerialCutoff / block_work),
-                      run);
-  }
-
   // Runs a fused update+square-reduce leaf over the VDot reduce-block grid
   // and sums the partials in block order (the VDot determinism scheme).
   template <typename BlockFn>
@@ -862,21 +862,12 @@ class ParallelBackend : public Backend {
     std::vector<double> bpack;
     for (int jc = 0; jc < n; jc += kNc) {
       const int nc = std::min(kNc, n - jc);
-      const int ncp = static_cast<int>(RoundUp(nc, nrp));
+      const int64_t num_p_panels = (nc + nrp - 1) / nrp;
       for (int kc = 0; kc < k; kc += kKc) {
         const int kb = std::min(kKc, k - kc);
-        bpack.assign(static_cast<size_t>(kb) * ncp, 0.0);
-        for (int p = 0; p < ncp / nrp; ++p) {
-          double* dst = bpack.data() + static_cast<size_t>(p) * kb * nrp;
-          const int valid = std::min(nrp, nc - p * nrp);
-          for (int kk = 0; kk < kb; ++kk) {
-            const double* b_row = b.row(kc + kk) + jc + p * nrp;
-            for (int j = 0; j < valid; ++j) dst[kk * nrp + j] = b_row[j];
-          }
-        }
+        PackPanels({b.data(), 1, b.cols()}, kc, kb, jc, nc, nrp, &bpack);
 
         const int64_t num_ic_blocks = (m + kMc - 1) / kMc;
-        const int64_t num_p_panels = ncp / nrp;
         if (num_ic_blocks >= pool_.num_threads() || num_ic_blocks >= num_p_panels) {
           // Tall m: partition row blocks across threads, each packing its own
           // A panels.

@@ -16,13 +16,14 @@ class Flags;
 
 namespace ppfr::la {
 
-// c + a·b with the rounding the compiler gives the reference loops'
-// `c += a * b`: one fused rounding where the target has FMA (their
-// contracted form), a product and a sum otherwise. The register-tiled
-// kernels write every element update through this so they keep the naive
-// loops' bits even where the vectoriser would split a plain `+=` into
-// separate products and adds. It is never an unconditional std::fma, which
-// is a libm call on targets without the instruction.
+// c + a·b: one fused rounding where the target has FMA, a product and a sum
+// otherwise. That is what GCC's contraction makes of `c += a * b` at -O2 and
+// above, but it contracts nothing at -O0 or -O1, and the vectoriser may
+// split a plain `+=` into separate products and adds. So every loop whose
+// bits another kernel must reproduce (the reference loops and the register
+// tiles that match them) writes its updates through this instead. It is
+// never an unconditional std::fma, which is a libm call on targets without
+// the instruction.
 inline double MulAdd(double a, double b, double c) {
 #ifdef __FMA__
   return std::fma(a, b, c);

@@ -268,7 +268,8 @@ void ExpectBitwiseReferenceAndThreadInvariant(const std::function<Matrix()>& com
 
 // The paper's products: n nodes x inner (16 or 32 hidden) against a narrow
 // side of 3, 6 or 7 classes, plus the square outputs of 16 and 32. Row
-// counts hit the 4-row tile tails and the threaded split (1,320 and 3,000).
+// counts hit the 4-row tile tails and the products above the work cutoff
+// (1,320 and 3,000).
 // Two shapes leave the narrow path for the blocked GEMM and so only match
 // within the parity tolerance: a weight gradient at least 8 wide over more
 // than one 256-row cache panel (the panels' partial sums are added), and a
