@@ -11,106 +11,35 @@
 // an empty or '*' component means the default grid for that axis. All names
 // are matched exactly and die with the valid list on a typo.
 //
-// Fleet mode (see EXPERIMENTS.md "fleet protocol"):
-//   ./bench_runner --scenarios=smoke --shard=0/3 --shard_dir=shards
-//       --run_cache_dir=cache        # one process per shard, any machines
-//   ./bench_runner --scenarios=smoke --merge=shards --stable_artifact
-// Each shard journals to shards/shard-<i>of<N>.journal and writes a
-// BENCH_<name>.shard-<i>of<N>.json artifact; a SIGKILL'd shard re-runs with
-// --resume added. --merge reassembles the full artifact from the journals:
-// exit 0 and a bitwise-unsharded artifact when every shard arrived, exit 3
-// with missing_shards/missing_cells/conflicting_cells reported when
-// degraded. SIGTERM/SIGINT on a running sweep stops gracefully: in-flight
-// cells finish and journal, the artifact is written with interrupted:true,
-// and the exit code is 4.
+// SIGTERM/SIGINT on a running sweep stops gracefully: in-flight cells
+// finish, the artifact is written with interrupted:true, and the exit code
+// is 4. A stopped or killed sweep is recovered by re-running the same
+// command against the same --run_cache_dir: every stage the first run
+// persisted loads from disk, and the rest compute.
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "runner/shard_merge.h"
-
-namespace {
-
-// --merge=DIR mode: no cells run; the sweep definition (same flags as the
-// shard runs) pins the grid and the journals supply the results.
-int RunMergeMode(const ppfr::Flags& flags, const ppfr::runner::Sweep& sweep) {
-  using namespace ppfr;
-  const std::string dir = flags.GetString("merge", "");
-  if (dir.empty() || dir == "true") {
-    std::fprintf(stderr, "--merge wants the shard directory (e.g. --merge=shards)\n");
-    return bench::kExitUsage;
-  }
-  if (flags.Has("shard") || flags.Has("journal") || flags.GetBool("resume", false)) {
-    std::fprintf(stderr, "--merge cannot be combined with --shard/--journal/--resume\n");
-    return bench::kExitUsage;
-  }
-  runner::ShardMergeOptions options;
-  options.shard_dir = dir;
-  options.env_seed = flags.GetUint64("env_seed", core::kDefaultEnvSeed);
-  runner::ShardMergeReport report;
-  const runner::SweepResult result = runner::MergeShards(sweep, options, &report);
-  bench::EmitArtifact(flags, result);
-
-  std::printf("merged %zu of %d shard journal(s): %zu cells",
-              report.present_shards.size(), report.shard_count,
-              result.cells.size());
-  if (report.complete) {
-    std::printf(", complete\n");
-    return 0;
-  }
-  std::printf(", DEGRADED —");
-  if (!result.missing_shards.empty()) {
-    std::printf(" missing shards:");
-    for (int s : result.missing_shards) std::printf(" %d", s);
-    std::printf(" (re-run them against the same --shard_dir, then merge again);");
-  }
-  std::printf(" %lld missing cell(s), %lld conflicting cell(s)\n",
-              static_cast<long long>(result.missing_cells),
-              static_cast<long long>(result.conflicting_cells));
-  return bench::kExitDegradedMerge;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ppfr;
   Flags flags(argc, argv);
-  bench::RequireKnownFlags(
-      flags, {"scenarios", "grid", "journal", "resume", "shard", "shard_dir",
-              "merge", "cache_gc_bytes", "cache_gc_age_s"});
+  bench::RequireKnownFlags(flags, {"scenarios", "grid"});
   la::ConfigureBackendFromFlags(flags);
 
   runner::Sweep sweep = runner::SweepFromFlags(flags, /*default_name=*/"smoke");
   runner::ApplyCommonOverrides(flags, &sweep);
 
   bench::PreflightOutputPaths(flags);
-  if (flags.Has("merge")) return RunMergeMode(flags, sweep);
-
   runner::RunnerOptions opts = bench::RunnerOptionsFromFlags(flags);
-  const bench::ShardSpec shard = bench::ShardFromFlags(flags);
-  std::string artifact_suffix;
-  if (shard.count > 1) {
-    opts.shard_index = shard.index;
-    opts.shard_count = shard.count;
-    opts.journal_path =
-        shard.dir + "/" + runner::ShardJournalFilename(shard.index, shard.count);
-    artifact_suffix = ".shard-" + std::to_string(shard.index) + "of" +
-                      std::to_string(shard.count);
-  }
   opts.stop = bench::InstallGracefulStop();
 
-  std::printf("sweep %s — %s (%zu cells%s)\n\n", sweep.name.c_str(),
-              sweep.title.c_str(),
-              runner::ExpandCells(sweep).size(),
-              shard.count > 1
-                  ? (", shard " + std::to_string(shard.index) + "/" +
-                     std::to_string(shard.count))
-                        .c_str()
-                  : "");
+  std::printf("sweep %s — %s (%zu cells)\n\n", sweep.name.c_str(),
+              sweep.title.c_str(), runner::ExpandCells(sweep).size());
 
   runner::RunCache cache(bench::RunCacheDir(flags));
   const runner::SweepResult result = runner::RunSweep(sweep, &cache, opts);
-  bench::EmitArtifact(flags, result, artifact_suffix);
+  bench::EmitArtifact(flags, result);
 
   TablePrinter table({"Dataset", "Model", "Cell", "Seed", "Acc%", "Bias",
                       "Risk AUC", "dAcc%", "dBias%", "dRisk%", "D", "sec"});
@@ -138,9 +67,8 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  if (result.failed_cells > 0 || result.resumed_cells > 0) {
-    std::printf("\n%lld cell(s) resumed from the journal, %lld FAILED",
-                static_cast<long long>(result.resumed_cells),
+  if (result.failed_cells > 0) {
+    std::printf("\n%lld cell(s) FAILED",
                 static_cast<long long>(result.failed_cells));
     for (const runner::CellResult& cell : result.cells) {
       if (!cell.failed) continue;
@@ -188,11 +116,9 @@ int main(int argc, char** argv) {
                              stats.pp_context.disk_hits + stats.fr.disk_hits +
                              stats.cell.disk_hits));
 
-  bench::MaybeRunCacheGc(flags, cache);
-
   if (result.interrupted) {
-    std::printf("sweep interrupted: %lld cell(s) skipped — resume with the "
-                "same journal to finish\n",
+    std::printf("sweep interrupted: %lld cell(s) skipped — re-run against the "
+                "same --run_cache_dir to finish\n",
                 static_cast<long long>(result.skipped_cells));
     return bench::kExitInterrupted;
   }

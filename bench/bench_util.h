@@ -26,18 +26,15 @@
 #include "core/methods.h"
 #include "la/backend.h"
 #include "runner/runner.h"
-#include "runner/shard_merge.h"
 
 namespace ppfr::bench {
 
-// Exit-code contract of the runner-driven binaries. 0 = clean completion
-// (including a COMPLETE merge); 2 = usage error (the long-standing repo
-// convention); the fleet codes are distinct so a driver script can tell
-// "re-run the missing shard and merge again" from "a signal stopped this
-// shard, resume it" without parsing output.
+// Exit-code contract of the runner-driven binaries. 0 = clean completion;
+// 2 = usage error (the long-standing repo convention); 4 = a signal stopped
+// the sweep, so a driver script knows to re-run it against the same
+// --run_cache_dir without parsing output.
 inline constexpr int kExitUsage = 2;
-inline constexpr int kExitDegradedMerge = 3;  // merge wrote a partial artifact
-inline constexpr int kExitInterrupted = 4;    // SIGTERM/SIGINT stopped the sweep
+inline constexpr int kExitInterrupted = 4;  // SIGTERM/SIGINT stopped the sweep
 
 // Flags every runner-driven bench binary understands.
 inline std::vector<std::string> CommonFlagNames() {
@@ -91,57 +88,10 @@ inline void RequireKnownFlags(const Flags& flags,
   RejectUnknownFlags(flags, known);
 }
 
-// Parsed --shard=i/N + --shard_dir=DIR (bench_runner only). count == 1 means
-// unsharded. A sharded run's journal is ALWAYS the canonical
-// DIR/shard-<i>of<N>.journal — an explicit --journal is rejected, because
-// the merge discovers shards purely by that naming contract and a renamed
-// journal would silently drop its shard from every future merge.
-struct ShardSpec {
-  int index = 0;
-  int count = 1;
-  std::string dir;
-};
-
-inline ShardSpec ShardFromFlags(const Flags& flags) {
-  ShardSpec spec;
-  if (!flags.Has("shard")) {
-    if (flags.Has("shard_dir")) {
-      std::fprintf(stderr, "--shard_dir only makes sense with --shard=i/N\n");
-      std::exit(kExitUsage);
-    }
-    return spec;
-  }
-  const std::string raw = flags.GetString("shard", "");
-  char tail = '\0';
-  if (std::sscanf(raw.c_str(), "%d/%d%c", &spec.index, &spec.count, &tail) != 2 ||
-      spec.count < 1 || spec.index < 0 || spec.index >= spec.count) {
-    std::fprintf(stderr,
-                 "--shard wants i/N with 0 <= i < N (e.g. --shard=0/3), got "
-                 "'%s'\n",
-                 raw.c_str());
-    std::exit(kExitUsage);
-  }
-  spec.dir = flags.GetString("shard_dir", "");
-  if (spec.dir.empty() || spec.dir == "true") {
-    std::fprintf(stderr,
-                 "--shard=i/N needs --shard_dir=DIR (where the shard journals "
-                 "and per-shard artifacts live)\n");
-    std::exit(kExitUsage);
-  }
-  if (flags.Has("journal")) {
-    std::fprintf(stderr,
-                 "--journal cannot be combined with --shard: a shard's journal "
-                 "is always <shard_dir>/%s so --merge can discover it\n",
-                 runner::ShardJournalFilename(spec.index, spec.count).c_str());
-    std::exit(kExitUsage);
-  }
-  return spec;
-}
-
 // Installs SIGTERM/SIGINT handlers for a graceful sweep stop and returns the
 // flag to hand to RunnerOptions::stop: the first signal sets the flag (cells
-// not yet started are skipped, in-flight cells finish and journal, the
-// binary writes an `interrupted:true` artifact and exits kExitInterrupted);
+// not yet started are skipped, in-flight cells finish, the binary writes an
+// `interrupted:true` artifact and exits kExitInterrupted);
 // SA_RESETHAND restores the default disposition, so a SECOND signal kills
 // the process immediately — an operator double-Ctrl-C must never be argued
 // with. Async-signal-safe: the handler only stores to a lock-free atomic.
@@ -162,82 +112,35 @@ inline runner::RunnerOptions RunnerOptionsFromFlags(const Flags& flags) {
   opts.threads = flags.GetInt("runner_threads", 1);
   opts.env_seed = flags.GetUint64("env_seed", core::kDefaultEnvSeed);
   opts.max_cell_retries = flags.GetInt("cell_retries", opts.max_cell_retries);
-  // --journal/--resume are only in bench_runner's known-flag list: bespoke
-  // table benches post-process cell.run->model, which a journal-restored cell
-  // does not carry, so they reject the flags as unknown instead of crashing.
-  if (flags.Has("journal")) {
-    const std::string path = flags.GetString("journal", "");
-    if (path.empty() || path == "true") {
-      std::fprintf(stderr,
-                   "--journal wants a file path "
-                   "(e.g. --journal=sweep.journal)\n");
-      std::exit(2);
-    }
-    opts.journal_path = path;
-  }
-  opts.resume = flags.GetBool("resume", false);
-  // A sharded run's journal path is derived from --shard_dir AFTER this
-  // parse (see ShardFromFlags), so --resume is valid there too.
-  if (opts.resume && opts.journal_path.empty() && !flags.Has("shard")) {
-    std::fprintf(stderr,
-                 "--resume needs --journal=<path> (or --shard=i/N "
-                 "--shard_dir=DIR) to replay from\n");
-    std::exit(kExitUsage);
-  }
   return opts;
 }
 
-// Fails fast, BEFORE any training runs, if an output location the run will
-// eventually write to is not writable: --json_dir (artifact) and the
-// --journal parent directory. Probes by creating the directory and atomically
-// writing + removing a scratch file — the same code path the real writes
-// take. A sweep that trains for an hour and then dies on its artifact write
-// is the failure mode this removes.
+// Fails fast, BEFORE any training runs, if a location the run will write to
+// is not writable: --json_dir (artifact) and the run cache dir, whether set
+// by --run_cache_dir or PPFR_RUN_CACHE_DIR. Probes by creating the directory
+// and atomically writing + removing a scratch file — the same code path the
+// real writes take. A sweep that trains for an hour and then dies on its
+// artifact write, or that persists nothing it trained, is the failure mode
+// this removes: a requested-but-unusable cache must not silently degrade.
 inline void PreflightOutputPaths(const Flags& flags) {
-  const auto probe_dir = [](const std::string& dir, const char* what) {
+  const auto probe_dir = [](const std::string& dir, const std::string& what) {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);  // ok if it already exists
     const std::string probe =
         (std::filesystem::path(dir) / ".ppfr_preflight").string();
     std::string error;
     if (!WriteFileAtomic(probe, "probe", &error)) {
-      std::fprintf(stderr, "%s '%s' is not writable: %s\n", what, dir.c_str(),
-                   error.c_str());
-      std::exit(2);
+      std::fprintf(stderr, "%s '%s' is not writable: %s\n", what.c_str(),
+                   dir.c_str(), error.c_str());
+      std::exit(kExitUsage);
     }
     std::remove(probe.c_str());
   };
   probe_dir(flags.GetString("json_dir", "."), "--json_dir");
-  if (flags.Has("journal")) {
-    const std::filesystem::path parent =
-        std::filesystem::path(flags.GetString("journal", "")).parent_path();
-    probe_dir(parent.empty() ? "." : parent.string(), "--journal directory");
-  }
-  // The shard dir receives this shard's journal AND its per-shard artifact;
-  // the merge dir must at least exist before we bother resolving the sweep.
-  if (flags.Has("shard_dir")) {
-    const std::string dir = flags.GetString("shard_dir", "");
-    if (!dir.empty() && dir != "true") probe_dir(dir, "--shard_dir");
-  }
-  if (flags.Has("merge")) {
-    const std::string dir = flags.GetString("merge", "");
-    std::error_code ec;
-    if (!dir.empty() && dir != "true" && !std::filesystem::is_directory(dir, ec)) {
-      std::fprintf(stderr, "--merge directory '%s' does not exist\n", dir.c_str());
-      std::exit(kExitUsage);
-    }
-  }
-  // A GC request writes the cache index file into the cache dir at sweep
-  // end; an unwritable index must die NOW, not after the training finished.
-  if (flags.Has("cache_gc_bytes") || flags.Has("cache_gc_age_s")) {
-    const std::string cache_dir = RunCacheDir(flags);
-    if (cache_dir.empty()) {
-      std::fprintf(stderr,
-                   "--cache_gc_bytes/--cache_gc_age_s need --run_cache_dir "
-                   "(there is no disk cache to collect)\n");
-      std::exit(kExitUsage);
-    }
-    probe_dir(cache_dir, "--run_cache_dir (cache GC index)");
+  const std::string cache_dir = RunCacheDir(flags);
+  if (!cache_dir.empty()) {
+    probe_dir(cache_dir, flags.Has("run_cache_dir") ? "--run_cache_dir"
+                                                    : "PPFR_RUN_CACHE_DIR");
   }
 }
 
@@ -260,11 +163,9 @@ inline runner::Sweep BenchSweep(const Flags& flags, const std::string& name) {
 // files). Every bench that writes an artifact must come through here so the
 // flag is never silently ignored.
 inline std::string EmitArtifact(const Flags& flags,
-                                const runner::SweepResult& result,
-                                const std::string& filename_suffix = "") {
+                                const runner::SweepResult& result) {
   runner::ArtifactOptions artifact;
   artifact.stable = flags.GetBool("stable_artifact", false);
-  artifact.filename_suffix = filename_suffix;
   const std::string path =
       runner::WriteArtifact(result, flags.GetString("json_dir", "."), artifact);
   std::printf("wrote %s\n", path.c_str());
@@ -283,7 +184,7 @@ inline std::string EmitArtifact(const Flags& flags,
 }
 
 // Runs the sweep and emits its artifact (see EmitArtifact). Output paths are
-// preflighted first so an unwritable --json_dir/--journal dies before any
+// preflighted first so an unwritable --json_dir or cache dir dies before any
 // cell trains.
 inline runner::SweepResult RunAndEmit(const Flags& flags, const runner::Sweep& sweep,
                                       runner::RunCache* cache) {
@@ -292,26 +193,6 @@ inline runner::SweepResult RunAndEmit(const Flags& flags, const runner::Sweep& s
       runner::RunSweep(sweep, cache, RunnerOptionsFromFlags(flags));
   EmitArtifact(flags, result);
   return result;
-}
-
-// Runs the size/age-bounded cache GC when --cache_gc_bytes / --cache_gc_age_s
-// were given (after the sweep, so this run's own entries carry fresh access
-// stamps and survive an LRU pass that evicts genuinely cold entries).
-// Misuse (no disk cache configured) already died in PreflightOutputPaths.
-inline void MaybeRunCacheGc(const Flags& flags, const runner::RunCache& cache) {
-  if (!flags.Has("cache_gc_bytes") && !flags.Has("cache_gc_age_s")) return;
-  runner::CacheStore::GcOptions gc;
-  gc.max_bytes = static_cast<int64_t>(flags.GetUint64("cache_gc_bytes", 0));
-  gc.max_age_seconds = static_cast<int64_t>(flags.GetUint64("cache_gc_age_s", 0));
-  const runner::CacheStore::GcResult r = cache.store().GarbageCollect(gc);
-  std::printf(
-      "cache gc: %lld of %lld entries evicted (%lld of %lld bytes), "
-      "%lld spared by live claims\n",
-      static_cast<long long>(r.evicted_entries),
-      static_cast<long long>(r.entries_before),
-      static_cast<long long>(r.evicted_bytes),
-      static_cast<long long>(r.bytes_before),
-      static_cast<long long>(r.kept_claimed));
 }
 
 // Distinct values of a Scenario field in first-appearance cell order.

@@ -11,9 +11,8 @@
 namespace ppfr::fault {
 namespace {
 
-constexpr const char* kKnownSites[] = {
-    kCacheStoreRead, kCacheStoreWrite, kCacheStoreClaim, kShardMergeRead,
-    kJournalReplay,  kStageCell,       kJournalAppend,   kTestSite};
+constexpr const char* kKnownSites[] = {kCacheStoreRead, kCacheStoreWrite,
+                                       kStageCell, kTestSite};
 
 bool IsKnownSite(const std::string& name) {
   for (const char* site : kKnownSites) {

@@ -5,7 +5,7 @@
 #include <string>
 
 // Deterministic fault injection for exercising the runner's recovery paths
-// (per-cell isolation, retry, journal resume) in tests and CI instead of
+// (per-cell isolation, retry, cache persistence) in tests and CI instead of
 // trusting them. Sites are named code locations that ask ShouldFail(site)
 // before doing their real work; the spec
 //
@@ -20,19 +20,10 @@
 namespace ppfr::fault {
 
 // The registered sites. Throwing sites raise RecoverableError(transient);
-// non-throwing sites degrade (a skipped persist, a dropped journal record).
+// the non-throwing site degrades (a skipped persist).
 inline constexpr const char* kCacheStoreRead = "cache_store.read";    // throws
 inline constexpr const char* kCacheStoreWrite = "cache_store.write";  // skips persist
-// Cross-process sites (the sharded-fleet hardening): a spuriously failing
-// claim-file create (the O_EXCL loses although nobody holds the claim — the
-// claimer re-enters its bounded poll loop), an unreadable shard journal
-// during --merge (the shard degrades to missing), and a journal record that
-// fails replay validation (that record and the tail after it recompute).
-inline constexpr const char* kCacheStoreClaim = "cache_store.claim";  // claim denied
-inline constexpr const char* kShardMergeRead = "shard.merge_read";    // shard skipped
-inline constexpr const char* kJournalReplay = "journal.replay";       // truncates replay
 inline constexpr const char* kStageCell = "stage.cell";               // throws
-inline constexpr const char* kJournalAppend = "journal.append";       // drops record
 inline constexpr const char* kTestSite = "test.site";  // tests only, no prod caller
 
 // True when any site is configured (cheap: one atomic load).

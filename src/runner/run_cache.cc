@@ -1,11 +1,9 @@
 #include "runner/run_cache.h"
 
-#include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <chrono>
 #include <cmath>
-#include <thread>
+#include <cstdio>
 
 #include "common/fault_injection.h"
 #include "common/recoverable.h"
@@ -198,70 +196,53 @@ V RunCache::GetOrCompute(std::unordered_map<uint64_t, std::shared_future<V>>* ma
 
 RunCache::RunCache(std::string persist_dir) : store_(std::move(persist_dir)) {}
 
-bool RunCache::LoadStage(const char* stage, uint64_t key, std::string* payload) const {
-  // The injected read fault models a disk read racing a concurrent writer or
-  // a transient I/O error: transient, so the cell retry loop recovers it.
-  if (store_.enabled() && fault::ShouldFail(fault::kCacheStoreRead)) {
-    throw RecoverableError(std::string("injected cache-store read fault (") +
-                               stage + " stage)",
-                           /*transient=*/true);
-  }
-  return store_.Load(stage, key, payload);
-}
-
-void RunCache::StoreStage(const char* stage, uint64_t key,
-                          const std::string& payload) const {
-  // A write fault degrades exactly like the real full-disk path in
-  // CacheStore::Store: the entry is simply not persisted (a later process
-  // recomputes it); the in-memory result is unaffected.
-  if (store_.enabled() && fault::ShouldFail(fault::kCacheStoreWrite)) {
-    std::fprintf(stderr,
-                 "run cache: injected cache-store write fault (%s stage, "
-                 "entry not persisted)\n",
-                 stage);
-    return;
-  }
-  store_.Store(stage, key, payload);
-}
-
 void RunCache::NoteDiskHit(StageStats* stats) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats->disk_hits;
 }
 
-void RunCache::ClaimedCompute(const char* stage, uint64_t key,
-                              const std::function<bool(bool)>& try_load,
-                              const std::function<void()>& compute) const {
-  if (try_load(/*faulted=*/true)) return;
-  if (!store_.enabled()) {
-    compute();
-    return;
-  }
-  int64_t backoff_ms = 2;
-  for (;;) {
-    if (store_.TryClaim(stage, key)) {
-      CacheStore::ClaimGuard guard(&store_, stage, key);
-      // Double-check under the claim: the previous claimant may have
-      // persisted the entry between our miss and our win.
-      if (try_load(/*faulted=*/false)) return;
-      compute();
-      return;
-      // ~guard releases the claim — including when compute() unwinds with a
-      // RecoverableError, so a failed compute never wedges the key for other
-      // processes until the staleness bound.
+template <typename T>
+std::shared_ptr<const T> RunCache::LoadOrCompute(
+    const char* stage, uint64_t key, StageStats* stats,
+    const std::function<bool(BinaryReader*, T*)>& decode,
+    const std::function<std::shared_ptr<const T>()>& compute,
+    const std::function<void(BinaryWriter*, const T&)>& encode) {
+  if (store_.enabled()) {
+    // The injected read fault models a disk read racing a concurrent writer
+    // or a transient I/O error: transient, so the cell retry loop recovers it.
+    if (fault::ShouldFail(fault::kCacheStoreRead)) {
+      throw RecoverableError(std::string("injected cache-store read fault (") +
+                                 stage + " stage)",
+                             /*transient=*/true);
     }
-    // Lost the claim race: the winner is computing this exact deterministic
-    // entry. Poll for it instead of double-training.
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-    backoff_ms = std::min<int64_t>(backoff_ms * 2, 50);
-    if (try_load(/*faulted=*/false)) return;
-    // No entry yet. A live claim means keep waiting; a stale one (dead pid,
-    // over the age bound) or none at all (claimant released without
-    // persisting — failed compute or failed write) means re-contend.
-    if (store_.ProbeClaim(stage, key) == CacheStore::ClaimState::kStale) {
-      store_.BreakClaim(stage, key);
+    std::string payload;
+    if (store_.Load(stage, key, &payload)) {
+      BinaryReader r(payload);
+      auto value = std::make_shared<T>();
+      if (decode(&r, value.get()) && r.AtEnd()) {
+        NoteDiskHit(stats);
+        return value;
+      }
+      // Architecture/shape drift inside a checksum-valid entry: fall through
+      // to the recompute, which overwrites it.
     }
   }
+  std::shared_ptr<const T> value = compute();
+  if (!store_.enabled()) return value;
+  // A write fault degrades exactly like the real full-disk path in
+  // CacheStore::Store: the entry is simply not persisted (a later process
+  // recomputes it); the in-memory result is unaffected.
+  if (fault::ShouldFail(fault::kCacheStoreWrite)) {
+    std::fprintf(stderr,
+                 "run cache: injected cache-store write fault (%s stage, "
+                 "entry not persisted)\n",
+                 stage);
+    return value;
+  }
+  BinaryWriter w;
+  encode(&w, *value);
+  store_.Store(stage, key, w.data());
+  return value;
 }
 
 std::shared_ptr<const core::ExperimentEnv> RunCache::Env(data::DatasetId id,
@@ -279,40 +260,23 @@ std::shared_ptr<const RunCache::VanillaStage> RunCache::VanillaStageFor(
   const uint64_t key = VanillaKey(kind, env, config);
   return GetOrCompute<std::shared_ptr<const VanillaStage>>(
       &vanilla_, key, &stats_.vanilla, [&] {
-        std::shared_ptr<const VanillaStage> result;
-        const auto try_load = [&](bool faulted) {
-          std::string payload;
-          if (!(faulted ? LoadStage("vanilla", key, &payload)
-                        : store_.Load("vanilla", key, &payload))) {
-            return false;
-          }
-          BinaryReader r(payload);
-          auto stage = std::make_shared<VanillaStage>();
-          stage->model = core::LoadModel(&r, kind, env, config.seed);
-          if (stage->model != nullptr && core::LoadEval(&r, &stage->eval) &&
-              r.AtEnd()) {
-            NoteDiskHit(&stats_.vanilla);
-            result = std::move(stage);
-            return true;
-          }
-          // Architecture/shape drift inside a checksum-valid entry: fall
-          // through to the recompute, which overwrites it.
-          return false;
-        };
-        ClaimedCompute("vanilla", key, try_load, [&] {
-          auto stage = std::make_shared<VanillaStage>();
-          stage->model =
-              core::TrainFresh(kind, env, env.ctx, config, /*lambda=*/0.0);
-          stage->eval = core::EvaluateModel(stage->model.get(), env.Eval());
-          if (store_.enabled()) {
-            BinaryWriter w;
-            core::SaveModel(&w, stage->model.get());
-            core::SaveEval(&w, stage->eval);
-            StoreStage("vanilla", key, w.data());
-          }
-          result = std::move(stage);
-        });
-        return result;
+        return LoadOrCompute<VanillaStage>(
+            "vanilla", key, &stats_.vanilla,
+            [&](BinaryReader* r, VanillaStage* stage) {
+              stage->model = core::LoadModel(r, kind, env, config.seed);
+              return stage->model != nullptr && core::LoadEval(r, &stage->eval);
+            },
+            [&] {
+              auto stage = std::make_shared<VanillaStage>();
+              stage->model =
+                  core::TrainFresh(kind, env, env.ctx, config, /*lambda=*/0.0);
+              stage->eval = core::EvaluateModel(stage->model.get(), env.Eval());
+              return stage;
+            },
+            [](BinaryWriter* w, const VanillaStage& stage) {
+              core::SaveModel(w, stage.model.get());
+              core::SaveEval(w, stage.eval);
+            });
       });
 }
 
@@ -339,33 +303,15 @@ std::shared_ptr<const nn::GraphContext> RunCache::ContextStage(
     const std::function<nn::GraphContext()>& compute) {
   return GetOrCompute<std::shared_ptr<const nn::GraphContext>>(
       map, key, stats, [&] {
-        std::shared_ptr<const nn::GraphContext> result;
-        const auto try_load = [&](bool faulted) {
-          std::string payload;
-          if (!(faulted ? LoadStage(stage, key, &payload)
-                        : store_.Load(stage, key, &payload))) {
-            return false;
-          }
-          BinaryReader r(payload);
-          auto ctx = std::make_shared<nn::GraphContext>();
-          if (core::LoadGraphContext(&r, env.dataset.data.features, ctx.get()) &&
-              r.AtEnd()) {
-            NoteDiskHit(stats);
-            result = std::move(ctx);
-            return true;
-          }
-          return false;
-        };
-        ClaimedCompute(stage, key, try_load, [&] {
-          auto ctx = std::make_shared<const nn::GraphContext>(compute());
-          if (store_.enabled()) {
-            BinaryWriter w;
-            core::SaveGraphStructure(&w, ctx->graph);
-            StoreStage(stage, key, w.data());
-          }
-          result = std::move(ctx);
-        });
-        return result;
+        return LoadOrCompute<nn::GraphContext>(
+            stage, key, stats,
+            [&](BinaryReader* r, nn::GraphContext* ctx) {
+              return core::LoadGraphContext(r, env.dataset.data.features, ctx);
+            },
+            [&] { return std::make_shared<const nn::GraphContext>(compute()); },
+            [](BinaryWriter* w, const nn::GraphContext& ctx) {
+              core::SaveGraphStructure(w, ctx.graph);
+            });
       });
 }
 
@@ -394,35 +340,16 @@ std::shared_ptr<const core::FrOutput> RunCache::FrWeights(
   const uint64_t key = FrKey(kind, env, config);
   return GetOrCompute<std::shared_ptr<const core::FrOutput>>(
       &fr_outputs_, key, &stats_.fr, [&] {
-        std::shared_ptr<const core::FrOutput> result;
-        const auto try_load = [&](bool faulted) {
-          std::string payload;
-          if (!(faulted ? LoadStage("fr", key, &payload)
-                        : store_.Load("fr", key, &payload))) {
-            return false;
-          }
-          BinaryReader r(payload);
-          auto fr = std::make_shared<core::FrOutput>();
-          if (core::LoadFrOutput(&r, fr.get()) && r.AtEnd()) {
-            NoteDiskHit(&stats_.fr);
-            result = std::move(fr);
-            return true;
-          }
-          return false;
-        };
-        ClaimedCompute("fr", key, try_load, [&] {
-          const std::unique_ptr<nn::GnnModel> model =
-              VanillaModel(kind, env, config);
-          auto fr = std::make_shared<const core::FrOutput>(
-              core::ComputeFr(model.get(), env, config));
-          if (store_.enabled()) {
-            BinaryWriter w;
-            core::SaveFrOutput(&w, *fr);
-            StoreStage("fr", key, w.data());
-          }
-          result = std::move(fr);
-        });
-        return result;
+        return LoadOrCompute<core::FrOutput>(
+            "fr", key, &stats_.fr,
+            [](BinaryReader* r, core::FrOutput* fr) { return core::LoadFrOutput(r, fr); },
+            [&] {
+              const std::unique_ptr<nn::GnnModel> model =
+                  VanillaModel(kind, env, config);
+              return std::make_shared<const core::FrOutput>(
+                  core::ComputeFr(model.get(), env, config));
+            },
+            [](BinaryWriter* w, const core::FrOutput& fr) { core::SaveFrOutput(w, fr); });
       });
 }
 
@@ -436,34 +363,18 @@ std::shared_ptr<const core::MethodRun> RunCache::CellRun(
           throw RecoverableError("injected stage.cell fault", /*transient=*/true);
         }
         const core::MethodConfig config = cell.ResolvedConfig();
-        std::shared_ptr<const core::MethodRun> result;
-        const auto try_load = [&](bool faulted) {
-          std::string payload;
-          if (!(faulted ? LoadStage("cell", key, &payload)
-                        : store_.Load("cell", key, &payload))) {
-            return false;
-          }
-          BinaryReader r(payload);
-          auto run = std::make_shared<core::MethodRun>();
-          if (core::LoadMethodRun(&r, cell.model, env, config.seed, run.get()) &&
-              r.AtEnd()) {
-            NoteDiskHit(&stats_.cell);
-            result = std::move(run);
-            return true;
-          }
-          return false;
-        };
-        ClaimedCompute("cell", key, try_load, [&] {
-          auto run = std::make_shared<core::MethodRun>(
-              core::RunMethod(cell.method, cell.model, env, config, this));
-          if (store_.enabled()) {
-            BinaryWriter w;
-            core::SaveMethodRun(&w, *run);
-            StoreStage("cell", key, w.data());
-          }
-          result = std::move(run);
-        });
-        return result;
+        return LoadOrCompute<core::MethodRun>(
+            "cell", key, &stats_.cell,
+            [&](BinaryReader* r, core::MethodRun* run) {
+              return core::LoadMethodRun(r, cell.model, env, config.seed, run);
+            },
+            [&] {
+              return std::make_shared<const core::MethodRun>(
+                  core::RunMethod(cell.method, cell.model, env, config, this));
+            },
+            [](BinaryWriter* w, const core::MethodRun& run) {
+              core::SaveMethodRun(w, run);
+            });
       },
       cache_hit);
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/serialize.h"
 #include "core/methods.h"
 #include "runner/cache_store.h"
 #include "runner/scenario.h"
@@ -17,8 +18,8 @@ namespace ppfr::runner {
 
 // Stable content hash for cache keys: FNV-1a over tagged field bytes. Keys
 // never involve addresses or iteration order, so the same logical inputs
-// hash identically in every process — a prerequisite for persisting or
-// sharding the cache later (golden-tested in tests/runner_test.cc).
+// hash identically in every process — a prerequisite for persisting the
+// cache across processes (golden-tested in tests/runner_test.cc).
 class KeyHasher {
  public:
   KeyHasher& Mix(uint64_t v);
@@ -61,11 +62,11 @@ class KeyHasher {
 // first try a disk load — so a SECOND PROCESS running the same sweep resumes
 // every trained model, DP/PP context, FR solve and whole cell from disk
 // (zero nn::Train calls, bitwise-identical artifacts; gated in
-// tests/runner_test.cc and the CI warm-cache leg). CONCURRENT processes
-// sharing one dir (sharded sweeps) additionally coordinate through
-// CacheStore claim files via ClaimedCompute, so a shared stage trains in
-// exactly one process fleet-wide while the rest wait for the entry (gated in
-// tests/cache_contention_test.cc).
+// tests/runner_test.cc and the CI warm-cache leg). The same load is the
+// crash recovery: re-running a killed sweep against its dir recomputes only
+// the stages the killed run never persisted. Processes sharing one dir do
+// not coordinate; each stays correct but may compute a stage another one is
+// computing too.
 class RunCache : public core::StageCache {
  public:
   struct StageStats {
@@ -87,8 +88,6 @@ class RunCache : public core::StageCache {
   // An empty persist_dir keeps the cache purely in-memory (the historical
   // behaviour); a non-empty one persists every stage across processes.
   explicit RunCache(std::string persist_dir = {});
-
-  const CacheStore& store() const { return store_; }
 
   // ---- Content-hash keys (public for the stability tests) ----
   static uint64_t EnvKey(data::DatasetId id, uint64_t env_seed);
@@ -154,33 +153,18 @@ class RunCache : public core::StageCache {
   // outside the map lock).
   void NoteDiskHit(StageStats* stats);
 
-  // CacheStore::Load/Store behind the fault-injection sites
-  // (fault::kCacheStoreRead throws a transient RecoverableError, modelling a
-  // read racing a writer; kCacheStoreWrite degrades to "entry not
-  // persisted"). Every stage's disk traffic routes through these.
-  bool LoadStage(const char* stage, uint64_t key, std::string* payload) const;
-  void StoreStage(const char* stage, uint64_t key, const std::string& payload) const;
-
-  // Cross-process claim protocol around a disk-backed stage compute (see the
-  // CacheStore contention contract). try_load(faulted) attempts the disk
-  // load and reports whether the caller's result is now set; only the FIRST
-  // attempt routes through the kCacheStoreRead fault site (faulted=true) —
-  // the post-claim double-check and the waiter polls read raw, so the claim
-  // machinery never perturbs the deterministic fault cadences the PR 7 tests
-  // pin. compute() trains/solves and persists. The in-process GetOrCompute
-  // latch already guarantees one caller per key per process, so everything
-  // here is about OTHER processes sharing the cache dir:
-  //   miss -> TryClaim -> won:  double-check load (claimant may have just
-  //                             finished), else compute, release via RAII
-  //                     lost:  poll the entry under bounded backoff
-  //                            (2 ms doubling, 50 ms cap); a stale claim
-  //                            (dead pid / age bound) is broken and the
-  //                            create re-contended.
-  // With the store disabled this degenerates to compute() exactly like the
-  // pre-claim code path.
-  void ClaimedCompute(const char* stage, uint64_t key,
-                      const std::function<bool(bool faulted)>& try_load,
-                      const std::function<void()>& compute) const;
+  // The disk half of a stage compute, and the only code that touches the
+  // CacheStore. With the store enabled: exactly one Load, behind the
+  // kCacheStoreRead fault site (a transient RecoverableError, modelling a
+  // read racing a writer); a payload that decode() accepts in full is a disk
+  // hit. Anything else runs compute() and persists encode() of its result,
+  // behind the kCacheStoreWrite site (degrades to "entry not persisted").
+  template <typename T>
+  std::shared_ptr<const T> LoadOrCompute(
+      const char* stage, uint64_t key, StageStats* stats,
+      const std::function<bool(BinaryReader*, T*)>& decode,
+      const std::function<std::shared_ptr<const T>()>& compute,
+      const std::function<void(BinaryWriter*, const T&)>& encode);
 
   // Disk-backed compute shared by the DP/PP context stages.
   std::shared_ptr<const nn::GraphContext> ContextStage(

@@ -9,12 +9,10 @@
 #include <memory>
 #include <thread>
 
-#include "common/check.h"
 #include "common/json_writer.h"
 #include "common/stopwatch.h"
 #include "la/backend.h"
 #include "nn/trainer.h"
-#include "runner/journal.h"
 
 namespace ppfr::runner {
 namespace {
@@ -70,56 +68,20 @@ bool IsUniformMetric(const std::string& name) {
   return false;
 }
 
-JournalRecord RecordOf(const CellResult& cell, uint64_t key) {
-  JournalRecord rec;
-  rec.cell_key = key;
-  rec.seed = cell.seed;
-  rec.failed = cell.failed;
-  rec.retries = cell.retries;
-  rec.cache_hit = cell.cache_hit;
-  rec.error = cell.error;
-  rec.eval = cell.run->eval;
-  rec.vanilla_eval = cell.vanilla_eval;
-  rec.delta = cell.delta;
-  rec.extra = cell.extra;
-  return rec;
+// Gives a cell that produced no numbers (failed, or skipped by an interrupt)
+// NaN metrics and a model-less run. Benches dereference cell.run->eval
+// freely; the artifact's *_finite markers flag the NaNs, and AggregateCells
+// skips the cell entirely.
+void SetNanPlaceholder(CellResult* out) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto run = std::make_shared<core::MethodRun>();
+  run->eval.accuracy = run->eval.bias = run->eval.risk_auc = run->eval.delta_d = nan;
+  out->vanilla_eval = run->eval;
+  out->run = std::move(run);
+  out->delta = {nan, nan, nan, nan};
 }
 
 }  // namespace
-
-core::EvalResult NanEvalResult() {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  core::EvalResult eval;
-  eval.accuracy = eval.bias = eval.risk_auc = eval.delta_d = nan;
-  return eval;
-}
-
-core::DeltaMetrics NanDeltaMetrics() {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  return {nan, nan, nan, nan};
-}
-
-std::shared_ptr<const core::MethodRun> PlaceholderRun() {
-  auto run = std::make_shared<core::MethodRun>();
-  run->eval = NanEvalResult();
-  return run;
-}
-
-void RestoreCell(const JournalRecord& rec, CellResult* out) {
-  out->seed = rec.seed;
-  out->failed = rec.failed;
-  out->retries = rec.retries;
-  out->cache_hit = rec.cache_hit;
-  out->error = rec.error;
-  auto run = std::make_shared<core::MethodRun>();
-  run->eval = rec.eval;
-  out->run = std::move(run);
-  out->vanilla_eval = rec.vanilla_eval;
-  out->delta = rec.delta;
-  out->extra = rec.extra;
-  out->seconds = 0.0;
-  out->resumed = true;
-}
 
 int ResolveCellThreads(int threads, size_t n) {
   if (threads <= 0) threads = la::ActiveBackend().num_threads();
@@ -164,90 +126,27 @@ SweepResult RunSweep(const Sweep& sweep, RunCache* cache,
   result.env_seed = options.env_seed;
   result.seeds = sweep.seeds;
 
-  PPFR_CHECK(options.shard_count >= 1 && options.shard_index >= 0 &&
-             options.shard_index < options.shard_count)
-      << "shard " << options.shard_index << "/" << options.shard_count
-      << " is not a valid partition (need 0 <= index < count)";
-
-  // The canonical seed-major grid (ExpandCells order). A sharded run owns
-  // the expanded instances k with k % shard_count == shard_index — a pure
-  // function of the grid, so every shard, resume and merge agrees on the
-  // partition — and schedules ONLY those (in grid order, which interleaves
-  // seeds round-robin across shards and so spreads each seed block's
-  // vanilla-first warm-up over the fleet).
-  const std::vector<Scenario> expanded = ExpandCells(sweep);
-  std::vector<Scenario> scheduled;
-  if (options.shard_count == 1) {
-    scheduled = expanded;
-  } else {
-    result.shard = std::to_string(options.shard_index) + "/" +
-                   std::to_string(options.shard_count);
-    scheduled.reserve(expanded.size() / options.shard_count + 1);
-    for (size_t k = options.shard_index; k < expanded.size();
-         k += options.shard_count) {
-      scheduled.push_back(expanded[k]);
-    }
-  }
-  result.cells.resize(scheduled.size());
-
-  const int threads = ResolveCellThreads(options.threads, scheduled.size());
+  const std::vector<Scenario> cells = ExpandCells(sweep);
+  result.cells.resize(cells.size());
+  const int threads = ResolveCellThreads(options.threads, cells.size());
   result.threads = threads;
-
-  // Cell keys double as journal record keys — the same content hash the
-  // stage cache uses, and distinct per seed instance (the resolved seed is
-  // mixed in), so a record can only replay onto its exact configuration.
-  std::vector<uint64_t> keys(scheduled.size());
-  for (size_t i = 0; i < scheduled.size(); ++i) {
-    keys[i] = RunCache::CellKey(scheduled[i], options.env_seed);
-  }
-
-  std::unique_ptr<SweepJournal> journal;
-  if (!options.journal_path.empty()) {
-    journal = std::make_unique<SweepJournal>(options.journal_path, sweep.name,
-                                             options.env_seed, options.resume);
-  }
-  // Restore journaled cells; only the remainder is scheduled. Previously
-  // FAILED cells re-run — the resume is the natural second chance.
-  std::vector<size_t> pending;
-  pending.reserve(scheduled.size());
-  for (size_t i = 0; i < scheduled.size(); ++i) {
-    const JournalRecord* rec = nullptr;
-    if (journal != nullptr && options.resume) {
-      const auto it = journal->replayed().find(keys[i]);
-      if (it != journal->replayed().end() && !it->second.failed) rec = &it->second;
-    }
-    if (rec == nullptr) {
-      pending.push_back(i);
-      continue;
-    }
-    result.cells[i].scenario = scheduled[i];
-    RestoreCell(*rec, &result.cells[i]);
-    ++result.resumed_cells;
-  }
-  if (options.verbose && result.resumed_cells > 0) {
-    std::fprintf(stderr, "  %lld of %zu cells restored from journal %s\n",
-                 static_cast<long long>(result.resumed_cells), scheduled.size(),
-                 journal->path().c_str());
-  }
 
   const RunCache::Stats stats_before = cache->stats();
   const int64_t trains_before = nn::TrainInvocationCount();
   Stopwatch wall;
 
   const auto run_cell = [&](size_t i) {
-    const Scenario& cell = scheduled[i];
+    const Scenario& cell = cells[i];
     CellResult& out = result.cells[i];
     out.scenario = cell;
     out.seed = cell.ResolvedConfig().seed;
     // Graceful interrupt: cells not yet started are skipped (NaN
-    // placeholder, NOT journaled — a resume recomputes them) while the
-    // cells already in flight below finish and journal their frames
-    // normally, so no completed work is lost to the signal.
+    // placeholder) while the cells already in flight below finish and
+    // persist their stages normally, so no completed work is lost to the
+    // signal.
     if (options.stop != nullptr && options.stop->load(std::memory_order_relaxed)) {
       out.skipped = true;
-      out.run = PlaceholderRun();
-      out.vanilla_eval = NanEvalResult();
-      out.delta = NanDeltaMetrics();
+      SetNanPlaceholder(&out);
       return;
     }
     Stopwatch watch;
@@ -297,9 +196,7 @@ SweepResult RunSweep(const Sweep& sweep, RunCache* cache,
         }
         out.failed = true;
         out.error = e.what();
-        out.run = PlaceholderRun();
-        out.vanilla_eval = NanEvalResult();
-        out.delta = NanDeltaMetrics();
+        SetNanPlaceholder(&out);
         break;
       }
     }
@@ -319,13 +216,11 @@ SweepResult RunSweep(const Sweep& sweep, RunCache* cache,
                      out.cache_hit ? " (cached)" : "");
       }
     }
-    if (journal != nullptr) journal->Append(RecordOf(out, keys[i]));
   };
 
   // Stage collisions between concurrent cells (two cells needing one
   // vanilla model) are serialised by the cache's once-latch.
-  ParallelCells(pending.size(), threads,
-                [&](size_t j) { run_cell(pending[j]); });
+  ParallelCells(cells.size(), threads, run_cell);
 
   result.wall_seconds = wall.ElapsedSeconds();
   result.cache_stats = Delta(cache->stats(), stats_before);
@@ -339,7 +234,7 @@ SweepResult RunSweep(const Sweep& sweep, RunCache* cache,
   if (result.interrupted && options.verbose) {
     std::fprintf(stderr,
                  "  sweep interrupted: %lld of %zu cells skipped (in-flight "
-                 "cells finished and journaled)\n",
+                 "cells finished)\n",
                  static_cast<long long>(result.skipped_cells),
                  result.cells.size());
   }
@@ -349,12 +244,11 @@ SweepResult RunSweep(const Sweep& sweep, RunCache* cache,
 std::vector<CellAggregate> AggregateCells(const SweepResult& result) {
   std::vector<CellAggregate> groups;
   for (const CellResult& cell : result.cells) {
-    // A failed/skipped/missing cell's placeholder metrics are NaN; including
-    // them would poison every mean. Its seed is omitted from the group's
-    // `seeds` too, so values stay aligned — aggregates always cover exactly
-    // the instances that actually finished (ISSUE wording: "aggregates
-    // computed over what arrived").
-    if (cell.failed || cell.skipped || cell.missing) continue;
+    // A failed/skipped cell's placeholder metrics are NaN; including them
+    // would poison every mean. Its seed is omitted from the group's `seeds`
+    // too, so values stay aligned — aggregates always cover exactly the
+    // instances that actually finished.
+    if (cell.failed || cell.skipped) continue;
     CellAggregate* group = nullptr;
     for (CellAggregate& g : groups) {
       if (g.scenario.dataset == cell.scenario.dataset &&
@@ -407,12 +301,12 @@ std::string WriteArtifact(const SweepResult& result, const std::string& dir,
   const bool stable = options.stable;
   JsonWriter w;
   w.BeginObject();
-  w.Key("schema_version").Int(4);
+  w.Key("schema_version").Int(5);
   w.Key("sweep").String(result.name);
   w.Key("title").String(result.title);
   w.Key("backend").String(la::ActiveBackend().name());
-  w.Key("backend_threads").Int(la::ActiveBackend().num_threads());
-  w.Key("runner_threads").Int(result.threads);
+  w.Key("backend_threads").Int(stable ? 0 : la::ActiveBackend().num_threads());
+  w.Key("runner_threads").Int(stable ? 0 : result.threads);
   w.Key("env_seed").Uint(result.env_seed);
   w.Key("seeds").BeginArray();
   for (uint64_t seed : result.seeds) w.Uint(seed);
@@ -420,25 +314,12 @@ std::string WriteArtifact(const SweepResult& result, const std::string& dir,
   w.Key("stable").Bool(stable);
   w.Key("wall_seconds").Number(stable ? 0.0 : result.wall_seconds);
   w.Key("trainer_invocations").Int(stable ? 0 : result.trainer_invocations);
-  // failed_cells stays REAL in stable mode: a failed cell already differs
-  // numerically (NaN metrics), and hiding the count would make a partially
-  // failed artifact read as clean. resumed_cells is run-provenance, not a
-  // result — zeroed so resumed-vs-uninterrupted runs compare bitwise.
+  // failed_cells and the interrupt state stay REAL in stable mode: a failed
+  // or skipped cell already differs numerically (NaN metrics), and hiding
+  // the counts would make a degraded artifact read as clean.
   w.Key("failed_cells").Int(result.failed_cells);
-  w.Key("resumed_cells").Int(stable ? 0 : result.resumed_cells);
-  // The fleet fields stay REAL in stable mode, like failed_cells: the shard
-  // tag says the file covers a PARTIAL grid, and interrupted/skipped/missing/
-  // conflicting state is degradation a stable artifact must never launder
-  // into a clean-looking file. A COMPLETE merge has shard="" and zeros here,
-  // which is exactly the unsharded artifact bit for bit.
-  w.Key("shard").String(result.shard);
   w.Key("interrupted").Bool(result.interrupted);
   w.Key("skipped_cells").Int(result.skipped_cells);
-  w.Key("missing_cells").Int(result.missing_cells);
-  w.Key("missing_shards").BeginArray();
-  for (int s : result.missing_shards) w.Int(s);
-  w.EndArray();
-  w.Key("conflicting_cells").Int(result.conflicting_cells);
 
   w.Key("cache").BeginObject();
   const RunCache::Stats cache_stats = stable ? RunCache::Stats{} : result.cache_stats;
@@ -460,16 +341,11 @@ std::string WriteArtifact(const SweepResult& result, const std::string& dir,
     w.Key("seed").Uint(cell.seed);
     w.Key("seconds").Number(stable ? 0.0 : cell.seconds);
     w.Key("cache_hit").Bool(stable ? false : cell.cache_hit);
-    w.Key("status").String(cell.failed    ? "failed"
-                           : cell.skipped ? "skipped"
-                           : cell.missing ? "missing"
-                                          : "ok");
+    w.Key("status").String(cell.failed ? "failed" : cell.skipped ? "skipped" : "ok");
     w.Key("error").String(cell.error);
-    // Retry counts and the resumed marker vary with fault timing and run
-    // provenance, never with results — zeroed in stable mode like the cache
-    // counters.
+    // Retry counts vary with fault timing, never with results — zeroed in
+    // stable mode like the cache counters.
     w.Key("retries").Int(stable ? 0 : cell.retries);
-    w.Key("resumed").Bool(stable ? false : cell.resumed);
     w.Key("eval").BeginObject();
     JsonMetric(&w, "accuracy", cell.run->eval.accuracy);
     JsonMetric(&w, "bias", cell.run->eval.bias);
@@ -553,8 +429,7 @@ std::string WriteArtifact(const SweepResult& result, const std::string& dir,
   w.EndArray();
   w.EndObject();
 
-  const std::string path =
-      dir + "/BENCH_" + result.name + options.filename_suffix + ".json";
+  const std::string path = dir + "/BENCH_" + result.name + ".json";
   WriteFileOrDie(path, w.ToString());
   return path;
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/recoverable.h"
-#include "runner/journal.h"
 #include "runner/run_cache.h"
 #include "runner/scenario.h"
 
@@ -37,28 +36,11 @@ struct RunnerOptions {
   // Backoff before retry r (0-based) is retry_backoff_ms << r, capped at
   // 250ms. 0 disables sleeping (tests).
   int retry_backoff_ms = 10;
-  // Non-empty enables the crash-safety journal (runner/journal.h): every
-  // finished or failed cell appends a checksummed record to this file.
-  std::string journal_path;
-  // Replay journal_path before running: cells with a valid completed record
-  // are restored from it (marked `resumed`, zero recompute) and only the
-  // rest are scheduled. Previously FAILED cells re-run — a resume is the
-  // natural moment to give them another chance. Requires journal_path.
-  bool resume = false;
-  // Fleet sharding: with shard_count > 1, this process runs only the
-  // expanded (cell × seed) instances k (ExpandCells order) with
-  // k % shard_count == shard_index — a deterministic function of the grid
-  // alone, so the partition is identical across machines, resumes and the
-  // merge. SweepResult::cells then holds ONLY the owned instances (in grid
-  // order); runner::MergeShards reassembles the full grid from the shard
-  // journals. shard_index must be in [0, shard_count).
-  int shard_index = 0;
-  int shard_count = 1;
   // Graceful-interrupt flag (set from a SIGTERM/SIGINT handler). When it
-  // reads true, cells not yet started are marked `skipped` (NOT journaled —
-  // a resume recomputes them) while in-flight cells finish and journal
-  // normally, and the result comes back with interrupted=true. null = never
-  // stop.
+  // reads true, cells not yet started are marked `skipped` while in-flight
+  // cells finish normally, and the result comes back with interrupted=true.
+  // Re-running the sweep against the same --run_cache_dir recomputes only
+  // what no finished stage left on disk. null = never stop.
   const std::atomic<bool>* stop = nullptr;
 };
 
@@ -75,16 +57,11 @@ struct CellResult {
   // from AggregateCells and emitted with status "failed" in the artifact.
   bool failed = false;
   std::string error;
-  int retries = 0;      // transient-failure attempts burned on this cell
-  bool resumed = false;  // restored from the sweep journal, not computed
+  int retries = 0;  // transient-failure attempts burned on this cell
   // Not computed because a graceful interrupt (RunnerOptions::stop) landed
   // before this cell started; carries the NaN placeholder, excluded from
-  // aggregates, status "skipped". Never journaled, so a resume recomputes.
+  // aggregates, status "skipped".
   bool skipped = false;
-  // Merge-only: no shard journal delivered a record for this cell (its shard
-  // is missing, crashed before finishing it, or its record failed replay).
-  // NaN placeholder, excluded from aggregates, status "missing".
-  bool missing = false;
   // Bench-specific scalar metrics merged into the JSON artifact (e.g.
   // table2's Pearson r); keyed by metric name.
   std::map<std::string, double> extra;
@@ -104,24 +81,11 @@ struct SweepResult {
   RunCache::Stats cache_stats;      // cache state delta over this sweep
   int64_t trainer_invocations = 0;  // nn::Train calls during this sweep
   int64_t failed_cells = 0;         // cells that ended in `failed` state
-  int64_t resumed_cells = 0;        // cells restored from the journal
-  // "i/N" when this result is one shard of a sharded run (its `cells` then
-  // cover only the owned grid instances). Empty for an unsharded run AND for
-  // a merged result — the merged artifact of a complete fleet is bitwise
-  // identical to the unsharded artifact, shard provenance included.
-  std::string shard;
   // A graceful interrupt landed mid-sweep; `skipped_cells` instances were
   // never started. Both stay REAL in stable artifacts — an interrupted run
   // legitimately differs from a completed one.
   bool interrupted = false;
   int64_t skipped_cells = 0;
-  // Merge-only degradation report (all zero/empty elsewhere, including on a
-  // complete merge): shard indices whose journal was absent or unreadable,
-  // cells no shard delivered, and cells where two shards delivered
-  // NON-identical records (lowest shard index wins deterministically).
-  std::vector<int> missing_shards;
-  int64_t missing_cells = 0;
-  int64_t conflicting_cells = 0;
 };
 
 // Mean / stddev / per-seed values of one metric across the seed instances of
@@ -170,46 +134,24 @@ int ResolveCellThreads(int threads, size_t n);
 // touch per-index state (or internally synchronised services like RunCache).
 void ParallelCells(size_t n, int threads, const std::function<void(size_t)>& fn);
 
-// NaN placeholders for cells that produced no numbers (failed, skipped by an
-// interrupt, missing from a merge). Benches dereference cell.run->eval
-// freely, so such cells carry a model-less MethodRun whose metrics are NaN —
-// the artifact's *_finite markers flag them, and AggregateCells skips the
-// cell entirely. Shared with runner::MergeShards.
-std::shared_ptr<const core::MethodRun> PlaceholderRun();
-core::EvalResult NanEvalResult();
-core::DeltaMetrics NanDeltaMetrics();
-
-// Rebuilds a CellResult from its journal record (scenario must already be
-// set). The restored run carries the recorded eval but NO model (restoring
-// skips the compute entirely); front-ends that post-process models re-run
-// without --resume, or lean on the disk run cache. Used by RunSweep's
-// --resume replay and by MergeShards' reassembly — the one deserialization,
-// so a merged cell is bit-for-bit what a resumed cell would be.
-void RestoreCell(const JournalRecord& rec, CellResult* out);
-
 struct ArtifactOptions {
   // Stable mode zeroes the fields that legitimately vary between otherwise
   // identical runs — wall/cell seconds, cache hit/miss/disk counters,
-  // trainer invocations, per-cell cache_hit, retry counts and the
-  // resumed markers — so two runs of the same sweep (e.g. cold vs warm
-  // --run_cache_dir, or interrupted-then-resumed vs uninterrupted, or a
-  // complete shard merge vs the unsharded run) produce bitwise-identical
-  // files iff their numeric results are bitwise identical. Degradation
-  // state (failed/skipped/missing cells, interrupted, missing_shards,
-  // conflicting_cells, the shard tag) stays REAL — a degraded artifact must
-  // never read as clean. The schema is unchanged.
+  // trainer invocations, per-cell cache_hit, retry counts and the runner and
+  // backend thread counts (results are thread-count invariant by contract) —
+  // so two runs of the same sweep (e.g. cold vs warm --run_cache_dir,
+  // killed-then-re-run vs uninterrupted, serial vs scheduled) produce
+  // bitwise-identical files iff their numeric results are bitwise identical.
+  // The backend name stays: different backends give different bits.
+  // Degradation state (failed/skipped cells, interrupted) stays REAL — a
+  // degraded artifact must never read as clean. The schema is unchanged.
   bool stable = false;
-  // Appended to the artifact's basename: BENCH_<name><suffix>.json. Used by
-  // sharded runs (".shard-<i>of<N>") so per-shard artifacts never collide
-  // with the merged/unsharded one in a shared --json_dir.
-  std::string filename_suffix;
 };
 
-// Writes the uniform BENCH_<name><suffix>.json artifact (schema_version 4:
-// fleet fields — sweep-level shard/interrupted/skipped_cells/missing_cells/
-// missing_shards/conflicting_cells, per-cell status values "skipped" and
-// "missing" — on top of v3's per-cell status/error/retries/resumed and
-// failed/resumed counts); returns its path.
+// Writes the uniform BENCH_<name>.json artifact (schema_version 5: v4
+// without the multi-process sweep fields — the shard tag, the merge and
+// resume counts, the per-cell resume marker and the "missing" status);
+// returns its path.
 std::string WriteArtifact(const SweepResult& result, const std::string& dir = ".",
                           const ArtifactOptions& options = {});
 

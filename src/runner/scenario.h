@@ -57,10 +57,8 @@ struct Sweep {
 // The sweep's fully expanded (cell × seed) schedule, seed-major:
 // expanded[s * cells.size() + i] is base cell i with overrides.seed =
 // seeds[s] (an empty seed list schedules the cells as-is). This one function
-// defines the canonical grid order everything downstream leans on — the
-// scheduler, journal replay, the `--shard=i/N` ownership rule (expanded
-// index k belongs to shard k % N) and the merge's cell reassembly — so the
-// partition is stable across processes, resumes and merges by construction.
+// defines the grid order of SweepResult::cells and of the artifact, so each
+// seed block keeps the sweep's vanilla-first cell order.
 std::vector<Scenario> ExpandCells(const Sweep& sweep);
 
 // ---- Exact-match name parsing -------------------------------------------

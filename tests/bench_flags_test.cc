@@ -1,8 +1,9 @@
 // Tests for the bench front-end scaffolding: Flags strict parsing, the
-// unknown-flag rejection, --shard=i/N parsing, and PreflightOutputPaths —
-// the fail-fast probe that keeps a long sweep from dying on its artifact
-// write. The death expectations pin the usage-error contract the bench
-// binaries share: exit code 2, message naming the offending flag.
+// unknown-flag rejection, and PreflightOutputPaths — the fail-fast probe
+// that keeps a long sweep from dying on its artifact write or persisting
+// nothing into an unwritable cache dir. The death expectations pin the
+// usage-error contract the bench binaries share: exit code 2, message
+// naming the offending flag or variable.
 
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "common/flags.h"
+#include "test_util.h"
 
 namespace ppfr::bench {
 namespace {
@@ -51,24 +53,6 @@ TEST(FlagsTest, UnknownFlagRejectionListsTheTypo) {
               ::testing::ExitedWithCode(kExitUsage), "unknown flag --epoch");
 }
 
-TEST(ShardSpecTest, ParsesAndRejectsMalformedShards) {
-  const Flags ok = MakeFlags({"--shard=1/3", "--shard_dir=/tmp"});
-  const ShardSpec spec = ShardFromFlags(ok);
-  EXPECT_EQ(spec.index, 1);
-  EXPECT_EQ(spec.count, 3);
-
-  for (const char* bad : {"3/3", "-1/3", "0/0", "1of3", "2/3x"}) {
-    const Flags flags =
-        MakeFlags({std::string("--shard=") + bad, "--shard_dir=/tmp"});
-    EXPECT_EXIT(ShardFromFlags(flags), ::testing::ExitedWithCode(kExitUsage),
-                "--shard wants i/N")
-        << bad;
-  }
-  const Flags no_dir = MakeFlags({"--shard=0/2"});
-  EXPECT_EXIT(ShardFromFlags(no_dir), ::testing::ExitedWithCode(kExitUsage),
-              "--shard_dir");
-}
-
 // The preflight probe for the scale artifact path: a fresh --json_dir is
 // created up front (the same create_directories the real write performs) and
 // the probe file is cleaned up, so the later BENCH_scale.json write cannot
@@ -96,6 +80,24 @@ TEST(PreflightOutputPathsTest, DiesNamingJsonDirWhenThePathCannotBeADir) {
   EXPECT_EXIT(PreflightOutputPaths(flags),
               ::testing::ExitedWithCode(kExitUsage), "--json_dir");
   std::filesystem::remove_all(blocker);
+}
+
+// /proc/self is an existing directory where nobody, root included, can
+// create a file. A cache dir there must die before any cell trains, naming
+// where the dir came from: the flag, or the environment variable.
+TEST(PreflightOutputPathsTest, DiesNamingAnUnwritableRunCacheDir) {
+  const std::string json_dir = ::testing::TempDir();
+  const Flags flagged =
+      MakeFlags({"--json_dir=" + json_dir, "--run_cache_dir=/proc/self"});
+  EXPECT_EXIT(PreflightOutputPaths(flagged),
+              ::testing::ExitedWithCode(kExitUsage),
+              "--run_cache_dir '/proc/self' is not writable");
+
+  ppfr::testing::ScopedEnvVar env("PPFR_RUN_CACHE_DIR", "/proc/self");
+  const Flags from_env = MakeFlags({"--json_dir=" + json_dir});
+  EXPECT_EXIT(PreflightOutputPaths(from_env),
+              ::testing::ExitedWithCode(kExitUsage),
+              "PPFR_RUN_CACHE_DIR '/proc/self' is not writable");
 }
 
 }  // namespace

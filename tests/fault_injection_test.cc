@@ -14,7 +14,6 @@
 #include "common/fault_injection.h"
 #include "common/recoverable.h"
 #include "nn/trainer.h"
-#include "runner/journal.h"
 #include "runner/run_cache.h"
 #include "runner/runner.h"
 
@@ -107,43 +106,6 @@ TEST(FaultInjectionTest, ReconfigureResetsCounters) {
   fault::ConfigureForTest("");
   EXPECT_FALSE(fault::Enabled());
   EXPECT_FALSE(fault::ShouldFail(fault::kTestSite));
-}
-
-TEST(FaultInjectionTest, KnowsTheFleetSites) {
-  // The cross-process sites added for the sharded-fleet hardening must parse
-  // and fire like any other site.
-  FaultScope scope("cache_store.claim:1,shard.merge_read:1,journal.replay:1");
-  EXPECT_TRUE(fault::ShouldFail(fault::kCacheStoreClaim));
-  EXPECT_TRUE(fault::ShouldFail(fault::kShardMergeRead));
-  EXPECT_TRUE(fault::ShouldFail(fault::kJournalReplay));
-}
-
-TEST(FaultInjectionTest, ReplayFaultTruncatesTheReplayedPrefix) {
-  const std::string path = ::testing::TempDir() + "/fault_replay.journal";
-  std::remove(path.c_str());
-  {
-    SweepJournal journal(path, "replay_fault", kEnvSeed, /*resume=*/false);
-    for (uint64_t key = 1; key <= 3; ++key) {
-      JournalRecord rec;
-      rec.cell_key = key;
-      rec.eval.accuracy = 0.5;
-      journal.Append(rec);
-    }
-  }
-  const JournalReplay clean = ReplayJournalFile(path, "replay_fault", kEnvSeed);
-  ASSERT_TRUE(clean.header_ok);
-  EXPECT_EQ(clean.records.size(), 3u);
-  EXPECT_FALSE(clean.torn);
-
-  // The site fires per record: cadence 3 parses two records, then truncates —
-  // the rest of the journal reads as unfinished (torn), exactly like a
-  // partially-flushed file on a dying disk.
-  FaultScope scope("journal.replay:3");
-  const JournalReplay faulted = ReplayJournalFile(path, "replay_fault", kEnvSeed);
-  ASSERT_TRUE(faulted.header_ok);
-  EXPECT_EQ(faulted.records.size(), 2u);
-  EXPECT_TRUE(faulted.torn);
-  std::remove(path.c_str());
 }
 
 TEST(FaultInjectionDeathTest, RejectsMalformedSpecs) {

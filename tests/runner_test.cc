@@ -1,11 +1,13 @@
 // Tests for the scenario-runner subsystem: content-hash cache keys that are
 // stable across processes, stage-cached results that are bitwise identical
 // to cold runs, the parallel cell scheduler's parity with the serial order,
-// the "vanilla trains exactly once" trainer-invocation contract, and the
-// uniform JSON artifact schema.
+// the "vanilla trains exactly once" trainer-invocation contract, crash
+// recovery by re-running against the disk cache, and the uniform JSON
+// artifact schema.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -539,6 +541,115 @@ TEST(DiskCacheTest, MismatchedFingerprintIsAMissNotACrash) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
+// /proc/self is an existing directory where nobody, root included, can
+// create a file: every Store fails. The sweep must still finish, computing
+// each stage in memory, instead of waiting for an entry that never lands.
+TEST(DiskCacheTest, UnwritableCacheDirStillFinishesTheSweep) {
+  RunnerOptions opts;
+  opts.threads = 1;
+  opts.env_seed = kEnvSeed;
+  opts.verbose = false;
+  RunCache cache("/proc/self");
+  const SweepResult result = RunSweep(MiniSuiteSweep(4), &cache, opts);
+  EXPECT_EQ(result.failed_cells, 0);
+  EXPECT_GT(result.trainer_invocations, 0);
+  EXPECT_EQ(result.cache_stats.cell.disk_hits, 0);
+}
+
+// Two cells expanded over three method seeds: 6 grid instances whose seed
+// blocks each keep the vanilla-first cell order.
+Sweep MultiSeedSweep(int epochs) {
+  Sweep sweep;
+  sweep.name = "multiseed_grid";
+  sweep.cells.push_back(Cell(data::DatasetId::kEnzymesLike, nn::ModelKind::kGcn,
+                             core::MethodKind::kVanilla, epochs));
+  sweep.cells.push_back(Cell(data::DatasetId::kEnzymesLike, nn::ModelKind::kGcn,
+                             core::MethodKind::kPpFr, epochs));
+  sweep.seeds = {0, 1, 2};
+  return sweep;
+}
+
+std::string StableArtifactBytes(const SweepResult& result, const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ArtifactOptions stable;
+  stable.stable = true;
+  return ReadFileOrDie(WriteArtifact(result, dir, stable));
+}
+
+TEST(ExpandCellsTest, SeedMajorOrderIsCanonical) {
+  const Sweep sweep = MultiSeedSweep(4);
+  const std::vector<Scenario> expanded = ExpandCells(sweep);
+  ASSERT_EQ(expanded.size(), sweep.cells.size() * sweep.seeds.size());
+  for (size_t s = 0; s < sweep.seeds.size(); ++s) {
+    for (size_t i = 0; i < sweep.cells.size(); ++i) {
+      const Scenario& cell = expanded[s * sweep.cells.size() + i];
+      EXPECT_EQ(cell.method, sweep.cells[i].method);
+      EXPECT_EQ(cell.ResolvedConfig().seed, sweep.seeds[s]);
+    }
+  }
+  // A seedless sweep expands to its cells verbatim.
+  Sweep plain = sweep;
+  plain.seeds.clear();
+  EXPECT_EQ(ExpandCells(plain).size(), plain.cells.size());
+}
+
+// Graceful stop and crash recovery through the disk cache alone: with the
+// stop flag raised, unstarted cells are skipped with NaN placeholders and
+// the result reports the interrupt. A run that got through the first seed
+// block before dying left those stages on disk; re-running the whole sweep
+// on a fresh RunCache over the same dir loads them, computes the rest, and
+// writes the uninterrupted run's stable artifact byte for byte.
+TEST(GracefulStopTest, StopSkipsCellsAndReRunOnTheCacheDirFinishesBitwise) {
+  const std::string dir = ::testing::TempDir() + "/graceful_stop_cache";
+  std::filesystem::remove_all(dir);
+  const Sweep sweep = MultiSeedSweep(5);
+  RunnerOptions opts;
+  opts.threads = 1;
+  opts.env_seed = kEnvSeed;
+  opts.verbose = false;
+
+  std::atomic<bool> stop{true};
+  RunnerOptions stop_opts = opts;
+  stop_opts.stop = &stop;
+  RunCache stopped_cache(dir);
+  const SweepResult stopped = RunSweep(sweep, &stopped_cache, stop_opts);
+  EXPECT_TRUE(stopped.interrupted);
+  EXPECT_EQ(stopped.skipped_cells, static_cast<int64_t>(stopped.cells.size()));
+  EXPECT_EQ(stopped.failed_cells, 0);
+  for (const CellResult& cell : stopped.cells) {
+    EXPECT_TRUE(cell.skipped);
+    EXPECT_TRUE(std::isnan(cell.run->eval.accuracy));
+  }
+  EXPECT_TRUE(AggregateCells(stopped).empty())
+      << "skipped placeholders must stay out of aggregates";
+  // The interrupted artifact reports itself honestly, stable mode included.
+  const std::string json =
+      StableArtifactBytes(stopped, ::testing::TempDir() + "/stop_art");
+  EXPECT_NE(json.find("\"interrupted\": true"), std::string::npos);
+  EXPECT_NE(json.find("\"status\": \"skipped\""), std::string::npos);
+
+  // The killed run: it finished the first seed block's cells, then died.
+  Sweep first_block = sweep;
+  first_block.seeds = {sweep.seeds[0]};
+  RunCache killed_cache(dir);
+  ASSERT_EQ(RunSweep(first_block, &killed_cache, opts).failed_cells, 0);
+
+  RunCache rerun_cache(dir);
+  const SweepResult finished = RunSweep(sweep, &rerun_cache, opts);
+  EXPECT_FALSE(finished.interrupted);
+  EXPECT_EQ(finished.skipped_cells, 0);
+  EXPECT_EQ(finished.failed_cells, 0);
+  EXPECT_EQ(finished.cache_stats.cell.disk_hits,
+            static_cast<int64_t>(sweep.cells.size()))
+      << "the first seed block's cells come off disk";
+
+  RunCache clean_cache;
+  const SweepResult clean = RunSweep(sweep, &clean_cache, opts);
+  EXPECT_EQ(StableArtifactBytes(clean, ::testing::TempDir() + "/stop_a"),
+            StableArtifactBytes(finished, ::testing::TempDir() + "/stop_b"));
+}
+
 TEST(MultiSeedTest, SeedExpansionMatchesIndependentRunsAndAggregates) {
   Sweep sweep;
   sweep.name = "multiseed_mini";
@@ -700,17 +811,16 @@ TEST(ArtifactTest, WritesUniformSchemaGolden) {
   // The uniform schema every sweep artifact shares (CI diffs the same list
   // against bench/golden/artifact_schema.txt).
   for (const char* key :
-       {"\"schema_version\": 4", "\"sweep\"", "\"title\"", "\"backend\"",
+       {"\"schema_version\": 5", "\"sweep\"", "\"title\"", "\"backend\"",
         "\"backend_threads\"", "\"runner_threads\"", "\"env_seed\"",
-        "\"seeds\"", "\"shard\"", "\"stable\"", "\"wall_seconds\"",
+        "\"seeds\"", "\"stable\"", "\"wall_seconds\"",
         "\"trainer_invocations\"", "\"failed_cells\"", "\"interrupted\"",
-        "\"resumed_cells\"", "\"skipped_cells\"", "\"missing_cells\"",
-        "\"missing_shards\"", "\"conflicting_cells\"",
-        "\"cache\"", "\"env\"", "\"vanilla\"", "\"dp_context\"", "\"pp_context\"",
+        "\"skipped_cells\"", "\"cache\"", "\"env\"", "\"vanilla\"",
+        "\"dp_context\"", "\"pp_context\"",
         "\"fr\"", "\"cell\"", "\"hits\"", "\"misses\"", "\"disk_hits\"",
         "\"cells\"", "\"dataset\"", "\"model\"", "\"method\"", "\"label\"",
         "\"seed\"", "\"seconds\"", "\"cache_hit\"", "\"status\"", "\"error\"",
-        "\"retries\"", "\"resumed\"", "\"eval\"", "\"accuracy\"",
+        "\"retries\"", "\"eval\"", "\"accuracy\"",
         "\"bias\"", "\"risk_auc\"", "\"delta_d\"", "\"delta\"", "\"d_acc\"",
         "\"d_bias\"", "\"d_risk\"", "\"combined\"", "\"extra\"",
         "\"probe_metric\"", "\"aggregates\"", "\"metrics\"", "\"mean\"",
@@ -725,7 +835,8 @@ TEST(ArtifactTest, WritesUniformSchemaGolden) {
   std::remove(path.c_str());
 
   // Stable mode zeroes only the run-varying fields; schema and results are
-  // untouched, so two identical-result runs produce identical bytes.
+  // untouched, so two identical-result runs produce identical bytes. The
+  // thread counts are among them: results are thread-count invariant.
   ArtifactOptions stable;
   stable.stable = true;
   const std::string stable_path = WriteArtifact(result, dir, stable);
@@ -733,6 +844,8 @@ TEST(ArtifactTest, WritesUniformSchemaGolden) {
   EXPECT_NE(stable_json.find("\"stable\": true"), std::string::npos);
   EXPECT_NE(stable_json.find("\"wall_seconds\": 0"), std::string::npos);
   EXPECT_NE(stable_json.find("\"trainer_invocations\": 0"), std::string::npos);
+  EXPECT_NE(stable_json.find("\"runner_threads\": 0"), std::string::npos);
+  EXPECT_NE(stable_json.find("\"backend_threads\": 0"), std::string::npos);
   EXPECT_NE(stable_json.find("\"probe_metric\": 0.5"), std::string::npos);
   std::remove(stable_path.c_str());
 }
