@@ -18,6 +18,7 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -303,6 +304,23 @@ void RunBackendComparison(const Flags& flags) {
                      benchmark::DoNotOptimize(d);
                    }});
 
+  // The training step's exp: la::Exp, which any loop vectorises, against
+  // libm's std::exp in the reference column. Both run on the calling thread
+  // (the parallel and simd columns time the same la::Exp loop), over the
+  // arguments softmax and GAT attention feed it. One "flop" is one exp.
+  const int exp_n = 1 << 16;
+  std::vector<double> exp_x(exp_n), exp_y(exp_n);
+  for (double& v : exp_x) v = -30.0 * rng.Uniform();
+  cases.push_back({"exp", std::to_string(exp_n) + " in [-30, 0]", exp_n,
+                   [&](const la::Backend& be) {
+                     if (be.name() == "reference") {
+                       for (int i = 0; i < exp_n; ++i) exp_y[i] = std::exp(exp_x[i]);
+                     } else {
+                       for (int i = 0; i < exp_n; ++i) exp_y[i] = la::Exp(exp_x[i]);
+                     }
+                     benchmark::DoNotOptimize(exp_y.data());
+                   }});
+
   const auto random = [&rng](int rows, int cols) {
     la::Matrix m(rows, cols);
     for (int64_t i = 0; i < m.size(); ++i) m.data()[i] = rng.Normal();
@@ -372,10 +390,10 @@ void RunBackendComparison(const Flags& flags) {
                      }});
   }
 
-  // One GatAttention forward plus backward on that graph, as GAT's first
-  // layer (4 heads x 8) and second layer (1 head x 7) run it. The op
-  // dispatches through the calling thread's backend. Flops count the
-  // aggregation's multiply-adds, forward and backward.
+  // One GatAttention forward plus backward on the clean graph and on that
+  // one, as GAT's first layer (4 heads x 8) and second layer (1 head x 7)
+  // run it. The op dispatches through the calling thread's backend. Flops
+  // count the aggregation's multiply-adds, forward and backward.
   struct GatCase {
     int heads, dim;
     ag::Parameter h, left, right;
@@ -389,21 +407,23 @@ void RunBackendComparison(const Flags& flags) {
                 ag::Parameter("left", random(dim, heads)),
                 ag::Parameter("right", random(dim, heads)), random(n, heads * dim)}));
   }
-  const std::shared_ptr<const ag::EdgeSet> dp_edges = dp_ctx.edges_with_self;
-  for (const auto& gc : gat_cases) {
-    GatCase* c = gc.get();
-    cases.push_back({"gat_attention_fwd_bwd",
-                     std::to_string(dp_edges->num_edges()) + " edges x " +
-                         std::to_string(c->heads) + " heads x " + std::to_string(c->dim),
-                     4.0 * static_cast<double>(dp_edges->num_edges()) * c->heads * c->dim,
-                     [c, &dp_edges](la::Backend& be) {
-                       la::ThreadLocalBackendGuard guard(&be);
-                       ag::Tape tape;
-                       const ag::Var out = ag::GatAttention(
-                           tape.Leaf(&c->h), tape.Leaf(&c->left), tape.Leaf(&c->right),
-                           dp_edges, c->heads, 0.2);
-                       tape.BackwardWithSeed(out, c->seed);
-                     }});
+  for (const std::shared_ptr<const ag::EdgeSet>* edges :
+       {&ctx.edges_with_self, &dp_ctx.edges_with_self}) {
+    for (const auto& gc : gat_cases) {
+      GatCase* c = gc.get();
+      cases.push_back({"gat_attention_fwd_bwd",
+                       std::to_string((*edges)->num_edges()) + " edges x " +
+                           std::to_string(c->heads) + " heads x " + std::to_string(c->dim),
+                       4.0 * static_cast<double>((*edges)->num_edges()) * c->heads * c->dim,
+                       [c, edges](la::Backend& be) {
+                         la::ThreadLocalBackendGuard guard(&be);
+                         ag::Tape tape;
+                         const ag::Var out = ag::GatAttention(
+                             tape.Leaf(&c->h), tape.Leaf(&c->left), tape.Leaf(&c->right),
+                             *edges, c->heads, 0.2);
+                         tape.BackwardWithSeed(out, c->seed);
+                       }});
+    }
   }
 
   const bool simd_active = la::simd::KernelsUsable();

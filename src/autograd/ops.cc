@@ -4,10 +4,16 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
+#include <limits>
 #include <memory>
 
 #include "la/backend.h"
+
+#ifdef __AVX__
+#include <immintrin.h>
+#endif
 
 namespace ppfr::ag {
 namespace {
@@ -67,9 +73,14 @@ void AxpyRows(la::Matrix* dst, const la::Matrix& g, const std::vector<int>& rows
 // Elementwise unary op helper: out = f(a), da += g * f'(a). The forward loop
 // is fanned out through the backend; the backward stays on the gradient's
 // nonzero-row support when one is known (seeded influence passes), otherwise
-// it sweeps the flat buffer, skipping exact-zero gradient entries — both
-// paths add the same values, because a skipped entry only ever contributes
-// an exact ±0 product.
+// it sweeps the flat buffer. Both leave da unchanged where g is exactly zero
+// (a select, not a branch, so the loops vectorise) and otherwise add g·f'(a)
+// as one MulAdd, so both paths write the same bits.
+inline double AddGradTerm(double da, double g, double df) {
+  const double updated = la::MulAdd(g, df, da);
+  return g == 0.0 ? da : updated;
+}
+
 template <typename F, typename DF>
 Var UnaryElementwise(Var a, F f, DF df) {
   Tape* tape = CommonTape({a});
@@ -96,8 +107,7 @@ Var UnaryElementwise(Var a, F f, DF df) {
                       const double* ar = av.row(r);
                       double* dr = da.row(r);
                       for (int c = 0; c < g.cols(); ++c) {
-                        if (gr[c] == 0.0) continue;
-                        dr[c] += gr[c] * df(ar[c]);
+                        dr[c] = AddGradTerm(dr[c], gr[c], df(ar[c]));
                       }
                     }
                     return;
@@ -109,8 +119,7 @@ Var UnaryElementwise(Var a, F f, DF df) {
                   la::ActiveBackend().Apply(
                       av.size(), kApplyGrain, [&](int64_t lo, int64_t hi) {
                         for (int64_t i = lo; i < hi; ++i) {
-                          if (gd[i] == 0.0) continue;
-                          dd[i] += gd[i] * df(ad[i]);
+                          dd[i] = AddGradTerm(dd[i], gd[i], df(ad[i]));
                         }
                       });
                 });
@@ -122,6 +131,27 @@ const la::CsrMatrix& SparseOperand::Transpose() const {
   if (symmetric) return mat;
   std::call_once(transpose_once_, [this] { mat_t_ = mat.Transposed(); });
   return mat_t_;
+}
+
+const EdgeSet::BySource& EdgeSet::Sources() const {
+  std::call_once(sources_once_, [this] {
+    int listed = num_nodes;
+    for (int j : col_idx) listed = std::max(listed, j + 1);
+    sources_.ptr.assign(static_cast<size_t>(listed) + 1, 0);
+    for (int j : col_idx) ++sources_.ptr[static_cast<size_t>(j) + 1];
+    for (int j = 0; j < listed; ++j) sources_.ptr[j + 1] += sources_.ptr[j];
+    sources_.edge.resize(col_idx.size());
+    sources_.dest.resize(col_idx.size());
+    std::vector<int64_t> next(sources_.ptr.begin(), sources_.ptr.end() - 1);
+    for (int i = 0; i < num_nodes; ++i) {
+      for (int64_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+        const int64_t slot = next[static_cast<size_t>(col_idx[k])]++;
+        sources_.edge[slot] = k;
+        sources_.dest[slot] = i;
+      }
+    }
+  });
+  return sources_;
 }
 
 std::shared_ptr<const SparseOperand> MakeSparseOperand(la::CsrMatrix m, bool symmetric) {
@@ -401,8 +431,8 @@ Var LeakyRelu(Var a, double slope) {
 
 Var Elu(Var a, double alpha) {
   return UnaryElementwise(
-      a, [alpha](double x) { return x > 0.0 ? x : alpha * (std::exp(x) - 1.0); },
-      [alpha](double x) { return x > 0.0 ? 1.0 : alpha * std::exp(x); });
+      a, [alpha](double x) { return x > 0.0 ? x : alpha * (la::Exp(x) - 1.0); },
+      [alpha](double x) { return x > 0.0 ? 1.0 : alpha * la::Exp(x); });
 }
 
 Var Tanh(Var a) {
@@ -416,9 +446,9 @@ Var Tanh(Var a) {
 
 Var Sigmoid(Var a) {
   return UnaryElementwise(
-      a, [](double x) { return 1.0 / (1.0 + std::exp(-x)); },
+      a, [](double x) { return 1.0 / (1.0 + la::Exp(-x)); },
       [](double x) {
-        const double s = 1.0 / (1.0 + std::exp(-x));
+        const double s = 1.0 / (1.0 + la::Exp(-x));
         return s * (1.0 - s);
       });
 }
@@ -450,7 +480,7 @@ inline void SoftmaxRowBackward(bool log_space, const double* gr, const double* y
   if (log_space) {
     double gsum = 0.0;
     for (int c = 0; c < cols; ++c) gsum += gr[c];
-    for (int c = 0; c < cols; ++c) dr[c] += gr[c] - std::exp(yr[c]) * gsum;
+    for (int c = 0; c < cols; ++c) dr[c] += la::MulAdd(-la::Exp(yr[c]), gsum, gr[c]);
   } else {
     double dot = 0.0;
     for (int c = 0; c < cols; ++c) dot += gr[c] * yr[c];
@@ -472,20 +502,8 @@ Var SoftmaxLike(Var logits, bool log_space) {
   {
     const int cols = x.cols();
     la::ActiveBackend().Apply(x.rows(), RowGrain(cols), [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const double* in = x.row(static_cast<int>(r));
-        double* o = out.row(static_cast<int>(r));
-        double mx = in[0];
-        for (int c = 1; c < cols; ++c) mx = std::max(mx, in[c]);
-        double sum = 0.0;
-        for (int c = 0; c < cols; ++c) sum += std::exp(in[c] - mx);
-        if (log_space) {
-          const double lse = mx + std::log(sum);
-          for (int c = 0; c < cols; ++c) o[c] = in[c] - lse;
-        } else {
-          for (int c = 0; c < cols; ++c) o[c] = std::exp(in[c] - mx) / sum;
-        }
-      }
+      la::SoftmaxRowsInto(x.row(static_cast<int>(r0)), r1 - r0, cols, log_space,
+                          out.row(static_cast<int>(r0)));
     });
   }
   const bool needs = tape->NeedsGrad(logits);
@@ -696,13 +714,85 @@ struct GatSaved {
 // allocation-free once warm. `right` is all zero between calls; each call
 // clears the rows it wrote.
 struct GatScratch {
-  std::vector<int> sources;    // rows the supported destinations aggregate
-  std::vector<int> touched;    // sources ∪ the supported destinations
-  std::vector<double> dalpha;  // one destination's edges x groups
-  std::vector<double> sums;    // per group: Σ_j alpha_ij·dalpha_ij
-  std::vector<double> left;    // per group: d/d s_l(i, g) of one destination
-  std::vector<double> right;   // sources x groups: d/d s_r(j, g)
+  std::vector<int> sources;     // rows the supported destinations aggregate
+  std::vector<int> touched;     // sources ∪ the supported destinations
+  std::vector<double> dalpha;   // one destination's edges x groups
+  std::vector<double> left;     // destinations x groups: d/d s_l(i, g)
+  std::vector<double> right;    // sources x groups: d/d s_r(j, g)
+  std::vector<double> sums;     // per group: Σ_j alpha_ij·dalpha_ij
+  std::vector<double> h_lanes;  // h, each row head-interleaved (InterleaveHeads)
+  std::vector<double> left_row, right_row;  // attn_left, attn_right (AttnAsRow)
 };
+
+#ifdef __AVX__
+constexpr bool kAvx = true;
+#else
+constexpr bool kAvx = false;
+#endif
+
+// The group count and width of a GatAttention call. The paper's layers (4
+// heads x 8, then 1 head x the class count) get them at compile time, so a
+// destination's accumulators stay in registers, and with AVX the 4-head
+// layer runs its groups in vector lanes; any other shape runs the same
+// sequence with runtime counts.
+template <int kG, int kD>
+struct FixedGatShape {
+  static constexpr bool kFixed = true;
+  static constexpr int kGroups = kG;
+  static constexpr int kDim = kD;
+  static constexpr int kWidth = kG * kD;
+  static constexpr bool kLanes = kG == 4 && kAvx;
+  int groups() const { return kG; }
+  int dim() const { return kD; }
+};
+
+struct RuntimeGatShape {
+  static constexpr bool kFixed = false;
+  static constexpr bool kLanes = false;
+  int g, d;
+  int groups() const { return g; }
+  int dim() const { return d; }
+};
+
+template <typename Fn>
+void WithGatShape(int groups, int dim, Fn&& fn) {
+  if (groups == 4 && dim == 8) return fn(FixedGatShape<4, 8>{});
+  if (groups == 1 && dim == 7) return fn(FixedGatShape<1, 7>{});
+  if (groups == 1 && dim == 6) return fn(FixedGatShape<1, 6>{});
+  if (groups == 1 && dim == 3) return fn(FixedGatShape<1, 3>{});
+  fn(RuntimeGatShape{groups, dim});
+}
+
+// Adds terms w[g]·x[g-block] to a row of groups x dim doubles, one MulAdd
+// per element and term in the order `terms` passes them to its callback.
+// A fixed shape holds the row in registers across all terms.
+template <typename Shape, typename Terms>
+inline void AccumulateRow(const Shape& shape, double* row, const Terms& terms) {
+  if constexpr (Shape::kFixed) {
+    constexpr int kG = Shape::kGroups, kD = Shape::kDim;
+    double acc[kG][kD];
+    for (int g = 0; g < kG; ++g) {
+      for (int c = 0; c < kD; ++c) acc[g][c] = row[g * kD + c];
+    }
+    terms([&acc](const double* w, const double* x) {
+      for (int g = 0; g < kG; ++g) {
+        const double wg = w[g];
+        for (int c = 0; c < kD; ++c) acc[g][c] = la::MulAdd(wg, x[g * kD + c], acc[g][c]);
+      }
+    });
+    for (int g = 0; g < kG; ++g) {
+      for (int c = 0; c < kD; ++c) row[g * kD + c] = acc[g][c];
+    }
+  } else {
+    const int groups = shape.groups(), dim = shape.dim();
+    terms([&](const double* w, const double* x) {
+      for (int g = 0; g < groups; ++g) {
+        const double wg = w[g];
+        for (int c = g * dim; c < (g + 1) * dim; ++c) row[c] = la::MulAdd(wg, x[c], row[c]);
+      }
+    });
+  }
+}
 
 // z > 0 ? pos : neg through a bit mask. GCC compiles the ternary, and the
 // factor form de·(z > 0 ? 1 : slope), to a conditional jump, which
@@ -713,7 +803,8 @@ inline double SelectPositive(double z, double pos, double neg) {
                                (std::bit_cast<uint64_t>(neg) & ~mask));
 }
 
-// h_row[g-block]·attn[:, g] for every group g of a d x groups `attn`.
+// h_row[g-block]·attn[:, g] for every group g of a d x groups `attn`: one
+// MulAdd chain per group in column order.
 inline void GroupScores(const double* h_row, const la::Matrix& attn, double* scores) {
   const int dim = attn.rows();
   const int groups = attn.cols();
@@ -721,30 +812,392 @@ inline void GroupScores(const double* h_row, const la::Matrix& attn, double* sco
   for (int g = 0; g < groups; ++g) {
     const double* hg = h_row + g * dim;
     double s = 0.0;
-    for (int c = 0; c < dim; ++c) s += hg[c] * a[c * groups + g];
+    for (int c = 0; c < dim; ++c) s = la::MulAdd(hg[c], a[c * groups + g], s);
     scores[g] = s;
   }
 }
 
-// Back through GroupScores for one row, given d/d score per group: into
-// attn's gradient (when wanted) and the row's h gradient (when wanted).
-inline void GroupScoresBackward(const double* h_row, const double* dscores,
-                                const la::Matrix& attn, la::Matrix* dattn,
-                                double* dh_row) {
-  const int dim = attn.rows();
-  const int groups = attn.cols();
-  const double* a = attn.data();
-  double* da = dattn != nullptr ? dattn->data() : nullptr;
+// Back through GroupScores into attn's gradient, given d/d score per group:
+// dattn(c, g) += dscores[g]·h_row[g-block][c].
+inline void GroupScoresAttnGrad(const double* h_row, const double* dscores,
+                                la::Matrix* dattn) {
+  const int dim = dattn->rows();
+  const int groups = dattn->cols();
+  double* da = dattn->data();
   for (int g = 0; g < groups; ++g) {
-    const double d = dscores[g];
     const double* hg = h_row + g * dim;
-    if (da != nullptr) {
-      for (int c = 0; c < dim; ++c) da[c * groups + g] += d * hg[c];
+    for (int c = 0; c < dim; ++c) {
+      da[c * groups + g] = la::MulAdd(dscores[g], hg[c], da[c * groups + g]);
     }
-    if (dh_row != nullptr) {
-      double* dg = dh_row + g * dim;
-      for (int c = 0; c < dim; ++c) dg[c] += d * a[c * groups + g];
+  }
+}
+
+// A d x groups attention matrix laid out like an h row: element (c, g) at
+// g·d + c, so that AccumulateRow can add dscores[g]·attn(·, g) to a row.
+void AttnAsRow(const la::Matrix& attn, std::vector<double>* row) {
+  const int dim = attn.rows(), groups = attn.cols();
+  row->resize(static_cast<size_t>(dim) * groups);
+  for (int g = 0; g < groups; ++g) {
+    for (int c = 0; c < dim; ++c) (*row)[static_cast<size_t>(g) * dim + c] = attn(c, g);
+  }
+}
+
+// Head-interleaved copy of a groups x dim row: element (g, c) at c·groups + g.
+template <int kG, int kD>
+inline void InterleaveHeads(const double* row, double* lanes) {
+  for (int g = 0; g < kG; ++g) {
+    for (int c = 0; c < kD; ++c) lanes[c * kG + g] = row[g * kD + c];
+  }
+}
+
+#ifdef __AVX__
+// Four doubles in one AVX register: the 4-head layer's heads in lanes.
+// MulAdd4 rounds each lane like la::MulAdd. Left to itself, GCC vectorised
+// the same chains only partly, and differently in every context.
+using Double4 = double __attribute__((vector_size(4 * sizeof(double))));
+
+inline Double4 Load4(const double* p) {
+  Double4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void Store4(double* p, Double4 v) { std::memcpy(p, &v, sizeof(v)); }
+
+inline Double4 MulAdd4(Double4 a, Double4 b, Double4 c) {
+#ifdef __FMA__
+  return _mm256_fmadd_pd(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
+// The head dots of one destination's edges with the 4 groups in vector
+// lanes, on head-interleaved copies of its gradient row and of h (h_lanes):
+// the per-group loop's chains, with its bits.
+template <int kD>
+void HeadDotsInLanes(const double* gi, const double* h_lanes, const int* cols, int64_t deg,
+                     double* dalpha) {
+  double gi_lanes[4 * kD];
+  InterleaveHeads<4, kD>(gi, gi_lanes);
+  for (int64_t k = 0; k < deg; ++k) {
+    const double* hj = h_lanes + static_cast<size_t>(cols[k]) * (4 * kD);
+    Double4 d = {};
+    for (int c = 0; c < kD; ++c) d = MulAdd4(Load4(gi_lanes + 4 * c), Load4(hj + 4 * c), d);
+    Store4(dalpha + 4 * k, d);
+  }
+}
+
+// d s_l of one destination and its edges' terms of d s_r, the 4 groups in
+// lanes: the per-group loop's sequence, with its bits.
+inline void SoftmaxBackwardInLanes(const double* alpha, const double* dalpha, const int* cols,
+                                   int64_t deg, const double* sl, const double* s_right,
+                                   double leaky_slope, double* dsr_all, double* dsl) {
+  Double4 sums = {};
+  for (int64_t k = 0; k < deg; ++k) sums = MulAdd4(Load4(alpha + 4 * k), Load4(dalpha + 4 * k), sums);
+  const Double4 left = Load4(sl);
+  const Double4 ones = {1.0, 1.0, 1.0, 1.0};
+  const Double4 slopes = {leaky_slope, leaky_slope, leaky_slope, leaky_slope};
+  Double4 acc = {};
+  for (int64_t k = 0; k < deg; ++k) {
+    const size_t j = static_cast<size_t>(cols[k]) * 4;
+    const Double4 de = Load4(alpha + 4 * k) * (Load4(dalpha + 4 * k) - sums);
+    const Double4 factor = left + Load4(s_right + j) > 0.0 ? ones : slopes;
+    acc = MulAdd4(de, factor, acc);
+    Store4(dsr_all + j, MulAdd4(de, factor, Load4(dsr_all + j)));
+  }
+  Store4(dsl, acc);
+}
+
+// e_ij − max_j e_ij of one 4-group destination, written to its block: the
+// per-group passes' values (the max is exact, so lanes do not change it).
+inline void ShiftedScoresInLanes(const double* sl, const double* s_right, const int* cols,
+                                 int64_t deg, double leaky_slope, double* block) {
+  const Double4 left = Load4(sl);
+  const Double4 slopes = {leaky_slope, leaky_slope, leaky_slope, leaky_slope};
+  const double inf = std::numeric_limits<double>::infinity();
+  Double4 mx = {-inf, -inf, -inf, -inf};
+  for (int64_t k = 0; k < deg; ++k) {
+    const Double4 z = left + Load4(s_right + static_cast<size_t>(cols[k]) * 4);
+    const Double4 sz = slopes * z;
+    const Double4 e = z < sz ? sz : z;  // std::max(z, slope·z)
+    Store4(block + 4 * k, e);
+    mx = mx < e ? e : mx;  // std::max(mx, e)
+  }
+  for (int64_t k = 0; k < deg; ++k) Store4(block + 4 * k, Load4(block + 4 * k) - mx);
+}
+
+// The denominators of one 4-group destination, summed in edge order, and
+// the division.
+inline void NormaliseInLanes(int64_t deg, double* block) {
+  Double4 denom = {};
+  for (int64_t k = 0; k < deg; ++k) denom += Load4(block + 4 * k);
+  for (int64_t k = 0; k < deg; ++k) Store4(block + 4 * k, Load4(block + 4 * k) / denom);
+}
+#endif  // __AVX__
+
+struct GatForwardArgs {
+  const EdgeSet* edges;
+  const la::Matrix* h;
+  const double* s_left;   // destinations x groups
+  const double* s_right;  // sources x groups
+  double* alpha;          // edges x groups
+  la::Matrix* out;        // zero-filled
+  double slope;
+};
+
+// The forward for destinations [i0, i1), each as passes over its contiguous
+// edges x groups block of alpha: the LeakyReLU scores, their per-group max
+// and its subtraction; the exps, one flat loop over the block; the
+// per-group denominators, summed in edge order; the division; then the
+// aggregate. Each pass is elementwise over the block or keeps one chain per
+// group in edge order, so vectorising any of them, or running the 4 groups
+// in lanes, keeps the bits.
+template <typename Shape>
+void GatForwardRows(const Shape& shape, const GatForwardArgs& args, int64_t i0,
+                    int64_t i1) {
+  const int groups = shape.groups();
+  const size_t gs = static_cast<size_t>(groups);
+  const std::vector<int64_t>& row_ptr = args.edges->row_ptr;
+  const int* const col_idx = args.edges->col_idx.data();
+  std::vector<double> per_group(2 * gs);
+  double* const mx = per_group.data();
+  double* const denom = mx + gs;
+  for (int64_t i = i0; i < i1; ++i) {
+    const int64_t begin = row_ptr[i];
+    const int64_t end = row_ptr[i + 1];
+    if (begin == end) continue;
+    const double* sl = args.s_left + static_cast<size_t>(i) * gs;
+    double* const block = args.alpha + static_cast<size_t>(begin) * gs;
+    const int64_t deg = end - begin;
+    const int* const cols = col_idx + begin;
+    bool in_lanes = false;
+#ifdef __AVX__
+    if constexpr (Shape::kLanes) {
+      ShiftedScoresInLanes(sl, args.s_right, cols, deg, args.slope, block);
+      in_lanes = true;
     }
+#endif
+    if (!in_lanes) {
+      for (int64_t k = 0; k < deg; ++k) {
+        const double* sr = args.s_right + static_cast<size_t>(cols[k]) * gs;
+        double* a = block + static_cast<size_t>(k) * gs;
+        for (int g = 0; g < groups; ++g) {
+          const double z = sl[g] + sr[g];
+          a[g] = std::max(z, args.slope * z);  // e_ij until normalised
+        }
+      }
+      std::fill_n(mx, groups, -std::numeric_limits<double>::infinity());
+      for (int64_t k = 0; k < deg; ++k) {
+        const double* a = block + static_cast<size_t>(k) * gs;
+        for (int g = 0; g < groups; ++g) mx[g] = std::max(mx[g], a[g]);
+      }
+      for (int64_t k = 0; k < deg; ++k) {
+        double* a = block + static_cast<size_t>(k) * gs;
+        for (int g = 0; g < groups; ++g) a[g] -= mx[g];
+      }
+    }
+    for (int64_t q = 0; q < deg * groups; ++q) block[q] = la::Exp(block[q]);
+#ifdef __AVX__
+    if constexpr (Shape::kLanes) NormaliseInLanes(deg, block);
+#endif
+    if (!in_lanes) {
+      std::fill_n(denom, groups, 0.0);
+      for (int64_t k = 0; k < deg; ++k) {
+        const double* a = block + static_cast<size_t>(k) * gs;
+        for (int g = 0; g < groups; ++g) denom[g] += a[g];
+      }
+      for (int64_t k = 0; k < deg; ++k) {
+        double* a = block + static_cast<size_t>(k) * gs;
+        for (int g = 0; g < groups; ++g) a[g] /= denom[g];
+      }
+    }
+    AccumulateRow(shape, args.out->row(static_cast<int>(i)), [&](const auto& add) {
+      for (int64_t k = 0; k < deg; ++k) {
+        add(block + static_cast<size_t>(k) * gs, args.h->row(cols[k]));
+      }
+    });
+  }
+}
+
+
+struct GatBackwardArgs {
+  const EdgeSet* edges;
+  const la::Matrix* h;
+  const la::Matrix* attn_left;
+  const la::Matrix* attn_right;
+  const la::Matrix* grad;  // d/d out
+  const GatSaved* saved;
+  double slope;
+  const std::vector<int>* supp;  // the gradient's row support, or null
+  la::Matrix* dh;                // each null when not wanted
+  la::Matrix* dattn_left;
+  la::Matrix* dattn_right;
+  GatScratch* scratch;
+};
+
+// d s_l(i, ·) for destination i and its edges' terms of d s_r, as passes
+// over the edge block: the head dots dalpha (the heads in vector lanes for
+// a fixed multi-head shape on the full backward, which reads the
+// head-interleaved copy of h), their alpha-weighted sums, then back through
+// the softmax and the LeakyReLU.
+template <typename Shape>
+void GatBackwardDest(const Shape& shape, const GatBackwardArgs& args, int i) {
+  const int groups = shape.groups();
+  const int dim = shape.dim();
+  const size_t gs = static_cast<size_t>(groups);
+  const EdgeSet& edges = *args.edges;
+  GatScratch& scratch = *args.scratch;
+  const int64_t begin = edges.row_ptr[i];
+  const int64_t deg = edges.row_ptr[i + 1] - begin;
+  double* const dsl = scratch.left.data() + static_cast<size_t>(i) * gs;
+  std::fill_n(dsl, groups, 0.0);
+  if (deg == 0) return;
+  const int* const cols = edges.col_idx.data() + begin;
+  const double* const alpha = args.saved->alpha.get() + static_cast<size_t>(begin) * gs;
+  const double* const gi = args.grad->row(i);
+  if (scratch.dalpha.size() < static_cast<size_t>(deg) * gs) {
+    scratch.dalpha.resize(static_cast<size_t>(deg) * gs);
+  }
+  double* const dalpha = scratch.dalpha.data();
+  bool in_lanes = false;
+#ifdef __AVX__
+  if constexpr (Shape::kLanes) {
+    if (args.supp == nullptr) {
+      HeadDotsInLanes<Shape::kDim>(gi, scratch.h_lanes.data(), cols, deg, dalpha);
+      in_lanes = true;
+    }
+  }
+#endif
+  if (!in_lanes) {
+    for (int64_t k = 0; k < deg; ++k) {
+      const double* hj = args.h->row(cols[k]);
+      for (int g = 0; g < groups; ++g) {
+        double d = 0.0;
+        for (int c = g * dim; c < (g + 1) * dim; ++c) d = la::MulAdd(gi[c], hj[c], d);
+        dalpha[k * groups + g] = d;
+      }
+    }
+  }
+  // Through the softmax and the LeakyReLU. For a fixed shape the per-group
+  // sums and d s_l stay in locals, out of reach of the d s_r stores.
+  const double* sl = args.saved->left.get() + static_cast<size_t>(i) * gs;
+  const auto softmax_backward = [&](double* sums, double* dsl_acc) {
+    std::fill_n(sums, groups, 0.0);
+    std::fill_n(dsl_acc, groups, 0.0);
+    for (int64_t k = 0; k < deg; ++k) {
+      for (int g = 0; g < groups; ++g) {
+        sums[g] = la::MulAdd(alpha[k * groups + g], dalpha[k * groups + g], sums[g]);
+      }
+    }
+    for (int64_t k = 0; k < deg; ++k) {
+      const double* sr = args.saved->right.get() + static_cast<size_t>(cols[k]) * gs;
+      double* dsr = scratch.right.data() + static_cast<size_t>(cols[k]) * gs;
+      for (int g = 0; g < groups; ++g) {
+        const double de = alpha[k * groups + g] * (dalpha[k * groups + g] - sums[g]);
+        const double slope = SelectPositive(sl[g] + sr[g], 1.0, args.slope);
+        dsl_acc[g] = la::MulAdd(de, slope, dsl_acc[g]);
+        dsr[g] = la::MulAdd(de, slope, dsr[g]);
+      }
+    }
+  };
+#ifdef __AVX__
+  if constexpr (Shape::kLanes) {
+    SoftmaxBackwardInLanes(alpha, dalpha, cols, deg, sl, args.saved->right.get(), args.slope,
+                           scratch.right.data(), dsl);
+  } else
+#endif
+  if constexpr (Shape::kFixed) {
+    double sums[Shape::kGroups], dsl_acc[Shape::kGroups];
+    softmax_backward(sums, dsl_acc);
+    std::copy_n(dsl_acc, Shape::kGroups, dsl);
+  } else {
+    softmax_backward(scratch.sums.data(), dsl);
+  }
+  if (args.dattn_left != nullptr) GroupScoresAttnGrad(args.h->row(i), dsl, args.dattn_left);
+}
+
+// The backward. d s_l and d s_r first, destination by destination (all, or
+// the supported ones, ascending); then dh. The full backward gathers each
+// row's dh terms through the source-major edge list with the row held in
+// registers; the row-support backward (a few rows) scatters them per edge
+// and per score instead. Both add every row's terms in the documented
+// order, so they agree bit for bit.
+template <typename Shape>
+void GatBackward(const Shape& shape, const GatBackwardArgs& args) {
+  const size_t gs = static_cast<size_t>(shape.groups());
+  const EdgeSet& edges = *args.edges;
+  const la::Matrix& hv = *args.h;
+  GatScratch& scratch = *args.scratch;
+  la::Matrix* const dh = args.dh;
+  AttnAsRow(*args.attn_left, &scratch.left_row);
+  AttnAsRow(*args.attn_right, &scratch.right_row);
+  // Row j's score terms: d s_l(j, ·)·attn_left when j is a destination this
+  // pass computed, then d s_r(j, ·)·attn_right (zero unless j is a source).
+  const auto score_terms = [&](int j, bool destination, const auto& add) {
+    if (destination) {
+      add(scratch.left.data() + static_cast<size_t>(j) * gs, scratch.left_row.data());
+    }
+    add(scratch.right.data() + static_cast<size_t>(j) * gs, scratch.right_row.data());
+  };
+
+  if (args.supp != nullptr) {
+    for (int i : *args.supp) GatBackwardDest(shape, args, i);
+    if (dh != nullptr) {
+      for (int i : *args.supp) {
+        const int64_t begin = edges.row_ptr[i], end = edges.row_ptr[i + 1];
+        for (int64_t k = begin; k < end; ++k) {
+          AccumulateRow(shape, dh->row(edges.col_idx[k]), [&](const auto& add) {
+            add(args.saved->alpha.get() + static_cast<size_t>(k) * gs, args.grad->row(i));
+          });
+        }
+      }
+      // touched and the support are both sorted: walk them together.
+      auto next_dest = args.supp->begin();
+      for (int j : scratch.touched) {
+        const bool destination = next_dest != args.supp->end() && *next_dest == j;
+        if (destination) ++next_dest;
+        AccumulateRow(shape, dh->row(j),
+                      [&](const auto& add) { score_terms(j, destination, add); });
+      }
+    }
+    for (int j : scratch.sources) {
+      double* dsr = scratch.right.data() + static_cast<size_t>(j) * gs;
+      if (args.dattn_right != nullptr) GroupScoresAttnGrad(hv.row(j), dsr, args.dattn_right);
+      std::fill_n(dsr, gs, 0.0);
+    }
+    return;
+  }
+
+  if constexpr (Shape::kLanes) {
+    constexpr int kWidth = Shape::kWidth;
+    scratch.h_lanes.resize(static_cast<size_t>(hv.rows()) * kWidth);
+    for (int j = 0; j < hv.rows(); ++j) {
+      InterleaveHeads<Shape::kGroups, Shape::kDim>(
+          hv.row(j), scratch.h_lanes.data() + static_cast<size_t>(j) * kWidth);
+    }
+  }
+  for (int i = 0; i < edges.num_nodes; ++i) GatBackwardDest(shape, args, i);
+  if (dh != nullptr) {
+    const EdgeSet::BySource& by_source = edges.Sources();
+    const int listed = static_cast<int>(by_source.ptr.size()) - 1;
+    const double* alpha = args.saved->alpha.get();
+    for (int j = 0; j < hv.rows(); ++j) {
+      AccumulateRow(shape, dh->row(j), [&](const auto& add) {
+        if (j < listed) {
+          for (int64_t e = by_source.ptr[j]; e < by_source.ptr[j + 1]; ++e) {
+            add(alpha + static_cast<size_t>(by_source.edge[e]) * gs,
+                args.grad->row(by_source.dest[e]));
+          }
+        }
+        score_terms(j, j < edges.num_nodes, add);
+      });
+    }
+  }
+  for (int j = 0; j < hv.rows(); ++j) {
+    double* dsr = scratch.right.data() + static_cast<size_t>(j) * gs;
+    if (args.dattn_right != nullptr) GroupScoresAttnGrad(hv.row(j), dsr, args.dattn_right);
+    std::fill_n(dsr, gs, 0.0);
   }
 }
 
@@ -767,7 +1220,6 @@ Var GatAttention(Var h, Var attn_left, Var attn_right,
   // is a branch; the two agree bit for bit only for slopes in [+0, 1].
   PPFR_CHECK(!std::signbit(leaky_slope) && leaky_slope <= 1.0)
       << "GatAttention: leaky_slope must lie in [0, 1], got " << leaky_slope;
-  const int dim = al.rows();
   const size_t gs = static_cast<size_t>(groups);
 
   auto saved = std::make_shared<GatSaved>(static_cast<size_t>(edges->num_edges()) * gs,
@@ -775,7 +1227,6 @@ Var GatAttention(Var h, Var attn_left, Var attn_right,
                                           static_cast<size_t>(hv.rows()) * gs);
   double* const s_left = saved->left.get();
   double* const s_right = saved->right.get();
-  double* const s_alpha = saved->alpha.get();
   la::ActiveBackend().Apply(hv.rows(), RowGrain(hv.cols()), [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       const double* hr = hv.row(static_cast<int>(r));
@@ -798,47 +1249,13 @@ Var GatAttention(Var h, Var attn_left, Var attn_right,
   const std::vector<int64_t> bounds =
       num_chunks > 0 ? la::NnzBalancedRowBounds(edges->row_ptr, n, num_chunks)
                      : std::vector<int64_t>{0};
-  la::ActiveBackend().Apply(num_chunks, 1, [&](int64_t c0, int64_t c1) {
-    std::vector<double> mx(gs);
-    std::vector<double> denom(gs);
-    for (int64_t i = bounds[static_cast<size_t>(c0)]; i < bounds[static_cast<size_t>(c1)];
-         ++i) {
-      const int64_t begin = edges->row_ptr[i];
-      const int64_t end = edges->row_ptr[i + 1];
-      if (begin == end) continue;
-      // A stable softmax over e_ij per group, every group of an edge together.
-      const double* sl = s_left + static_cast<size_t>(i) * gs;
-      std::fill(mx.begin(), mx.end(), -1e300);
-      std::fill(denom.begin(), denom.end(), 0.0);
-      for (int64_t k = begin; k < end; ++k) {
-        const double* sr = s_right + static_cast<size_t>(edges->col_idx[k]) * gs;
-        double* a = s_alpha + static_cast<size_t>(k) * gs;
-        for (int g = 0; g < groups; ++g) {
-          const double z = sl[g] + sr[g];
-          const double e = std::max(z, leaky_slope * z);
-          a[g] = e;  // e_ij until normalised
-          mx[g] = std::max(mx[g], e);
-        }
-      }
-      for (int64_t k = begin; k < end; ++k) {
-        double* a = s_alpha + static_cast<size_t>(k) * gs;
-        for (int g = 0; g < groups; ++g) {
-          const double w = std::exp(a[g] - mx[g]);
-          a[g] = w;
-          denom[g] += w;
-        }
-      }
-      double* o = out.row(static_cast<int>(i));
-      for (int64_t k = begin; k < end; ++k) {
-        const double* hj = hv.row(edges->col_idx[k]);
-        double* a = s_alpha + static_cast<size_t>(k) * gs;
-        for (int g = 0; g < groups; ++g) {
-          const double alpha = a[g] / denom[g];
-          a[g] = alpha;
-          for (int c = g * dim; c < (g + 1) * dim; ++c) o[c] += alpha * hj[c];
-        }
-      }
-    }
+  const GatForwardArgs args{edges.get(), &hv,         s_left, s_right, saved->alpha.get(),
+                            &out,        leaky_slope};
+  WithGatShape(groups, al.rows(), [&](const auto& shape) {
+    la::ActiveBackend().Apply(num_chunks, 1, [&](int64_t c0, int64_t c1) {
+      GatForwardRows(shape, args, bounds[static_cast<size_t>(c0)],
+                     bounds[static_cast<size_t>(c1)]);
+    });
   });
 
   const bool needs = AnyNeedsGrad({h, attn_left, attn_right});
@@ -849,8 +1266,6 @@ Var GatAttention(Var h, Var attn_left, Var attn_right,
           Tape& tp, const la::Matrix& g) {
         const la::Matrix& hv = tp.Value(h);
         const la::Matrix& al = tp.Value(attn_left);
-        const la::Matrix& ar = tp.Value(attn_right);
-        const int dim = al.rows();
         const size_t gs = static_cast<size_t>(groups);
         thread_local GatScratch scratch;
 
@@ -881,82 +1296,18 @@ Var GatAttention(Var h, Var attn_left, Var attn_right,
         } else if (tp.NeedsGrad(h)) {
           dh = &tp.GradRef(h);
         }
-        la::Matrix* dal = tp.NeedsGrad(attn_left) ? &tp.GradRef(attn_left) : nullptr;
-        la::Matrix* dar = tp.NeedsGrad(attn_right) ? &tp.GradRef(attn_right) : nullptr;
         scratch.sums.resize(gs);
-        scratch.left.resize(gs);
+        if (scratch.left.size() < static_cast<size_t>(edges->num_nodes) * gs) {
+          scratch.left.resize(static_cast<size_t>(edges->num_nodes) * gs);
+        }
         if (scratch.right.size() < static_cast<size_t>(hv.rows()) * gs) {
           scratch.right.resize(static_cast<size_t>(hv.rows()) * gs, 0.0);
         }
-        const double* s_alpha = saved->alpha.get();
-
-        // Destination i: the aggregate's gradient into h_j, then back
-        // through the softmax and LeakyReLU to the scores. d s_l(i, ·) is
-        // complete here and goes straight on; d s_r collects per source.
-        // Source rows collide across destinations, so the pass is serial.
-        const auto backward_dest = [&](int i) {
-          const int64_t begin = edges->row_ptr[i];
-          const int64_t end = edges->row_ptr[i + 1];
-          if (begin == end) return;
-          const double* gi = g.row(i);
-          if (scratch.dalpha.size() < static_cast<size_t>(end - begin) * gs) {
-            scratch.dalpha.resize(static_cast<size_t>(end - begin) * gs);
-          }
-          double* sums = scratch.sums.data();
-          std::fill(sums, sums + groups, 0.0);
-          for (int64_t k = begin; k < end; ++k) {
-            const int j = edges->col_idx[k];
-            const double* hj = hv.row(j);
-            const double* a = s_alpha + static_cast<size_t>(k) * gs;
-            double* da = scratch.dalpha.data() + static_cast<size_t>(k - begin) * gs;
-            double* dhj = dh != nullptr ? dh->row(j) : nullptr;
-            for (int gr = 0; gr < groups; ++gr) {
-              const double alpha = a[gr];
-              const double* gg = gi + gr * dim;
-              const double* hg = hj + gr * dim;
-              double dot = 0.0;
-              for (int c = 0; c < dim; ++c) dot += gg[c] * hg[c];
-              da[gr] = dot;
-              sums[gr] += alpha * dot;
-              if (dhj == nullptr) continue;
-              double* dg = dhj + gr * dim;
-              for (int c = 0; c < dim; ++c) dg[c] += alpha * gg[c];
-            }
-          }
-          const double* sl = saved->left.get() + static_cast<size_t>(i) * gs;
-          double* dsl = scratch.left.data();
-          std::fill(dsl, dsl + groups, 0.0);
-          for (int64_t k = begin; k < end; ++k) {
-            const int j = edges->col_idx[k];
-            const double* sr = saved->right.get() + static_cast<size_t>(j) * gs;
-            const double* a = s_alpha + static_cast<size_t>(k) * gs;
-            const double* da = scratch.dalpha.data() + static_cast<size_t>(k - begin) * gs;
-            double* dsr = scratch.right.data() + static_cast<size_t>(j) * gs;
-            for (int gr = 0; gr < groups; ++gr) {
-              const double de = a[gr] * (da[gr] - sums[gr]);
-              // dz = de·(z > 0 ? 1 : slope), the product fused into each sum
-              // where the target has FMA, as compilers contract
-              // `dsl += slope * de`.
-              const double slope = SelectPositive(sl[gr] + sr[gr], 1.0, leaky_slope);
-              dsl[gr] = la::MulAdd(de, slope, dsl[gr]);
-              dsr[gr] = la::MulAdd(de, slope, dsr[gr]);
-            }
-          }
-          GroupScoresBackward(hv.row(i), dsl, al, dal, dh != nullptr ? dh->row(i) : nullptr);
-        };
-        // Source j: its collected d s_r, then the scratch row is cleared.
-        const auto backward_source = [&](int j) {
-          double* dsr = scratch.right.data() + static_cast<size_t>(j) * gs;
-          GroupScoresBackward(hv.row(j), dsr, ar, dar, dh != nullptr ? dh->row(j) : nullptr);
-          std::fill(dsr, dsr + groups, 0.0);
-        };
-        if (supp != nullptr) {
-          for (int i : *supp) backward_dest(i);
-          for (int j : scratch.sources) backward_source(j);
-        } else {
-          for (int i = 0; i < edges->num_nodes; ++i) backward_dest(i);
-          for (int j = 0; j < hv.rows(); ++j) backward_source(j);
-        }
+        const GatBackwardArgs args{
+            edges.get(), &hv, &al, &tp.Value(attn_right), &g, saved.get(), leaky_slope, supp, dh,
+            tp.NeedsGrad(attn_left) ? &tp.GradRef(attn_left) : nullptr,
+            tp.NeedsGrad(attn_right) ? &tp.GradRef(attn_right) : nullptr, &scratch};
+        WithGatShape(groups, al.rows(), [&](const auto& shape) { GatBackward(shape, args); });
       });
 }
 

@@ -37,6 +37,21 @@ struct EdgeSet {
   std::vector<int> col_idx;      // concatenated neighbour lists
 
   int64_t num_edges() const { return static_cast<int64_t>(col_idx.size()); }
+
+  // The same edges grouped by source: source j's are edge[ptr[j], ptr[j+1])
+  // in edge order, each with its destination. Built by the first call (the
+  // first full GatAttention backward) and thread-safe, like
+  // SparseOperand::Transpose.
+  struct BySource {
+    std::vector<int64_t> ptr;   // max(num_nodes, largest source + 1) + 1
+    std::vector<int64_t> edge;  // edge indices into col_idx
+    std::vector<int> dest;      // each edge's destination row
+  };
+  const BySource& Sources() const;
+
+ private:
+  mutable std::once_flag sources_once_;
+  mutable BySource sources_;
 };
 
 // ---- Linear algebra ----
@@ -106,6 +121,25 @@ Var LaplacianQuadratic(const std::shared_ptr<const la::CsrMatrix>& laplacian, Va
 // gets a zero row. Groups never mix: each group's output block depends only
 // on its own h block and attention columns, and no group's arithmetic
 // depends on `groups`.
+//
+// The bits follow one sequence on every backend, thread count and build
+// (MulAdd and Exp are la::MulAdd and la::Exp; "a chain" starts at +0):
+//   s_l, s_r: a MulAdd chain over the block's d columns in order.
+//   e_ij = max(z, slope·z) for z = s_l(i,g) + s_r(j,g); m_i = max_j e_ij;
+//   w_ij = Exp(e_ij − m_i); D_i = Σ_j w_ij added in edge order;
+//   alpha_ij = w_ij / D_i; out_i = a MulAdd chain of alpha_ij·h_j in edge order.
+// Backward, for output gradient G:
+//   dalpha_ij = a MulAdd chain over the d columns of G_i·h_j;
+//   S_i = a MulAdd chain of alpha_ij·dalpha_ij in edge order;
+//   de_ij = alpha_ij·(dalpha_ij − S_i), f_ij = (z > 0 ? 1 : slope);
+//   ds_l(i) = a MulAdd chain of de_ij·f_ij over i's edges, and ds_r(j) one over
+//   every edge out of j, in edge order;
+//   d attn_left(c,g) = a MulAdd chain of ds_l(i)·h(i, g·d+c) over the
+//   destinations in order, d attn_right likewise of ds_r(j)·h(j, ·) over
+//   every row of h;
+//   dh(j, ·) adds, each term one MulAdd onto the incoming gradient: alpha_ij·G_i
+//   for every edge out of j in edge order, then ds_l(j)·attn_left(·, g) if j
+//   is a destination, then ds_r(j)·attn_right(·, g).
 Var GatAttention(Var h, Var attn_left, Var attn_right,
                  const std::shared_ptr<const EdgeSet>& edges, int groups,
                  double leaky_slope);

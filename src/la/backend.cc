@@ -59,7 +59,7 @@ void NaiveGemmTransB(const Matrix& a, const Matrix& b, Matrix* out) {
     for (int j = 0; j < b.rows(); ++j) {
       const double* b_row = b.row(j);
       double s = 0.0;
-      for (int k = 0; k < a.cols(); ++k) s += a_row[k] * b_row[k];
+      for (int k = 0; k < a.cols(); ++k) s = MulAdd(a_row[k], b_row[k], s);
       out_row[j] = s;
     }
   }
@@ -396,20 +396,19 @@ struct TileOperand {
 };
 
 // Packs k-rows [k0, k0 + kc) and columns [j0, j0 + n) of a right operand
-// with unit column stride into ceil(n / nr) zero-padded, k-major panels nr
-// columns wide: the layout the narrow tiles and the GEMM micro-kernels
-// stream.
+// (column j of k-row kk at KRow(kk) + j·stride: a row-major b, or bᵀ read in
+// place) into ceil(n / nr) zero-padded, k-major panels nr columns wide: the
+// layout the narrow tiles and the GEMM micro-kernels stream.
 void PackPanels(const TileOperand& b, int k0, int kc, int j0, int n, int nr,
                 std::vector<double>* panels) {
-  PPFR_DCHECK_EQ(b.stride, 1);
   const int num_panels = (n + nr - 1) / nr;
   panels->assign(static_cast<size_t>(num_panels) * kc * nr, 0.0);
   for (int p = 0; p < num_panels; ++p) {
     double* dst = panels->data() + static_cast<size_t>(p) * kc * nr;
     const int valid = std::min(nr, n - p * nr);
     for (int kk = 0; kk < kc; ++kk) {
-      const double* src = b.KRow(k0 + kk) + j0 + p * nr;
-      for (int j = 0; j < valid; ++j) dst[kk * nr + j] = src[j];
+      const double* src = b.KRow(k0 + kk) + (j0 + p * nr) * b.stride;
+      for (int j = 0; j < valid; ++j) dst[kk * nr + j] = src[j * b.stride];
     }
   }
 }
@@ -583,16 +582,13 @@ class ParallelBackend : public Backend {
   }
 
   void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out) const override {
-    const int64_t work = static_cast<int64_t>(a.rows()) * b.rows() * a.cols();
-    if (Narrow(work, b.rows(), a.cols())) {
-      // Not tiled: each element is a dot product, which GCC compiles to
-      // vector products summed lane by lane in order plus a contracted
-      // scalar tail. That sequence depends on the vector width the compiler
-      // picks, so no portable tile reproduces it.
-      NaiveGemmTransB(a, b, out);
+    const int m = a.rows(), k = a.cols(), n = b.rows();
+    if (Narrow(static_cast<int64_t>(m) * n * k, n, k)) {
+      // bᵀ read in place: its panels are packed from b's rows.
+      NarrowProduct({a.data(), k, 1}, m, k, {b.data(), k, 1}, n, out);
       return;
     }
-    Matrix bt(b.cols(), b.rows());
+    Matrix bt(k, n);
     Transpose(b, &bt);
     BlockedGemm(a, bt, out);
   }

@@ -1,6 +1,7 @@
 #ifndef PPFR_LA_BACKEND_H_
 #define PPFR_LA_BACKEND_H_
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -30,6 +31,56 @@ inline double MulAdd(double a, double b, double c) {
 #else
   return a * b + c;
 #endif
+}
+
+// e^x within 1 ulp of std::exp on [-745.13, 709.78]; 0 below that range, +∞
+// above it, NaN for NaN and exactly 1 at ±0. It is built only from MulAdds,
+// selects and exponent-bit integer arithmetic, so GCC vectorises any loop
+// that calls it, and every vector lane rounds exactly like a scalar call:
+// results depend on neither the vector width, the chunking nor the thread
+// count. (std::exp is an opaque libm call that no loop around it vectorises.)
+//
+// x = n·ln2 + r with n = round(x/ln2), r taken in two Cody–Waite steps (n
+// times the high part of ln2 is exact, and so is its difference from x);
+// e^r by its degree-13 Taylor polynomial in Horner form on |r| <= ln2/2,
+// whose truncation error is below 2^-56; then 2^n applied as 2^n1 · 2^n2
+// with n1 = round(n/2), so that neither factor leaves the normal range and
+// a subnormal result is rounded once, by the last product. The clamp keeps n
+// within that split and turns into an overflow to +∞ or a rounding to 0.
+// Both n1 and its bit pattern come from the same shifted-sum trick as n, so
+// the loop needs no double-to-integer conversion, which AVX2 lacks.
+inline double Exp(double x) {
+  constexpr double kLog2e = 0x1.71547652b82fep0;
+  constexpr double kLn2Hi = 0x1.62e42fee00000p-1;  // 32 significant bits
+  constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+  constexpr double kShift = 0x1.8p52;  // t + kShift keeps round(t) in the low bits
+  x = x > 710.0 ? 710.0 : x;  // selects that leave NaN in place
+  x = x < -746.0 ? -746.0 : x;
+  const double t = MulAdd(x, kLog2e, kShift);
+  const double n = t - kShift;
+  const double r = MulAdd(-n, kLn2Lo, MulAdd(-n, kLn2Hi, x));
+  double p = 1.0 / 6227020800.0;  // 1/13!
+  p = MulAdd(p, r, 1.0 / 479001600.0);
+  p = MulAdd(p, r, 1.0 / 39916800.0);
+  p = MulAdd(p, r, 1.0 / 3628800.0);
+  p = MulAdd(p, r, 1.0 / 362880.0);
+  p = MulAdd(p, r, 1.0 / 40320.0);
+  p = MulAdd(p, r, 1.0 / 5040.0);
+  p = MulAdd(p, r, 1.0 / 720.0);
+  p = MulAdd(p, r, 1.0 / 120.0);
+  p = MulAdd(p, r, 1.0 / 24.0);
+  p = MulAdd(p, r, 1.0 / 6.0);
+  p = MulAdd(p, r, 0.5);
+  p = MulAdd(p, r, 1.0);
+  p = MulAdd(p, r, 1.0);
+  // The low bits of t and t1 hold n and n1 offset by 2^51; shifting them
+  // into the exponent field drops the offset.
+  const double t1 = MulAdd(n, 0.5, kShift);
+  const uint64_t bits = std::bit_cast<uint64_t>(t);
+  const uint64_t bits1 = std::bit_cast<uint64_t>(t1);
+  const double scale1 = std::bit_cast<double>((bits1 + 1023) << 52);         // 2^n1
+  const double scale2 = std::bit_cast<double>((bits - bits1 + 1023) << 52);  // 2^(n-n1)
+  return p * scale1 * scale2;
 }
 
 // Compute backend behind every dense/sparse linear-algebra hot path in the

@@ -207,19 +207,41 @@ void GemmTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* out,
 
 Matrix SoftmaxRows(const Matrix& logits) {
   Matrix out(logits.rows(), logits.cols());
-  for (int r = 0; r < logits.rows(); ++r) {
-    const double* in = logits.row(r);
-    double* o = out.row(r);
-    double mx = in[0];
-    for (int c = 1; c < logits.cols(); ++c) mx = std::max(mx, in[c]);
-    double sum = 0.0;
-    for (int c = 0; c < logits.cols(); ++c) {
-      o[c] = std::exp(in[c] - mx);
-      sum += o[c];
-    }
-    for (int c = 0; c < logits.cols(); ++c) o[c] /= sum;
-  }
+  SoftmaxRowsInto(logits.data(), logits.rows(), logits.cols(), /*log_space=*/false,
+                  out.data());
   return out;
+}
+
+void SoftmaxRowsInto(const double* in, int64_t rows, int cols, bool log_space,
+                     double* out) {
+  if (cols == 0) return;
+  const auto row_max = [cols](const double* row) {
+    double mx = row[0];
+    for (int c = 1; c < cols; ++c) mx = std::max(mx, row[c]);
+    return mx;
+  };
+  // The exp arguments row by row, then one flat pass of exps: rows are a
+  // few classes wide, too short to fill vector lanes one at a time.
+  for (int64_t r = 0; r < rows; ++r) {
+    const double* x = in + r * cols;
+    double* o = out + r * cols;
+    const double mx = row_max(x);
+    for (int c = 0; c < cols; ++c) o[c] = x[c] - mx;
+  }
+  const int64_t size = rows * cols;
+  for (int64_t i = 0; i < size; ++i) out[i] = Exp(out[i]);
+  for (int64_t r = 0; r < rows; ++r) {
+    const double* x = in + r * cols;
+    double* o = out + r * cols;
+    double sum = 0.0;
+    for (int c = 0; c < cols; ++c) sum += o[c];
+    if (log_space) {
+      const double lse = row_max(x) + std::log(sum);
+      for (int c = 0; c < cols; ++c) o[c] = x[c] - lse;
+    } else {
+      for (int c = 0; c < cols; ++c) o[c] /= sum;
+    }
+  }
 }
 
 std::vector<int> ArgmaxRows(const Matrix& m) {

@@ -199,6 +199,14 @@ void GemmTransAAccumRows(const Matrix& a, const Matrix& g, Matrix* out,
 // Row-wise softmax (numerically stable).
 Matrix SoftmaxRows(const Matrix& logits);
 
+// The one softmax row routine: `rows` contiguous rows of `cols` values from
+// `in` to `out` (which may not alias it). Each row's exps, la::Exp(in − max),
+// are evaluated once over the whole range and stored, then summed in column
+// order; `out` is then divided by the sum, or with `log_space` set to
+// in − (max + log(sum)).
+void SoftmaxRowsInto(const double* in, int64_t rows, int cols, bool log_space,
+                     double* out);
+
 // Per-row argmax (ties resolved to the smallest index).
 std::vector<int> ArgmaxRows(const Matrix& m);
 

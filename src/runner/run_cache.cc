@@ -54,6 +54,11 @@ void MixTrainPrefix(KeyHasher* h, nn::ModelKind kind, const core::MethodConfig& 
   // (before one fused attention op computed the scores) are keyed without
   // it, so they miss once instead of mixing. Other models keep their keys.
   if (kind == nn::ModelKind::kGat) h->Mix("gat:fused-attention");
+  // Names the training step's exp: stages trained with libm's exp (before
+  // la::Exp and GAT's fixed attention sequence) are keyed without it, so
+  // they miss once instead of mixing. Every model kind takes it, because
+  // log-softmax moves GCN and SAGE too.
+  h->Mix("exp:la-exp");
   h->Mix(config.train.epochs)
       .Mix(config.train.lr)
       .Mix(config.train.weight_decay)

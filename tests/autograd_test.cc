@@ -11,6 +11,7 @@
 #include "autograd/tape.h"
 #include "common/rng.h"
 #include "la/backend.h"
+#include "privacy/defense/edge_rand.h"
 #include "test_util.h"
 
 namespace ppfr::ag {
@@ -616,6 +617,146 @@ TEST(GatAttentionTest, MatchesPlainLoopReference) {
   }
 }
 
+// GatAttention's documented rounding sequence (ops.h), written out with
+// plain loops per (group, destination): serial MulAdd score and head dots,
+// la::Exp, one division per alpha, sums in edge order, and each dh element's
+// terms in the stated order (the aggregate terms in edge order, then the
+// s_l term, then the s_r term). The op must match it bit for bit.
+GatResult SequenceReferenceGat(const la::Matrix& h, const la::Matrix& left,
+                               const la::Matrix& right, const EdgeSet& edges, double slope,
+                               const la::Matrix& seed) {
+  const int groups = left.cols();
+  const int dim = left.rows();
+  const int n = edges.num_nodes;
+  GatResult ref{la::Matrix(n, h.cols()), la::Matrix(h.rows(), h.cols()),
+                la::Matrix(dim, groups), la::Matrix(dim, groups)};
+  auto score = [&](const la::Matrix& a, int row, int g) {
+    double s = 0.0;
+    for (int c = 0; c < dim; ++c) s = la::MulAdd(h(row, g * dim + c), a(c, g), s);
+    return s;
+  };
+  std::vector<double> alpha(static_cast<size_t>(edges.num_edges()));
+  for (int g = 0; g < groups; ++g) {
+    const int c0 = g * dim;
+    std::vector<double> dsl(static_cast<size_t>(n)), dsr(static_cast<size_t>(h.rows()));
+    for (int i = 0; i < n; ++i) {
+      const int64_t begin = edges.row_ptr[i], end = edges.row_ptr[i + 1];
+      if (begin == end) continue;
+      std::vector<double> z, e;
+      double mx = -INFINITY;
+      for (int64_t k = begin; k < end; ++k) {
+        z.push_back(score(left, i, g) + score(right, edges.col_idx[k], g));
+        e.push_back(std::max(z.back(), slope * z.back()));
+        mx = std::max(mx, e.back());
+      }
+      double denom = 0.0;
+      for (double& w : e) {
+        w = la::Exp(w - mx);
+        denom += w;
+      }
+      double sum = 0.0;
+      std::vector<double> dalpha;
+      for (int64_t k = begin; k < end; ++k) {
+        const int j = edges.col_idx[k];
+        alpha[k] = e[k - begin] / denom;
+        double dot = 0.0;
+        for (int c = c0; c < c0 + dim; ++c) {
+          ref.out(i, c) = la::MulAdd(alpha[k], h(j, c), ref.out(i, c));
+          dot = la::MulAdd(seed(i, c), h(j, c), dot);
+        }
+        dalpha.push_back(dot);
+        sum = la::MulAdd(alpha[k], dot, sum);
+      }
+      for (int64_t k = begin; k < end; ++k) {
+        const int j = edges.col_idx[k];
+        const double de = alpha[k] * (dalpha[k - begin] - sum);
+        const double select = z[k - begin] > 0.0 ? 1.0 : slope;
+        dsl[i] = la::MulAdd(de, select, dsl[i]);
+        dsr[j] = la::MulAdd(de, select, dsr[j]);
+      }
+    }
+    for (int c = 0; c < dim; ++c) {
+      for (int i = 0; i < n; ++i) {
+        ref.dleft(c, g) = la::MulAdd(dsl[i], h(i, c0 + c), ref.dleft(c, g));
+      }
+      for (int j = 0; j < h.rows(); ++j) {
+        ref.dright(c, g) = la::MulAdd(dsr[j], h(j, c0 + c), ref.dright(c, g));
+      }
+    }
+    for (int i = 0; i < n; ++i) {
+      for (int64_t k = edges.row_ptr[i]; k < edges.row_ptr[i + 1]; ++k) {
+        const int j = edges.col_idx[k];
+        for (int c = c0; c < c0 + dim; ++c) {
+          ref.dh(j, c) = la::MulAdd(alpha[k], seed(i, c), ref.dh(j, c));
+        }
+      }
+    }
+    for (int j = 0; j < h.rows(); ++j) {
+      for (int c = 0; c < dim; ++c) {
+        if (j < n) ref.dh(j, c0 + c) = la::MulAdd(dsl[j], left(c, g), ref.dh(j, c0 + c));
+        ref.dh(j, c0 + c) = la::MulAdd(dsr[j], right(c, g), ref.dh(j, c0 + c));
+      }
+    }
+  }
+  return ref;
+}
+
+// An EdgeRand-perturbed SBM with self-loops: about 50 sources per
+// destination, GAT's DP training graphs' density, and enough edges that the
+// forward runs over several destination chunks at every width below.
+std::shared_ptr<EdgeSet> EdgeRandDenseEdges() {
+  const data::NodeClassificationData data = ppfr::testing::SmallSbm(5, 300);
+  const graph::Graph noisy = privacy::EdgeRand(data.graph, 2.4, 11);
+  std::vector<std::vector<int>> nbrs(static_cast<size_t>(noisy.num_nodes()));
+  for (int v = 0; v < noisy.num_nodes(); ++v) {
+    nbrs[static_cast<size_t>(v)].push_back(v);
+    for (int u : noisy.Neighbors(v)) nbrs[static_cast<size_t>(v)].push_back(u);
+  }
+  return EdgesFromLists(nbrs);
+}
+
+// Heads x width: GAT's first layer, its CoraLike output layer and a shape
+// with no compile-time kernel; on the block hop and on the dense graph; the
+// full and the row-support backward; every backend, at 1 and 4 threads.
+TEST(GatAttentionTest, FollowsTheDocumentedSequenceBitwise) {
+  const std::shared_ptr<EdgeSet> graphs[] = {BlockEdges(), EdgeRandDenseEdges()};
+  ASSERT_GE(graphs[1]->num_edges(), 40 * graphs[1]->num_nodes);
+  Rng rng(28);
+  for (const auto& [groups, dim] : {std::pair{4, 8}, std::pair{1, 7}, std::pair{3, 4}}) {
+    for (const std::shared_ptr<EdgeSet>& edges : graphs) {
+      int rows = edges->num_nodes;
+      for (int j : edges->col_idx) rows = std::max(rows, j + 1);
+      SCOPED_TRACE(std::to_string(groups) + "x" + std::to_string(dim) + " heads on " +
+                   std::to_string(edges->num_edges()) + " edges");
+      Parameter h = MakeParam("h", rows, groups * dim, &rng);
+      Parameter left = MakeParam("left", dim, groups, &rng);
+      Parameter right = MakeParam("right", dim, groups, &rng);
+      const la::Matrix dense_seed = RandomMatrix(edges->num_nodes, groups * dim, &rng);
+      la::Matrix sparse_seed(edges->num_nodes, groups * dim);
+      for (int r : {0, 2, edges->num_nodes - 1}) {
+        sparse_seed(r, (r * 5) % (groups * dim)) = rng.Normal();
+      }
+      for (const bool sparse : {false, true}) {
+        const la::Matrix& seed = sparse ? sparse_seed : dense_seed;
+        const GatResult want =
+            SequenceReferenceGat(h.value, left.value, right.value, *edges, 0.2, seed);
+        for (const la::BackendKind backend : kBackends) {
+          for (const int threads : {1, 4}) {
+            SCOPED_TRACE(std::string(sparse ? "sparse seed on " : "dense seed on ") +
+                         la::BackendKindName(backend) + " x" + std::to_string(threads));
+            la::ScopedBackend scoped(backend, threads);
+            const GatResult got = RunGat(&h, &left, &right, edges, seed, sparse);
+            ExpectBitwiseEq(want.out, got.out, "out");
+            ExpectBitwiseEq(want.dh, got.dh, "dh");
+            ExpectBitwiseEq(want.dleft, got.dleft, "dleft");
+            ExpectBitwiseEq(want.dright, got.dright, "dright");
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GradCheckTest, GatAttention) {
   Rng rng(24);
   const int groups = 2, dim = 3;
@@ -815,6 +956,56 @@ TEST_P(GatAttentionThreads, MultiChunkPassIsBitwiseThreadInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, GatAttentionThreads, ::testing::ValuesIn(kBackends),
                          [](const auto& info) { return la::BackendKindName(info.param); });
+
+// f(x) = (x + 1) − x: the tape's derivative is exactly 1 − 1 = 0, but the
+// two perturbed losses round apart. One ulp between them is rounding, so the
+// entry must pass; before GradCheck allowed for it, it read as an error of
+// ulp/2ε over max(ulp/2ε, 1e-8), about 1e-3.
+TEST(GradCheckTest, FlatDirectionOneUlpApartPasses) {
+  Parameter p("p", la::Matrix(1, 1));
+  const auto build = [&p](Tape& t) {
+    const Var x = t.Leaf(&p);
+    return Sub(AddScalar(x, 1.0), x);
+  };
+  const auto loss_at = [&](double v) {
+    p.value(0, 0) = v;
+    Tape t;
+    return build(t).scalar();
+  };
+  const double eps = 1e-5;
+  bool found = false;
+  for (int k = 1; k <= 1000 && !found; ++k) {
+    const double theta = 1e-3 * k;
+    const double f_plus = loss_at(theta + eps);
+    const double f_minus = loss_at(theta - eps);
+    // Adjacent doubles: the two losses are one ulp apart.
+    if (f_plus == f_minus || std::nextafter(f_minus, f_plus) != f_plus) continue;
+    found = true;
+    p.value(0, 0) = theta;
+    Rng rng(1);
+    const GradCheckResult r = GradCheck(build, {&p}, &rng, 1, eps);
+    EXPECT_EQ(r.entries_checked, 1);
+    EXPECT_EQ(r.max_abs_error, 0.0);
+    EXPECT_EQ(r.max_rel_error, 0.0);
+  }
+  EXPECT_TRUE(found) << "no probe point rounds its two losses one ulp apart";
+}
+
+// The allowance must not hide a real error: an analytic gradient 1.001 times
+// the true one still reports a relative error of 0.001/1.001.
+TEST(GradCheckTest, ScaledAnalyticGradientReportsItsError) {
+  Rng rng(43);
+  Parameter p = MakeParam("p", 3, 2, &rng);
+  int calls = 0;
+  // GradCheck differentiates the tape of its first call; only that one is
+  // scaled.
+  const auto build = [&](Tape& t) {
+    const Var loss = SumAll(Square(t.Leaf(&p)));
+    return calls++ == 0 ? Scale(loss, 1.001) : loss;
+  };
+  const GradCheckResult r = GradCheck(build, {&p}, &rng, 6);
+  EXPECT_NEAR(r.max_rel_error, 0.001 / 1.001, 1e-6);
+}
 
 TEST(GradCheckTest, RiskSurrogateShapedExpression) {
   // Composite expression mirroring the risk surrogate: means, variances,

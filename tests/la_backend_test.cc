@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -307,6 +309,104 @@ TEST(BackendParityTest, NarrowProductsEqualReferenceBitwise) {
         });
       }
     }
+  }
+}
+
+// ---- la::Exp ----
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// A call the compiler can neither inline nor vectorise: the scalar side of
+// the lane-invariance contract.
+[[gnu::noinline]] double ScalarExp(double x) { return Exp(x); }
+
+// Distance in ulps between two doubles of the same sign: adjacent doubles
+// have adjacent bit patterns.
+int64_t UlpDistance(double a, double b) {
+  return std::abs(std::bit_cast<int64_t>(a) - std::bit_cast<int64_t>(b));
+}
+
+// Uniform samples over the whole finite range, and denser ones where GAT's
+// and softmax's arguments fall (at most 0), around the reduction interval
+// and at both ends, where the two scaling steps leave the normal range.
+std::vector<double> ExpArguments(int per_range, Rng* rng) {
+  const std::pair<double, double> ranges[] = {{-745.13, 709.78}, {-40.0, 0.0},
+                                              {-1.0, 1.0},       {-0.35, 0.35},
+                                              {-745.13, -700.0}, {700.0, 709.78}};
+  std::vector<double> x;
+  for (const auto& [lo, hi] : ranges) {
+    for (int i = 0; i < per_range; ++i) x.push_back(lo + (hi - lo) * rng->Uniform());
+  }
+  return x;
+}
+
+TEST(ExpTest, WithinOneUlpOfStdExp) {
+  Rng rng(41);
+  const std::vector<double> x = ExpArguments(200000, &rng);
+  std::vector<double> y(x.size());
+  for (size_t i = 0; i < x.size(); ++i) y[i] = Exp(x[i]);
+  int64_t worst = 0;
+  double worst_x = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const int64_t d = UlpDistance(y[i], std::exp(x[i]));
+    if (d > worst) {
+      worst = d;
+      worst_x = x[i];
+    }
+  }
+  EXPECT_LE(worst, 1) << "at x = " << worst_x;
+}
+
+TEST(ExpTest, EdgesOfTheRange) {
+  EXPECT_EQ(ScalarExp(0.0), 1.0);
+  EXPECT_EQ(ScalarExp(-0.0), 1.0);
+  EXPECT_EQ(ScalarExp(5e-324), 1.0);
+  EXPECT_EQ(ScalarExp(-5e-324), 1.0);
+  EXPECT_TRUE(std::isnan(ScalarExp(std::nan(""))));
+  for (const double x : {709.79, 710.0, 1e10, 1e308, kInf}) EXPECT_EQ(ScalarExp(x), kInf) << x;
+  for (const double x : {-745.14, -746.0, -1e10, -1e308, -kInf}) {
+    EXPECT_EQ(ScalarExp(x), 0.0) << x;
+    EXPECT_FALSE(std::signbit(ScalarExp(x))) << x;
+  }
+  // The largest finite result, the smallest normal one and the smallest
+  // subnormal one, against libm.
+  for (const double x : {709.782712893384, -708.3964185322641, -745.1332191019411}) {
+    EXPECT_EQ(ScalarExp(x), std::exp(x)) << x;
+  }
+}
+
+// Whatever lands in a vector lane at one array offset lands in a scalar
+// epilogue at another; the backend's Apply then cuts the array into
+// thread-count-dependent chunks. Every element must equal a scalar call.
+TEST(ExpTest, VectorLanesAndChunksEqualScalarCallsBitwise) {
+  Rng rng(42);
+  std::vector<double> x = ExpArguments(700, &rng);
+  for (const double special : {0.0, -0.0, kInf, -kInf, 709.79, -745.2, 1e-300}) {
+    x.push_back(special);
+  }
+  const int64_t n = static_cast<int64_t>(x.size());
+  std::vector<double> want(x.size());
+  for (int64_t i = 0; i < n; ++i) want[i] = ScalarExp(x[i]);
+  const auto expect_bitwise = [&](const std::vector<double>& got, int64_t from) {
+    for (int64_t i = from; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[i]), std::bit_cast<uint64_t>(want[i]))
+          << "x=" << x[i];
+    }
+  };
+  for (const int64_t offset : {0, 1, 2, 3, 5, 7}) {
+    SCOPED_TRACE("offset=" + std::to_string(offset));
+    std::vector<double> got(x.size());
+    for (int64_t i = offset; i < n; ++i) got[i] = Exp(x[i]);
+    expect_bitwise(got, offset);
+  }
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto backend = MakeBackend(BackendKind::kParallel, threads);
+    std::vector<double> got(x.size());
+    backend->Apply(n, 37, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) got[i] = Exp(x[i]);
+    });
+    expect_bitwise(got, 0);
   }
 }
 

@@ -98,26 +98,28 @@ TEST(KeyHasherTest, GoldenValuesStableAcrossProcesses) {
   // Every key with the training prefix changed when it gained the sparse
   // first-layer salt: models trained with the dense X·W miss. DP keys have
   // no training prefix and keep hitting.
+  // They all moved again with the la::Exp salt (every model kind's training
+  // numerics changed with the exp); the DP key did not.
   EXPECT_EQ(RunCache::VanillaKey(nn::ModelKind::kGcn, env, cfg),
-            0x9dbc2bcb9ef297e0ULL);
+            0xca000c93d29f2f70ULL);
   EXPECT_EQ(RunCache::DpKey(env, cfg), 0xdc379259979ac35fULL);
-  EXPECT_EQ(RunCache::PpKey(nn::ModelKind::kGcn, env, cfg), 0x5b9b2aca326d5bc3ULL);
+  EXPECT_EQ(RunCache::PpKey(nn::ModelKind::kGcn, env, cfg), 0xa739563afbf7ee76ULL);
   // FrKey and CellKey also carry the support-restricted influence salt of
   // the FR prefix: FR results from the full-graph gradients miss. They moved
   // again when the FR prefix stopped mixing the resolved replay width (the
   // fused probe replay it named is gone); DP, PP and vanilla keys did not.
-  EXPECT_EQ(RunCache::FrKey(nn::ModelKind::kGcn, env, cfg), 0xb2aff25a97f315feULL);
+  EXPECT_EQ(RunCache::FrKey(nn::ModelKind::kGcn, env, cfg), 0x40825b9a037bd75dULL);
   // (The cell's FR cg_block resolves to 8 under the default environment.)
   const Scenario cell = Cell(data::DatasetId::kCoraLike, nn::ModelKind::kGcn,
                              core::MethodKind::kPpFr, 50);
-  EXPECT_EQ(RunCache::CellKey(cell, 123), 0xbacdb17bbf81fc43ULL);
+  EXPECT_EQ(RunCache::CellKey(cell, 123), 0x3b8f49c2b7b832a3ULL);
   // GAT's training prefix also carries the fused-attention salt: GAT stages
   // from the per-head score GEMMs miss; the GCN keys above did not move. The
   // GAT cell key moved with the FR prefix, like the GCN one.
-  EXPECT_EQ(RunCache::VanillaKey(nn::ModelKind::kGat, env, cfg), 0x2a29976b2839d1d0ULL);
+  EXPECT_EQ(RunCache::VanillaKey(nn::ModelKind::kGat, env, cfg), 0x90ea840b15300700ULL);
   const Scenario gat_cell = Cell(data::DatasetId::kCoraLike, nn::ModelKind::kGat,
                                  core::MethodKind::kPpFr, 50);
-  EXPECT_EQ(RunCache::CellKey(gat_cell, 123), 0x51396ecaca49bfb7ULL);
+  EXPECT_EQ(RunCache::CellKey(gat_cell, 123), 0xd5f1b1cbd7098e07ULL);
 
   // The namespace tags must actually namespace: stages whose remaining
   // fields coincide still get distinct keys (guards the const char* → bool
