@@ -9,12 +9,9 @@
 //     loss graph over the block.
 // The pooled per-node gradients are checked against the full-graph serial
 // oracle (within 1e-12 relative) before any timing is reported, and
-// dense-buffer allocations are counted via la::MatrixAllocCount. A third
-// column times the pooled path under the SimdBackend (with its own parity
-// gate), so the artifact tracks the vector kernels' effect on per-node
-// gradient throughput alongside the CPU feature-detection result.
+// dense-buffer allocations are counted via la::MatrixAllocCount.
 //
-// Two block-solver columns sit on top (both under the SimdBackend):
+// Two block-solver columns sit on top:
 //   * the real pipeline — InfluenceOnNodeLosses over --cg_targets target
 //     nodes at cg_block=1 (the single-RHS oracle) versus --cg_block, with a
 //     per-row relative-error parity gate between the two;
@@ -32,7 +29,8 @@
 // ReplayCache) asserting the second calculator's allocation counts.
 //
 // Emits BENCH_influence.json for the cross-PR perf trajectory (schema pinned
-// by bench/golden/artifact_schema.txt, section "influence").
+// by bench/golden/artifact_schema.txt, section "influence"), stamped with the
+// host fingerprint. Everything runs on the active backend.
 //
 //   ./bench_influence_engine --nodes=800 --degree=8 --train=96 --lanes=4
 //       --la_backend=parallel --la_threads=4 --cg_block=8 --cg_dim=1280
@@ -60,7 +58,6 @@
 #include "influence/param_vector.h"
 #include "la/backend.h"
 #include "la/matrix.h"
-#include "la/simd_kernels.h"
 #include "nn/graph_context.h"
 #include "nn/models.h"
 #include "nn/trainer.h"
@@ -386,46 +383,20 @@ int Main(int argc, char** argv) {
   std::printf("per-node grads block-vs-full-graph max rel err %.2e (%s)\n", per_node_err,
               per_node_ok ? "OK" : "FAIL");
 
-  // The same serial/pooled pair under the SimdBackend (same thread count),
-  // with its own parity gate — the contract must hold under the vector
-  // kernels too. When the simd backend is already active, this would just
-  // repeat the rows above, so they are reused.
-  PathResult simd_serial = serial;
-  PathResult simd_pooled = pooled;
-  double simd_per_node_err = per_node_err;
-  if (la::ActiveBackendKind() != la::BackendKind::kSimd) {
-    la::ScopedBackend scoped(la::BackendKind::kSimd,
-                             la::ActiveBackend().num_threads());
-    simd_serial =
-        TimePerNodeGrads(model.get(), ctx, split.train, data.labels, before, reps);
-    simd_pooled =
-        TimePerNodeGrads(model.get(), ctx, split.train, data.labels, after, reps);
-    simd_per_node_err = MaxRowRelErr(simd_pooled.grads, simd_serial.grads);
-    std::printf("per-node grads block-vs-full-graph max rel err (simd backend) %.2e (%s)\n",
-                simd_per_node_err, simd_per_node_err < kPerNodeTolerance ? "OK" : "FAIL");
-  }
-  const bool simd_per_node_ok = simd_per_node_err < kPerNodeTolerance;
-  const bool simd_kernels_active = la::simd::KernelsUsable();
-
   const double cg_ms = TimeBiasSolve(model.get(), ctx, split.train, data.labels, sim,
                                      after, reps) * 1e3;
 
   // --- Block solver on the real pipeline: the per-node influence sweep
   // (Table 2's workload) over the first --cg_targets train nodes, single-RHS
-  // oracle (cg_block=1) versus blocks of --cg_block, both under the
-  // SimdBackend. The honest pipeline win is bounded by tape-replay gradient
-  // costs, which both paths pay per probe point; the parity gate is the
-  // load-bearing result here. ---
+  // oracle (cg_block=1) versus blocks of --cg_block. The honest pipeline win
+  // is bounded by tape-replay gradient costs, which both paths pay per probe
+  // point; the parity gate is the load-bearing result here. ---
   const int num_targets = std::min(static_cast<int>(split.train.size()), cg_targets);
   const std::vector<int> targets(split.train.begin(), split.train.begin() + num_targets);
-  PipelineBlockRun pipe_single, pipe_block;
-  {
-    la::ScopedBackend scoped(la::BackendKind::kSimd, la::ActiveBackend().num_threads());
-    pipe_single = TimeNodeLossSweep(model.get(), ctx, split.train, data.labels, after,
-                                    /*block=*/1, targets, reps);
-    pipe_block = TimeNodeLossSweep(model.get(), ctx, split.train, data.labels, after,
-                                   cg_block, targets, reps);
-  }
+  const PipelineBlockRun pipe_single = TimeNodeLossSweep(
+      model.get(), ctx, split.train, data.labels, after, /*block=*/1, targets, reps);
+  const PipelineBlockRun pipe_block = TimeNodeLossSweep(
+      model.get(), ctx, split.train, data.labels, after, cg_block, targets, reps);
   const double pipe_parity = MaxRowRelErr(pipe_block.influence, pipe_single.influence);
   const bool pipe_parity_ok = pipe_parity < 1e-3;
   const double pipe_speedup = pipe_single.seconds / pipe_block.seconds;
@@ -438,7 +409,6 @@ int Main(int argc, char** argv) {
   // must reproduce the one-lane gradients bit for bit. ---
   bool probe_lane_parity_ok = true;
   {
-    la::ScopedBackend scoped(la::BackendKind::kSimd, la::ActiveBackend().num_threads());
     const std::vector<double> theta0 = influence::FlattenValues(model->Params());
     constexpr int kProbePoints = 5;
     Rng probe_rng(417);
@@ -501,12 +471,11 @@ int Main(int argc, char** argv) {
                 warm_reuse_ok ? "OK" : "FAIL");
   }
 
-  // --- Block sweep on the synthetic GEMM-batched operator (SimdBackend):
-  // k=1 is the oracle row; every other k must agree with it per RHS. ---
+  // --- Block sweep on the synthetic GEMM-batched operator: k=1 is the oracle
+  // row; every other k must agree with it per RHS. ---
   constexpr int kSweepRhs = 16;
   std::vector<SweepRow> sweep;
   {
-    la::ScopedBackend scoped(la::BackendKind::kSimd, la::ActiveBackend().num_threads());
     SyntheticQuadratic quad(cg_dim, /*seed=*/91);
     influence::MultiVector b(cg_dim, kSweepRhs);
     Rng rng(92);
@@ -530,7 +499,6 @@ int Main(int argc, char** argv) {
 
   const double tput_serial = train_count / serial.seconds;
   const double tput_pooled = train_count / pooled.seconds;
-  const double tput_simd_pooled = train_count / simd_pooled.seconds;
 
   TablePrinter table({"Path", "PerNodeGrads ms", "nodes/s", "allocs", "CG ms"});
   table.AddRow({"full-graph serial (before)", TablePrinter::Num(serial.seconds * 1e3),
@@ -538,11 +506,6 @@ int Main(int argc, char** argv) {
   table.AddRow({"block tape pool (after)", TablePrinter::Num(pooled.seconds * 1e3),
                 TablePrinter::Num(tput_pooled, 0), std::to_string(pooled.allocs),
                 TablePrinter::Num(cg_ms)});
-  table.AddRow({std::string("tape pool (simd") +
-                    (simd_kernels_active ? ")" : ", scalar fallback)"),
-                TablePrinter::Num(simd_pooled.seconds * 1e3),
-                TablePrinter::Num(tput_simd_pooled, 0),
-                std::to_string(simd_pooled.allocs), ""});
   table.AddSeparator();
   table.AddRow({"speedup", TablePrinter::Num(serial.seconds / pooled.seconds) + "x",
                 TablePrinter::Num(tput_pooled / tput_serial) + "x", "", ""});
@@ -566,11 +529,12 @@ int Main(int argc, char** argv) {
 
   JsonWriter json;
   json.BeginObject();
-  json.Key("schema_version").Int(7);
+  json.Key("schema_version").Int(8);
   json.Key("nodes").Int(nodes);
   json.Key("train").Int(train_count);
   json.Key("backend").String(la::ActiveBackend().name());
   json.Key("threads").Int(la::ActiveBackend().num_threads());
+  bench::WriteHost(&json);
   // Peak-memory accounting over the whole bench run: the arena peak counts
   // logical bytes of live dense/sparse matrix buffers, the RSS peak is the
   // kernel's VmHWM (0 where /proc is unavailable).
@@ -587,16 +551,6 @@ int Main(int argc, char** argv) {
   json.Key("cg_solve_ms").Number(cg_ms);
   json.Key("per_node_max_rel_err").Number(per_node_err);
   json.Key("per_node_parity_ok").Bool(per_node_ok);
-  // SimdBackend column + the feature-detection result it acted on.
-  json.Key("simd_cpu_avx2_fma").Bool(la::simd::CpuSupportsAvx2Fma());
-  json.Key("simd_cpu_avx512").Bool(la::simd::CpuSupportsAvx512());
-  json.Key("simd_kernels_active").Bool(simd_kernels_active);
-  json.Key("per_node_grads_ms_serial_simd").Number(simd_serial.seconds * 1e3);
-  json.Key("per_node_grads_ms_pooled_simd").Number(simd_pooled.seconds * 1e3);
-  json.Key("per_node_throughput_pooled_simd").Number(tput_simd_pooled);
-  json.Key("per_node_speedup_simd").Number(simd_serial.seconds / simd_pooled.seconds);
-  json.Key("per_node_max_rel_err_simd").Number(simd_per_node_err);
-  json.Key("per_node_parity_ok_simd").Bool(simd_per_node_ok);
   // Block solver: the real per-node influence sweep (cg_block vs the
   // single-RHS oracle) and the synthetic GEMM-batched block sweep.
   json.Key("cg_block").Int(cg_block);
@@ -638,8 +592,8 @@ int Main(int argc, char** argv) {
   WriteFileOrDie(json_path, json.ToString());
   std::printf("wrote %s\n", json_path.c_str());
 
-  return per_node_ok && simd_per_node_ok && pipe_parity_ok && sweep_parity_ok &&
-                 probe_lane_parity_ok && warm_reuse_ok
+  return per_node_ok && pipe_parity_ok && sweep_parity_ok && probe_lane_parity_ok &&
+                 warm_reuse_ok
              ? 0
              : 1;
 }

@@ -4,18 +4,16 @@
 // the cost of every experiment binary in this repo.
 //
 // Before the google-benchmark suite runs, the binary prints a
-// reference/parallel/simd backend comparison per kernel and per thread count
-// and emits it as BENCH_micro.json (the BENCH trajectory for the la::Backend
+// reference/parallel backend comparison per kernel and per thread count and
+// emits it as BENCH_micro.json (the BENCH trajectory for the la::Backend
 // layer — per-kernel GFLOP/s across PRs; schema pinned by
 // bench/golden/artifact_schema.txt, section "micro"). Flags:
-//   --la_backend=reference|parallel|simd --la_threads=N   backend for BM_*
+//   --la_backend=reference|parallel --la_threads=N   backend for BM_*
 //   --compare_reps=N        timing repetitions for the comparison (0 skips it)
 //   --compare_gemm_size=N   GEMM problem size (default 512, i.e. 512x512x512)
 //   --json=PATH             comparison artifact path (default BENCH_micro.json)
 
 #include <benchmark/benchmark.h>
-
-#include <sched.h>
 
 #include <algorithm>
 #include <cmath>
@@ -29,6 +27,7 @@
 #include <vector>
 
 #include "autograd/ops.h"
+#include "bench_util.h"
 #include "common/flags.h"
 #include "common/json_writer.h"
 #include "common/rng.h"
@@ -38,7 +37,6 @@
 #include "graph/graph_ops.h"
 #include "graph/jaccard.h"
 #include "la/backend.h"
-#include "la/simd_kernels.h"
 #include "nn/graph_context.h"
 #include "nn/models.h"
 #include "nn/trainer.h"
@@ -171,9 +169,9 @@ BENCHMARK(BM_QclpSolve)->Arg(140)->Arg(500);
 
 // ---------------------------------------------------------------------------
 // Backend comparison. Each kernel is timed on a standalone ReferenceBackend
-// and on ParallelBackend/SimdBackend instances with increasing thread
-// counts; the table reports milliseconds, speedups over the reference loops
-// and the simd backend's GFLOP/s. The same numbers are emitted to
+// and on ParallelBackend instances with increasing thread counts; the table
+// reports milliseconds, speedups over the reference loops and the parallel
+// backend's GFLOP/s. The same numbers are emitted to
 // BENCH_micro.json so the kernel trajectory is tracked across PRs like the
 // influence and sweep artifacts.
 // ---------------------------------------------------------------------------
@@ -205,36 +203,6 @@ std::string ShapeName(std::initializer_list<int> dims) {
     out += std::to_string(d);
   }
   return out;
-}
-
-// The host fingerprint perfbench records: usable cores (the affinity mask,
-// what `nproc` prints), the CPU's widest vector ISA, what this binary was
-// compiled for, and the backend the BM_* suite runs on.
-void WriteHost(JsonWriter* json) {
-  cpu_set_t set;
-  const int cores = sched_getaffinity(0, sizeof(set), &set) == 0
-                        ? CPU_COUNT(&set)
-                        : static_cast<int>(std::thread::hardware_concurrency());
-  __builtin_cpu_init();
-  const char* isa = __builtin_cpu_supports("avx512f") ? "AVX-512"
-                    : __builtin_cpu_supports("avx2")  ? "AVX2"
-                                                      : "scalar";
-#if defined(__AVX512F__)
-  const char* build_isa = "AVX-512";
-#elif defined(__AVX2__) && defined(__FMA__)
-  const char* build_isa = "AVX2+FMA";
-#else
-  const char* build_isa = "baseline";
-#endif
-  const la::Backend& backend = la::ActiveBackend();
-  json->Key("host").BeginObject();
-  json->Key("cores").Int(cores);
-  json->Key("isa").String(isa);
-  json->Key("build_isa").String(build_isa);
-  json->Key("build_type").String(PPFR_BUILD_TYPE);
-  json->Key("backend").String(backend.name());
-  json->Key("la_threads").Int(backend.num_threads());
-  json->EndObject();
 }
 
 void RunBackendComparison(const Flags& flags) {
@@ -306,8 +274,8 @@ void RunBackendComparison(const Flags& flags) {
 
   // The training step's exp: la::Exp, which any loop vectorises, against
   // libm's std::exp in the reference column. Both run on the calling thread
-  // (the parallel and simd columns time the same la::Exp loop), over the
-  // arguments softmax and GAT attention feed it. One "flop" is one exp.
+  // (every parallel row times the same la::Exp loop), over the arguments
+  // softmax and GAT attention feed it. One "flop" is one exp.
   const int exp_n = 1 << 16;
   std::vector<double> exp_x(exp_n), exp_y(exp_n);
   for (double& v : exp_x) v = -30.0 * rng.Uniform();
@@ -426,21 +394,16 @@ void RunBackendComparison(const Flags& flags) {
     }
   }
 
-  const bool simd_active = la::simd::KernelsUsable();
-
-  TablePrinter table({"Kernel", "Shape", "thr", "ref ms", "par ms", "par spd",
-                      "simd ms", "simd spd", "simd GFLOP/s"});
+  TablePrinter table(
+      {"Kernel", "Shape", "thr", "ref ms", "par ms", "par spd", "par GFLOP/s"});
   JsonWriter json;
   json.BeginObject();
-  json.Key("schema_version").Int(2);
+  json.Key("schema_version").Int(3);
   json.Key("bench").String("micro");
   json.Key("gemm_size").Int(n);
   json.Key("reps").Int(reps);
   json.Key("hardware_threads").Int(hw);
-  json.Key("simd_cpu_avx2_fma").Bool(la::simd::CpuSupportsAvx2Fma());
-  json.Key("simd_cpu_avx512").Bool(la::simd::CpuSupportsAvx512());
-  json.Key("simd_kernels_active").Bool(simd_active);
-  WriteHost(&json);
+  bench::WriteHost(&json);
   json.Key("kernels").BeginArray();
 
   const auto reference = la::MakeBackend(la::BackendKind::kReference, 1);
@@ -460,33 +423,22 @@ void RunBackendComparison(const Flags& flags) {
     for (const int t : thread_counts) {
       const double par_ms =
           TimeKernel(*la::MakeBackend(la::BackendKind::kParallel, t), cc, reps);
-      const double simd_ms =
-          TimeKernel(*la::MakeBackend(la::BackendKind::kSimd, t), cc, reps);
-      for (const auto& [name, ms] :
-           {std::pair<const char*, double>{"parallel", par_ms}, {"simd", simd_ms}}) {
-        json.BeginObject();
-        json.Key("backend").String(name);
-        json.Key("threads").Int(t);
-        json.Key("ms").Number(ms);
-        json.Key("gflops").Number(Gflops(cc.flops_per_call, ms));
-        json.EndObject();
-      }
+      json.BeginObject();
+      json.Key("backend").String("parallel");
+      json.Key("threads").Int(t);
+      json.Key("ms").Number(par_ms);
+      json.Key("gflops").Number(Gflops(cc.flops_per_call, par_ms));
+      json.EndObject();
       table.AddRow({cc.kernel, cc.shape, std::to_string(t),
                     TablePrinter::Num(ref_ms, 2), TablePrinter::Num(par_ms, 2),
                     TablePrinter::Num(ref_ms / par_ms, 2) + "x",
-                    TablePrinter::Num(simd_ms, 2),
-                    TablePrinter::Num(ref_ms / simd_ms, 2) + "x",
-                    TablePrinter::Num(Gflops(cc.flops_per_call, simd_ms), 1)});
+                    TablePrinter::Num(Gflops(cc.flops_per_call, par_ms), 1)});
     }
     json.EndArray().EndObject();
   }
   json.EndArray().EndObject();
 
-  std::printf(
-      "la::Backend comparison (best of %d reps; %d hardware threads; "
-      "simd kernels %s: avx2+fma=%d avx512=%d)\n",
-      reps, hw, simd_active ? "active" : "fallback (scalar)",
-      la::simd::CpuSupportsAvx2Fma() ? 1 : 0, la::simd::CpuSupportsAvx512() ? 1 : 0);
+  std::printf("la::Backend comparison (best of %d reps; %d hardware threads)\n", reps, hw);
   table.Print();
 
   const std::string json_path = flags.GetString("json", "BENCH_micro.json");

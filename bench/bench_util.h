@@ -8,6 +8,7 @@
 // through the shared stage cache, renders its bespoke table, and emits the
 // uniform BENCH_<name>.json artifact.
 
+#include <sched.h>
 #include <signal.h>
 
 #include <algorithm>
@@ -16,9 +17,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/flags.h"
+#include "common/json_writer.h"
 #include "common/serialize.h"
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
@@ -142,6 +145,41 @@ inline void PreflightOutputPaths(const Flags& flags) {
     probe_dir(cache_dir, flags.Has("run_cache_dir") ? "--run_cache_dir"
                                                     : "PPFR_RUN_CACHE_DIR");
   }
+}
+
+// Writes the "host" object of a kernel-bench artifact, the fingerprint
+// perfbench records too: usable cores (the affinity mask, what `nproc`
+// prints), the CPU's widest vector ISA, what this binary was compiled for,
+// and the active backend.
+inline void WriteHost(JsonWriter* json) {
+  cpu_set_t set;
+  const int cores = sched_getaffinity(0, sizeof(set), &set) == 0
+                        ? CPU_COUNT(&set)
+                        : static_cast<int>(std::thread::hardware_concurrency());
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  const char* isa = __builtin_cpu_supports("avx512f") ? "AVX-512"
+                    : __builtin_cpu_supports("avx2")  ? "AVX2"
+                                                      : "scalar";
+#else
+  const char* isa = "non-x86";  // the probe builtins are x86-only
+#endif
+#if defined(__AVX512F__)
+  const char* build_isa = "AVX-512";
+#elif defined(__AVX2__) && defined(__FMA__)
+  const char* build_isa = "AVX2+FMA";
+#else
+  const char* build_isa = "baseline";
+#endif
+  const la::Backend& backend = la::ActiveBackend();
+  json->Key("host").BeginObject();
+  json->Key("cores").Int(cores);
+  json->Key("isa").String(isa);
+  json->Key("build_isa").String(build_isa);
+  json->Key("build_type").String(PPFR_BUILD_TYPE);
+  json->Key("backend").String(backend.name());
+  json->Key("la_threads").Int(backend.num_threads());
+  json->EndObject();
 }
 
 // Resolves the binary's registered sweep, applying --datasets/--models

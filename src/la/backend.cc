@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/thread_pool.h"
-#include "la/simd_kernels.h"
 
 namespace ppfr::la {
 namespace {
@@ -90,7 +89,7 @@ void NaiveSpmmAccumRows(const CsrMatrix& a, const Matrix& x, double alpha, Matri
 // Serial support-guided kernels: the original loops from matrix.cc /
 // csr_matrix.cc, now the Backend base-class (and small-support) path. The
 // supports a seeded backward produces are tiny, so these loops are the fast
-// path; ParallelBackend/SimdBackend only diverge above a work threshold.
+// path; ParallelBackend only diverges above a work threshold.
 
 void SerialGemmTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,
                                const std::vector<int>& rows) {
@@ -142,41 +141,6 @@ void SerialSpmmAccumRows(const CsrMatrix& a, const Matrix& x, double alpha,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Leaf-kernel table. The ParallelBackend owns blocking, packing, cutoffs and
-// the thread pool; the innermost register/vector loops are routed through
-// this table so the SimdBackend can swap in the AVX2/FMA (or AVX-512)
-// variants from la/simd_kernels.h without duplicating any dispatch logic —
-// and fall back to the scalar set per-routine when the CPU probe fails.
-// ---------------------------------------------------------------------------
-
-struct LeafKernels {
-  // Packed GEMM micro-kernel; see simd::MicroKernel4x8Avx2 for the contract.
-  void (*gemm_micro)(const double* ap, const double* bp, int kb, double* out,
-                     int64_t out_stride, int mr, int nr);
-  // Width of the packed B slivers gemm_micro consumes (the NR of its register
-  // tile). BlockedGemm packs B to this width, so a wider-vector kernel (the
-  // 16-wide AVX-512 tile) gets matching panels without a second packing
-  // scheme.
-  int pack_nr;
-  double (*dot)(const double* a, const double* b, int64_t n);
-  void (*axpy)(double alpha, const double* x, double* y, int64_t n);
-  void (*scale)(double alpha, double* x, int64_t n);
-  void (*hadamard)(const double* a, const double* b, double* out, int64_t n);
-  // Fused CG-step leaves; see Backend::VAxpyDot / Backend::VDotAxpy for the
-  // bitwise contracts they implement.
-  double (*axpy_dot)(double alpha, const double* x, double* y, int64_t n);
-  double (*xpay_dot)(double beta, const double* x, double* y, int64_t n);
-  // Multi-column CSR row kernel: for one output row,
-  //   out_row[j] += Σ_k (alpha·vals[k]) · x(cols[k], j),  k in CSR order.
-  // Must be bitwise equal to the per-nonzero axpy sequence
-  // (for k: axpy(alpha·vals[k], x.row(cols[k]), out_row, n)); both variants
-  // keep out_row columns in registers across the whole nonzero list instead
-  // of re-loading/re-storing them per nonzero.
-  void (*spmm_row)(const double* vals, const int* cols, int64_t nnz, double alpha,
-                   const double* x, int64_t x_stride, double* out_row, int64_t n);
-};
-
 // Register micro-tile (MR x NR accumulators) and cache panels: an MC x KC
 // packed panel of A lives in L2, a KC x NR sliver of packed B streams from
 // L1, and the KC x NC packed B panel sits in L3.
@@ -185,12 +149,6 @@ constexpr int kNr = 8;
 constexpr int kMc = 64;
 constexpr int kKc = 256;
 constexpr int kNc = 2048;
-
-// The SIMD micro-kernels are written for exactly this A-sliver geometry (the
-// B width is per-kernel via LeafKernels::pack_nr, and kNc must stay a
-// multiple of every pack_nr in use).
-static_assert(kMr == 4, "simd micro-kernels assume 4-wide packed A slivers");
-static_assert(kNc % 16 == 0, "kNc must be a multiple of every pack_nr");
 
 // Below these sizes the naive loops win (no packing / dispatch overhead).
 constexpr int64_t kGemmSerialCutoff = 32 * 1024;   // m*n*k
@@ -201,7 +159,7 @@ constexpr int64_t kReduceBlock = 4096;             // deterministic partial sums
 void ScalarMicroKernel(const double* ap, const double* bp, int kb, double* out,
                        int64_t out_stride, int mr, int nr) {
   // The kMr*kNr accumulators live in registers, one array per tile row, and
-  // the j loops are the SIMD dimension (auto-vectorized under -march=native).
+  // the j loops are the vector dimension (auto-vectorized under -march=native).
   // GCC vectorises this shape only with the A values loaded into locals
   // first; a single 2-D array, or av[ir] read inside the loops, gets
   // shuffles or scalar fmas. Within one k panel each element is the
@@ -242,10 +200,8 @@ void ScalarHadamard(const double* a, const double* b, double* out, int64_t n) {
   for (int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
 
-// The scalar fused leaves are literally the unfused compositions — that IS
-// the bitwise definition of the fused contract, and the single-pass win only
-// materialises in the vector variants (simd::AxpyDot / simd::XpayDot), where
-// explicit intrinsics pin the per-element operations exactly.
+// The fused leaves are literally the unfused compositions: that IS the
+// bitwise definition of the fused contract.
 double ScalarAxpyDot(double alpha, const double* x, double* y, int64_t n) {
   ScalarAxpy(alpha, x, y, n);
   return ScalarDot(y, y, n);
@@ -256,7 +212,7 @@ double ScalarXpayDot(double beta, const double* x, double* y, int64_t n) {
   return ScalarDot(y, y, n);
 }
 
-// The spmm_row leaf: out_row[0, n) += Σ_k (alpha·vals[k]) · x_row_k, k in
+// The SpMM row leaf: out_row[0, n) += Σ_k (alpha·vals[k]) · x_row_k, k in
 // CSR order, with the output held in locals across the whole nonzero list
 // instead of reloaded and stored at every nonzero. Per element it is the
 // repeated-ScalarAxpy sequence, the bitwise definition of the contract.
@@ -330,11 +286,6 @@ void ScalarSpmmRow(const double* vals, const int* cols, int64_t nnz, double alph
   if (j < n) kSpmmRowTails[n - j](vals, cols, nnz, alpha, x + j, x_stride, out_row + j);
 }
 
-constexpr LeafKernels kScalarLeafKernels = {&ScalarMicroKernel, kNr, &ScalarDot,
-                                            &ScalarAxpy, &ScalarScale,
-                                            &ScalarHadamard, &ScalarAxpyDot,
-                                            &ScalarXpayDot, &ScalarSpmmRow};
-
 // Debug guard for the row-partitioned support kernels: partitioning the row
 // list across workers is only race-free because support entries are distinct
 // output rows. The serial paths tolerate duplicates, so this is checked only
@@ -342,28 +293,6 @@ constexpr LeafKernels kScalarLeafKernels = {&ScalarMicroKernel, kNr, &ScalarDot,
 bool RowsDistinct(std::vector<int> rows) {
   std::sort(rows.begin(), rows.end());
   return std::adjacent_find(rows.begin(), rows.end()) == rows.end();
-}
-
-// AVX2+FMA leaf kernels, with the GEMM micro-kernel upgraded to the 16-wide
-// AVX-512 tile when the CPU has it (bitwise identical — one fma per element
-// per k step either way). Only called when simd::KernelsUsable() passed.
-LeafKernels SimdLeafKernels() {
-  LeafKernels kernels = kScalarLeafKernels;
-  if (simd::CpuSupportsAvx512() && !simd::Avx512DisabledByEnv()) {
-    kernels.gemm_micro = &simd::MicroKernel4x16Avx512;
-    kernels.pack_nr = 16;
-  } else {
-    kernels.gemm_micro = &simd::MicroKernel4x8Avx2;
-    kernels.pack_nr = kNr;
-  }
-  kernels.dot = &simd::VDot;
-  kernels.axpy = &simd::VAxpy;
-  kernels.scale = &simd::VScale;
-  kernels.hadamard = &simd::Hadamard;
-  kernels.axpy_dot = &simd::AxpyDot;
-  kernels.xpay_dot = &simd::XpayDot;
-  kernels.spmm_row = &simd::SpmmRow;
-  return kernels;
 }
 
 // ---------------------------------------------------------------------------
@@ -397,18 +326,18 @@ struct TileOperand {
 
 // Packs k-rows [k0, k0 + kc) and columns [j0, j0 + n) of a right operand
 // (column j of k-row kk at KRow(kk) + j·stride: a row-major b, or bᵀ read in
-// place) into ceil(n / nr) zero-padded, k-major panels nr columns wide: the
-// layout the narrow tiles and the GEMM micro-kernels stream.
-void PackPanels(const TileOperand& b, int k0, int kc, int j0, int n, int nr,
+// place) into ceil(n / kNr) zero-padded, k-major panels kNr columns wide: the
+// layout the narrow tiles and the GEMM micro-kernel stream.
+void PackPanels(const TileOperand& b, int k0, int kc, int j0, int n,
                 std::vector<double>* panels) {
-  const int num_panels = (n + nr - 1) / nr;
-  panels->assign(static_cast<size_t>(num_panels) * kc * nr, 0.0);
+  const int num_panels = (n + kNr - 1) / kNr;
+  panels->assign(static_cast<size_t>(num_panels) * kc * kNr, 0.0);
   for (int p = 0; p < num_panels; ++p) {
-    double* dst = panels->data() + static_cast<size_t>(p) * kc * nr;
-    const int valid = std::min(nr, n - p * nr);
+    double* dst = panels->data() + static_cast<size_t>(p) * kc * kNr;
+    const int valid = std::min(kNr, n - p * kNr);
     for (int kk = 0; kk < kc; ++kk) {
-      const double* src = b.KRow(k0 + kk) + (j0 + p * nr) * b.stride;
-      for (int j = 0; j < valid; ++j) dst[kk * nr + j] = src[j * b.stride];
+      const double* src = b.KRow(k0 + kk) + (j0 + p * kNr) * b.stride;
+      for (int j = 0; j < valid; ++j) dst[kk * kNr + j] = src[j * b.stride];
     }
   }
 }
@@ -459,7 +388,7 @@ void NarrowProduct(const TileOperand& a, int m, int k, const TileOperand& b, int
   int k0 = 0;
   do {
     const int kc = std::min(kKc, k - k0);
-    PackPanels(b, k0, kc, 0, n, kNr, &panels);
+    PackPanels(b, k0, kc, 0, n, &panels);
     TileOperand left{a.data + k0 * a.k_stride, a.stride, a.k_stride};
     if (a.k_rows != nullptr) {
       a_rows.resize(static_cast<size_t>(kc) * m);
@@ -530,31 +459,25 @@ class ReferenceBackend final : public Backend {
 
 // ---------------------------------------------------------------------------
 // ParallelBackend: cache-blocked GEMM with packed operands (GEBP scheme) and
-// row-partitioned sparse/elementwise kernels on a shared thread pool. The
-// innermost loops come from a LeafKernels table so SimdBackend (below) can
-// reuse every dispatch decision with vector leaf kernels.
+// row-partitioned sparse/elementwise kernels on a shared thread pool, over
+// the scalar leaf loops above.
 //
 // Determinism: for a fixed problem the floating-point summation order is
 // independent of the thread count — GEMM assigns each output tile to exactly
 // one thread and walks k in ascending panel order, SpMM partitions disjoint
-// rows, and reductions sum fixed-size block partials in block order. The
-// SIMD leaf kernels preserve this: their per-element results depend only on
-// the inputs (elementwise lanes and scalar tails round identically), and the
-// only vectorized reduction (dot) runs over the same fixed blocks.
+// rows, and reductions sum fixed-size block partials in block order.
 // ---------------------------------------------------------------------------
 
-class ParallelBackend : public Backend {
+class ParallelBackend final : public Backend {
  public:
-  explicit ParallelBackend(int num_threads,
-                           const LeafKernels& kernels = kScalarLeafKernels)
-      : kernels_(kernels), pool_(num_threads) {}
+  explicit ParallelBackend(int num_threads) : pool_(num_threads) {}
 
   std::string name() const override { return "parallel"; }
   int num_threads() const override { return pool_.num_threads(); }
 
-  // Below the work cutoff, or with an output narrower than the scalar tile
-  // width (not pack_nr) or a short inner side, packing whole panels costs
-  // more than it saves and the narrow register tiles run instead.
+  // Below the work cutoff, or with an output narrower than the tile width or
+  // a short inner side, packing whole panels costs more than it saves and the
+  // narrow register tiles run instead.
   static bool Narrow(int64_t work, int n, int k) {
     return work < kGemmSerialCutoff || n < kNr || k < 8;
   }
@@ -620,7 +543,7 @@ class ParallelBackend : public Backend {
     const double* pb = b.data();
     double* po = out->data();
     pool_.ParallelFor(0, a.size(), kElementwiseCutoff, [&](int64_t lo, int64_t hi) {
-      kernels_.hadamard(pa + lo, pb + lo, po + lo, hi - lo);
+      ScalarHadamard(pa + lo, pb + lo, po + lo, hi - lo);
     });
   }
 
@@ -659,18 +582,17 @@ class ParallelBackend : public Backend {
   }
 
   double VDot(const double* a, const double* b, int64_t n) const override {
-    if (n < kElementwiseCutoff) return kernels_.dot(a, b, n);
+    if (n < kElementwiseCutoff) return ScalarDot(a, b, n);
     // Fixed-size block partials summed in block order: the result does not
     // depend on how blocks were assigned to threads, and each block's range
-    // is a function of n alone — so the vector kernel's lane pattern inside
-    // a block is fixed too.
+    // is a function of n alone.
     const int64_t num_blocks = (n + kReduceBlock - 1) / kReduceBlock;
     std::vector<double> partial(static_cast<size_t>(num_blocks), 0.0);
     pool_.ParallelFor(0, num_blocks, 4, [&](int64_t b0, int64_t b1) {
       for (int64_t blk = b0; blk < b1; ++blk) {
         const int64_t lo = blk * kReduceBlock;
         const int64_t hi = std::min(n, lo + kReduceBlock);
-        partial[static_cast<size_t>(blk)] = kernels_.dot(a + lo, b + lo, hi - lo);
+        partial[static_cast<size_t>(blk)] = ScalarDot(a + lo, b + lo, hi - lo);
       }
     });
     double s = 0.0;
@@ -680,32 +602,37 @@ class ParallelBackend : public Backend {
 
   void VAxpy(double alpha, const double* x, double* y, int64_t n) const override {
     pool_.ParallelFor(0, n, kElementwiseCutoff, [&](int64_t lo, int64_t hi) {
-      kernels_.axpy(alpha, x + lo, y + lo, hi - lo);
+      ScalarAxpy(alpha, x + lo, y + lo, hi - lo);
     });
   }
 
   void VScale(double alpha, double* x, int64_t n) const override {
     pool_.ParallelFor(0, n, kElementwiseCutoff, [&](int64_t lo, int64_t hi) {
-      kernels_.scale(alpha, x + lo, hi - lo);
+      ScalarScale(alpha, x + lo, hi - lo);
     });
   }
 
   // Fused CG steps. The update halves are elementwise and split-invariant,
   // so chunking them by reduce blocks (instead of VAxpy's coarser elementwise
   // grain) leaves every element bit-identical; the dot halves then follow
-  // VDot's exact fixed-block partial scheme. Net effect: one pass over y, and
-  // bitwise equality with the unfused sequences at every n and thread count.
+  // VDot's fixed-block partial scheme. Net effect: one pass over y, and the
+  // same bits at every thread count. GCC compiles the ScalarDot inlined into
+  // each leaf for its context (4-wide products summed in order, then a
+  // 2-wide step and an fma-contracted scalar tail), so a returned dot can
+  // differ in its last bits from a follow-up VDot(y, y) (see backend.h), and
+  // the base class's compositions would move table4 and fig7 cells by up to
+  // 3e-13. They stay until a change that moves bits on purpose.
   double VAxpyDot(double alpha, const double* x, double* y, int64_t n) const override {
-    if (n < kElementwiseCutoff) return kernels_.axpy_dot(alpha, x, y, n);
+    if (n < kElementwiseCutoff) return ScalarAxpyDot(alpha, x, y, n);
     return FusedReduce([&](int64_t lo, int64_t hi) {
-      return kernels_.axpy_dot(alpha, x + lo, y + lo, hi - lo);
+      return ScalarAxpyDot(alpha, x + lo, y + lo, hi - lo);
     }, n);
   }
 
   double VDotAxpy(double beta, const double* x, double* y, int64_t n) const override {
-    if (n < kElementwiseCutoff) return kernels_.xpay_dot(beta, x, y, n);
+    if (n < kElementwiseCutoff) return ScalarXpayDot(beta, x, y, n);
     return FusedReduce([&](int64_t lo, int64_t hi) {
-      return kernels_.xpay_dot(beta, x + lo, y + lo, hi - lo);
+      return ScalarXpayDot(beta, x + lo, y + lo, hi - lo);
     }, n);
   }
 
@@ -726,7 +653,7 @@ class ParallelBackend : public Backend {
         const double* g_row = g.row(r);
         double* out_row = out->row(r);
         for (int j = 0; j < b.rows(); ++j) {
-          out_row[j] += kernels_.dot(g_row, b.row(j), g.cols());
+          out_row[j] += ScalarDot(g_row, b.row(j), g.cols());
         }
       }
     };
@@ -790,7 +717,7 @@ class ParallelBackend : public Backend {
           count = static_cast<int64_t>(kept_vals.size());
         }
         if (count > 0) {
-          kernels_.spmm_row(vals, cols, count, alpha, x.data(), x.cols(), out->row(r), n);
+          ScalarSpmmRow(vals, cols, count, alpha, x.data(), x.cols(), out->row(r), n);
         }
       }
     };
@@ -826,9 +753,9 @@ class ParallelBackend : public Backend {
   }
 
   // out(r0:r1, :) += alpha * a(r0:r1, :) * x — one contiguous row range,
-  // each row's whole nonzero list routed through the multi-column spmm_row
-  // leaf (bitwise the per-nonzero axpy sequence, with the output columns
-  // held in registers across the nonzeros).
+  // each row's whole nonzero list routed through the multi-column
+  // ScalarSpmmRow leaf (bitwise the per-nonzero axpy sequence, with the
+  // output columns held in registers across the nonzeros).
   void SpmmRowRange(const CsrMatrix& a, const Matrix& x, double alpha, Matrix* out,
                     int64_t row_begin, int64_t row_end) const {
     const int n = x.cols();
@@ -838,8 +765,8 @@ class ParallelBackend : public Backend {
     for (int64_t r = row_begin; r < row_end; ++r) {
       const int64_t k0 = row_ptr[r], k1 = row_ptr[r + 1];
       if (k0 == k1) continue;
-      kernels_.spmm_row(values.data() + k0, col_idx.data() + k0, k1 - k0, alpha,
-                        x.data(), x.cols(), out->row(static_cast<int>(r)), n);
+      ScalarSpmmRow(values.data() + k0, col_idx.data() + k0, k1 - k0, alpha, x.data(),
+                    x.cols(), out->row(static_cast<int>(r)), n);
     }
   }
 
@@ -852,16 +779,13 @@ class ParallelBackend : public Backend {
     out->Zero();
     if (m == 0 || n == 0 || k == 0) return;
 
-    // B slivers are packed to the active micro-kernel's register-tile width
-    // (8 for the scalar/AVX2 kernels, 16 for the AVX-512 tile).
-    const int nrp = kernels_.pack_nr;
     std::vector<double> bpack;
     for (int jc = 0; jc < n; jc += kNc) {
       const int nc = std::min(kNc, n - jc);
-      const int64_t num_p_panels = (nc + nrp - 1) / nrp;
+      const int64_t num_p_panels = (nc + kNr - 1) / kNr;
       for (int kc = 0; kc < k; kc += kKc) {
         const int kb = std::min(kKc, k - kc);
-        PackPanels({b.data(), 1, b.cols()}, kc, kb, jc, nc, nrp, &bpack);
+        PackPanels({b.data(), 1, b.cols()}, kc, kb, jc, nc, &bpack);
 
         const int64_t num_ic_blocks = (m + kMc - 1) / kMc;
         if (num_ic_blocks >= pool_.num_threads() || num_ic_blocks >= num_p_panels) {
@@ -874,12 +798,12 @@ class ParallelBackend : public Backend {
               const int mc = std::min(kMc, m - ic);
               const int mcp = PackA(a, ic, mc, kc, kb, &apack);
               for (int p = 0; p < num_p_panels; ++p) {
-                const double* bp = bpack.data() + static_cast<size_t>(p) * kb * nrp;
-                const int nr = std::min(nrp, nc - p * nrp);
+                const double* bp = bpack.data() + static_cast<size_t>(p) * kb * kNr;
+                const int nr = std::min(kNr, nc - p * kNr);
                 for (int q = 0; q < mcp / kMr; ++q) {
                   const double* ap = apack.data() + static_cast<size_t>(q) * kb * kMr;
-                  kernels_.gemm_micro(ap, bp, kb, out->row(ic + q * kMr) + jc + p * nrp,
-                                      out->cols(), std::min(kMr, mc - q * kMr), nr);
+                  ScalarMicroKernel(ap, bp, kb, out->row(ic + q * kMr) + jc + p * kNr,
+                                    out->cols(), std::min(kMr, mc - q * kMr), nr);
                 }
               }
             }
@@ -896,14 +820,13 @@ class ParallelBackend : public Backend {
             const int mcp = PackA(a, ic, mc, kc, kb, &apack);
             pool_.ParallelFor(0, num_p_panels, 1, [&](int64_t p0, int64_t p1) {
               for (int64_t p = p0; p < p1; ++p) {
-                const double* bp = bpack.data() + static_cast<size_t>(p) * kb * nrp;
-                const int nr = std::min(nrp, nc - static_cast<int>(p) * nrp);
+                const double* bp = bpack.data() + static_cast<size_t>(p) * kb * kNr;
+                const int nr = std::min(kNr, nc - static_cast<int>(p) * kNr);
                 for (int q = 0; q < mcp / kMr; ++q) {
                   const double* ap = apack.data() + static_cast<size_t>(q) * kb * kMr;
-                  kernels_.gemm_micro(
-                      ap, bp, kb,
-                      out->row(ic + q * kMr) + jc + static_cast<int>(p) * nrp,
-                      out->cols(), std::min(kMr, mc - q * kMr), nr);
+                  ScalarMicroKernel(ap, bp, kb,
+                                    out->row(ic + q * kMr) + jc + static_cast<int>(p) * kNr,
+                                    out->cols(), std::min(kMr, mc - q * kMr), nr);
                 }
               }
             });
@@ -934,30 +857,7 @@ class ParallelBackend : public Backend {
     return (v + multiple - 1) / multiple * multiple;
   }
 
-  LeafKernels kernels_;
   mutable ThreadPool pool_;
-};
-
-// ---------------------------------------------------------------------------
-// SimdBackend: the ParallelBackend dispatch layer with the AVX2/FMA leaf
-// kernels (la/simd_kernels.h) swapped in. The CPU probe and the
-// PPFR_SIMD_DISABLE escape hatch are sampled once at construction; when
-// either fails, the scalar leaf-kernel table is used instead, which makes
-// every routine fall back to the exact ParallelBackend behaviour.
-// ---------------------------------------------------------------------------
-
-class SimdBackend final : public ParallelBackend {
- public:
-  explicit SimdBackend(int num_threads)
-      : ParallelBackend(num_threads, simd::KernelsUsable() ? SimdLeafKernels()
-                                                           : kScalarLeafKernels),
-        simd_active_(simd::KernelsUsable()) {}
-
-  std::string name() const override { return "simd"; }
-  bool simd_active() const override { return simd_active_; }
-
- private:
-  const bool simd_active_;
 };
 
 // ---------------------------------------------------------------------------
@@ -990,12 +890,9 @@ void InitFromEnvIfNeeded() {
       const std::string value(env);
       if (value == "reference") {
         kind = BackendKind::kReference;
-      } else if (value == "simd") {
-        kind = BackendKind::kSimd;
       } else {
         PPFR_CHECK(value == "parallel" || value.empty())
-            << "PPFR_LA_BACKEND must be 'reference', 'parallel' or 'simd', got '"
-            << value << "'";
+            << "PPFR_LA_BACKEND must be 'reference' or 'parallel', got '" << value << "'";
       }
     }
     // Strict: "4x" or an out-of-int value dies naming the variable; empty is
@@ -1032,8 +929,8 @@ void Backend::SpmmAccumRows(const CsrMatrix& a, const Matrix& x, double alpha,
 }
 
 // Unfused compositions — the bitwise definition of the fused contracts
-// (ReferenceBackend keeps these; ParallelBackend overrides with single-pass
-// loops that match them bit for bit).
+// (ReferenceBackend keeps these; ParallelBackend overrides them with
+// single-pass loops, see backend.h for where their bits can differ).
 double Backend::VAxpyDot(double alpha, const double* x, double* y, int64_t n) const {
   VAxpy(alpha, x, y, n);
   return VDot(y, y, n);
@@ -1050,8 +947,6 @@ std::string BackendKindName(BackendKind kind) {
       return "reference";
     case BackendKind::kParallel:
       return "parallel";
-    case BackendKind::kSimd:
-      return "simd";
   }
   return "unknown";
 }
@@ -1062,8 +957,6 @@ std::unique_ptr<Backend> MakeBackend(BackendKind kind, int num_threads) {
       return std::make_unique<ReferenceBackend>();
     case BackendKind::kParallel:
       return std::make_unique<ParallelBackend>(num_threads);
-    case BackendKind::kSimd:
-      return std::make_unique<SimdBackend>(num_threads);
   }
   PPFR_CHECK(false) << "unknown backend kind";
   return nullptr;
@@ -1103,12 +996,9 @@ void ConfigureBackendFromFlags(const Flags& flags) {
       kind = BackendKind::kReference;
     } else if (value == "parallel") {
       kind = BackendKind::kParallel;
-    } else if (value == "simd") {
-      kind = BackendKind::kSimd;
     } else {
-      PPFR_CHECK(false)
-          << "--la_backend must be 'reference', 'parallel' or 'simd', got '"
-          << value << "'";
+      PPFR_CHECK(false) << "--la_backend must be 'reference' or 'parallel', got '" << value
+                        << "'";
     }
   }
   if (flags.Has("la_threads")) threads = flags.GetInt("la_threads", threads);

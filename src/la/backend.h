@@ -97,27 +97,22 @@ inline double Exp(double x) {
 //     Products below the blocking cutoffs (every narrow product at the
 //     paper's sizes) run on register tiles that keep the reference loops'
 //     bits; see MulAdd and README "Narrow kernels".
-//   * SimdBackend      — the ParallelBackend dispatch/blocking layer with
-//     AVX2+FMA register micro-kernels (la/simd_kernels.h) swapped in as the
-//     leaf kernels; CPU features are probed at construction and any missing
-//     capability (or PPFR_SIMD_DISABLE=1) falls back to the scalar leaf
-//     kernels per-routine, so the binary builds and runs everywhere.
 //
 // Threading contract: kernels fan work out across the pool internally, but
 // must be *invoked* from a single orchestration thread at a time (the
 // ParallelBackend pool is not reentrant and concurrent entry trips its
 // ParallelFor check). Parallelism across independent problems belongs above
-// this layer, e.g. the tape-pool design sketched in ROADMAP.md.
+// this layer, e.g. the influence tape pool (influence/tape_pool.h).
 class Backend {
  public:
   virtual ~Backend() = default;
 
   virtual std::string name() const = 0;
   virtual int num_threads() const { return 1; }
-  // True when this backend actually executes SIMD leaf kernels (i.e. it is a
-  // SimdBackend AND the runtime feature probe passed AND the operator did not
-  // force the fallback). Bench artifacts record this next to the timings.
-  virtual bool simd_active() const { return false; }
+  // Always false. It stays only because perfbench/perfbench.cc, which only
+  // a benchmark change may edit, records it in its host fingerprint (ROADMAP
+  // item 2).
+  bool simd_active() const { return false; }
 
   // Dense GEMM family. `out` must be preallocated to the result shape; the
   // kernels overwrite it.
@@ -149,10 +144,10 @@ class Backend {
   // machinery (autograd GradRefPartial; see matrix.h / csr_matrix.h for the
   // shape contracts, which the free-function wrappers check). The base-class
   // implementations are the serial scalar loops — the correct choice for the
-  // small supports a per-node backward produces; ParallelBackend and
-  // SimdBackend override them with threshold-gated threading and vectorized
-  // inner loops for large supports (dense graphs), keeping the serial path
-  // as the small-support fallback.
+  // small supports a per-node backward produces; ParallelBackend overrides
+  // them with threshold-gated threading for large supports (dense graphs) and
+  // its register-tiled leaves, keeping the serial path as the small-support
+  // fallback.
   //
   // out(r, :) += g(r, :) · bᵀ for r in rows.   g: (m,n), b: (k,n), out: (m,k).
   virtual void GemmTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,
@@ -179,22 +174,26 @@ class Backend {
   // Fused CG-step kernels — one pass over y where the unfused sequence costs
   // two or three. Contracts (relied on by the influence CG solvers and
   // verified bitwise in tests/la_backend_test.cc):
-  //   * VAxpyDot: y += alpha·x, returns yᵀy of the UPDATED y. Bitwise equal
-  //     to VAxpy followed by VDot(y, y) on every backend and thread count
-  //     (the update is elementwise split-invariant, the reduction follows
-  //     VDot's fixed-block partial scheme).
+  //   * VAxpyDot: y += alpha·x, returns yᵀy of the UPDATED y. Equal to VAxpy
+  //     followed by VDot(y, y) (the update is elementwise split-invariant,
+  //     the reduction follows VDot's fixed-block partial scheme).
   //   * VDotAxpy: y = x + beta·y elementwise (the CG search-direction
-  //     update), returns yᵀy of the updated y; a follow-up VDot(y, y)
-  //     reproduces the returned value bit for bit. Deterministic across
-  //     thread counts like every other kernel.
+  //     update), returns yᵀy of the updated y, which a follow-up VDot(y, y)
+  //     reproduces.
+  // Both are deterministic across thread counts like every other kernel.
   // The base implementations are the unfused compositions, which IS the
-  // bitwise definition; ParallelBackend overrides them with genuinely fused
-  // single-pass loops.
+  // bitwise definition (the reference backend keeps them); ParallelBackend
+  // overrides them with fused single-pass loops. Its updated y is bitwise
+  // the unfused one, and so is its returned dot in builds without FMA. In
+  // FMA builds GCC shapes each inlined copy of the serial dot by its
+  // context, and for some inputs whose n % 4 is 2 or 3 the fused dot
+  // differs from VDot's in the last bits (ROADMAP, "Dot products the
+  // compiler still shapes").
   virtual double VAxpyDot(double alpha, const double* x, double* y, int64_t n) const;
   virtual double VDotAxpy(double beta, const double* x, double* y, int64_t n) const;
 };
 
-enum class BackendKind { kReference, kParallel, kSimd };
+enum class BackendKind { kReference, kParallel };
 
 std::string BackendKindName(BackendKind kind);
 
@@ -203,7 +202,7 @@ std::string BackendKindName(BackendKind kind);
 std::unique_ptr<Backend> MakeBackend(BackendKind kind, int num_threads);
 
 // Process-wide active backend. On first use it is initialised from the
-// PPFR_LA_BACKEND ("reference"|"parallel"|"simd") and PPFR_LA_THREADS
+// PPFR_LA_BACKEND ("reference"|"parallel") and PPFR_LA_THREADS
 // environment variables, defaulting to the parallel backend with one thread
 // per core. Both parse strictly: a malformed value fails a check that names
 // the variable and the value; an empty one counts as unset.
@@ -213,7 +212,7 @@ BackendKind ActiveBackendKind();
 // Replaces the active backend. num_threads <= 0 selects hardware_concurrency.
 void SetActiveBackend(BackendKind kind, int num_threads = 0);
 
-// Applies --la_backend=reference|parallel|simd and --la_threads=N
+// Applies --la_backend=reference|parallel and --la_threads=N
 // command-line flags (bench/example binaries call this right after parsing
 // Flags).
 void ConfigureBackendFromFlags(const Flags& flags);

@@ -186,8 +186,8 @@ double Dot(const Matrix& a, const Matrix& b);
 // backward (autograd row-support machinery). Both dispatch through the
 // active backend: `rows` (distinct indices — a nonzero-row support) is
 // usually tiny, so the serial loops stay the base path, but large supports
-// (dense graphs) get threshold-gated threading and SIMD inner loops under
-// the parallel/simd backends.
+// (dense graphs) get threshold-gated threading and register-tiled inner
+// loops under the parallel backend.
 //
 // out(r, :) += g(r, :) · bᵀ for r in rows.   g: (m,n), b: (k,n), out: (m,k).
 void GemmTransBAccumRows(const Matrix& g, const Matrix& b, Matrix* out,

@@ -17,11 +17,11 @@ namespace ppfr::runner {
 //    checked and rename(2)d into place — a concurrent reader sees either
 //    the old entry or the complete new one, never a torn file.
 //  * Every entry carries a magic/format-version header, the producing
-//    build's fingerprint (serialization version + active la::Backend kind +
-//    SIMD state — backends are bitwise-deterministic internally but NOT
-//    bitwise-equal to each other, so mixing them through one cache would
-//    silently break the "identical to a cold run" guarantee), the entry's
-//    own key, and an FNV-1a checksum of the payload.
+//    build's fingerprint (serialization version + active la::Backend kind —
+//    backends are bitwise-deterministic internally but NOT bitwise-equal to
+//    each other, so mixing them through one cache would silently break the
+//    "identical to a cold run" guarantee), the entry's own key, and an
+//    FNV-1a checksum of the payload.
 //  * A missing file is a miss. A file with a foreign magic is not ours and
 //    is left alone (plain miss; a recompute's Store overwrites it), as is a
 //    structurally-intact entry with a different format version, fingerprint
@@ -54,7 +54,7 @@ class CacheStore {
   // in-memory result is unaffected.
   void Store(const char* stage, uint64_t key, const std::string& payload) const;
 
-  // "<serialize version>|backend=<kind>|simd=<0/1>" of the calling process.
+  // "v<format version>|backend=<kind>" of the calling process.
   static std::string Fingerprint();
 
   // Path of the entry file for (stage, key) — exposed for the corruption

@@ -573,8 +573,7 @@ void ExpectBitwiseEq(const la::Matrix& want, const la::Matrix& got, const char* 
 
 // The op runs its own loops on every backend; these pin that each one agrees.
 constexpr la::BackendKind kBackends[] = {la::BackendKind::kReference,
-                                         la::BackendKind::kParallel,
-                                         la::BackendKind::kSimd};
+                                         la::BackendKind::kParallel};
 
 la::Matrix Columns(const la::Matrix& m, int col0, int width) {
   la::Matrix out(m.rows(), width);

@@ -211,7 +211,7 @@ TEST_P(BlockPath, ProbeGradsAreLaneInvariantAndMatchFullGraph) {
   // backend thread count, the probe gradients are bitwise those of one lane
   // on one thread — and those match the full-graph loss gradient. (Lanes are
   // clamped to the backend's thread count, and the reference backend reports
-  // one thread, so only parallel and simd run several lanes here.)
+  // one thread, so only parallel runs several lanes here.)
   const auto [kind, backend] = GetParam();
   EngineFixture fx(kind, /*seed=*/47);
   const auto points =
@@ -241,8 +241,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(nn::ModelKind::kGcn, nn::ModelKind::kGat,
                                          nn::ModelKind::kGraphSage),
                        ::testing::Values(la::BackendKind::kReference,
-                                         la::BackendKind::kParallel,
-                                         la::BackendKind::kSimd)),
+                                         la::BackendKind::kParallel)),
     [](const ::testing::TestParamInfo<ModelBackend>& info) {
       return nn::ModelKindName(std::get<0>(info.param)) + "_" +
              la::BackendKindName(std::get<1>(info.param));
@@ -913,8 +912,7 @@ TEST(BlockInfluenceTest, FixedBlockIsBitwiseInvariantAcrossLaneCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, BlockCgBackend,
                          ::testing::Values(la::BackendKind::kReference,
-                                           la::BackendKind::kParallel,
-                                           la::BackendKind::kSimd),
+                                           la::BackendKind::kParallel),
                          [](const ::testing::TestParamInfo<la::BackendKind>& info) {
                            return la::BackendKindName(info.param);
                          });
@@ -925,7 +923,7 @@ TEST(ProbeReplayTest, ProbeGradsMatchCentralDifferencesOfTheLoss) {
   // Gradient correctness, not just parity: at each probe point the pooled
   // probe gradient must reproduce directional central differences of the
   // training loss evaluated from scratch.
-  la::ScopedBackend scoped(la::BackendKind::kSimd, 2);
+  la::ScopedBackend scoped(la::BackendKind::kParallel, 2);
   EngineFixture fx(nn::ModelKind::kGcn, /*seed=*/59);
   const std::vector<double> theta0 = FlattenValues(fx.model->Params());
   const auto points = ProbePoints(theta0, /*count=*/3, /*seed=*/73);

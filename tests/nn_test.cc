@@ -336,8 +336,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(ModelKind::kGcn, ModelKind::kGat,
                                          ModelKind::kGraphSage),
                        ::testing::Values(la::BackendKind::kReference,
-                                         la::BackendKind::kParallel,
-                                         la::BackendKind::kSimd),
+                                         la::BackendKind::kParallel),
                        ::testing::Values(1, 4)),
     [](const auto& info) {
       return ModelKindName(std::get<0>(info.param)) +

@@ -513,8 +513,8 @@ TEST(DiskCacheTest, MismatchedFingerprintIsAMissNotACrash) {
   const std::string path = store.EntryPath("fr", 42);
   std::string bytes = ReadFileOrDie(path);
   // Header layout: magic u64 (0-7), format u32 (8-11), fingerprint length
-  // u64 (12-19), fingerprint chars from 20 ("v1|backend=..."); flipping the
-  // low bit of the '1' at offset 21 yields an intact "v0|..." fingerprint.
+  // u64 (12-19), fingerprint chars from 20 ("v2|backend=..."); flipping the
+  // low bit of the '2' at offset 21 yields an intact "v3|..." fingerprint.
   bytes[21] ^= 0x1;
   {
     std::ofstream out(path, std::ios::trunc | std::ios::binary);

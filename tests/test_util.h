@@ -13,8 +13,8 @@
 
 namespace ppfr::testing {
 
-// setenv/restore guard for environment variables the library samples (the
-// PPFR_SIMD_* escape hatches, PPFR_LA_THREADS, PPFR_CG_BLOCK).
+// setenv/restore guard for environment variables the library samples
+// (PPFR_LA_BACKEND, PPFR_LA_THREADS, PPFR_CG_BLOCK).
 class ScopedEnvVar {
  public:
   ScopedEnvVar(const char* name, const char* value) : name_(name) {
