@@ -43,8 +43,7 @@ inline constexpr int kExitInterrupted = 4;  // SIGTERM/SIGINT stopped the sweep
 inline std::vector<std::string> CommonFlagNames() {
   return {"datasets",   "models",     "epochs",         "seed",
           "seeds",      "env_seed",   "la_backend",     "la_threads",
-          "runner_threads", "json_dir", "run_cache_dir", "stable_artifact",
-          "cell_retries"};
+          "runner_threads", "json_dir", "run_cache_dir", "stable_artifact"};
 }
 
 // Directory for the disk-persisted run cache: --run_cache_dir= beats the
@@ -114,7 +113,6 @@ inline runner::RunnerOptions RunnerOptionsFromFlags(const Flags& flags) {
   runner::RunnerOptions opts;
   opts.threads = flags.GetInt("runner_threads", 1);
   opts.env_seed = flags.GetUint64("env_seed", core::kDefaultEnvSeed);
-  opts.max_cell_retries = flags.GetInt("cell_retries", opts.max_cell_retries);
   return opts;
 }
 

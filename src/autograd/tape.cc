@@ -93,12 +93,6 @@ Var Tape::StaticConstant(const la::Matrix& value) {
   return Constant(value);
 }
 
-Var Tape::ScalarConstant(double value) {
-  la::Matrix m(1, 1);
-  m(0, 0) = value;
-  return Constant(std::move(m));
-}
-
 Var Tape::MakeNode(la::Matrix value, bool needs_grad,
                    std::function<void(Tape&)> backward,
                    const std::vector<Var>& parents) {

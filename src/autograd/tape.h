@@ -135,9 +135,6 @@ class Tape {
   // buffer, so large immutable inputs are never recopied per epoch/solve.
   Var StaticConstant(const la::Matrix& value);
 
-  // Scalar constant convenience (1x1).
-  Var ScalarConstant(double value);
-
   // Creates an op node. `backward` receives this tape and must route
   // d(output)/d(parents) contributions into parent grads via GradRef() /
   // GradRefPartial(). Pass `needs_grad` as the OR over the parents'

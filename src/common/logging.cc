@@ -6,7 +6,8 @@
 namespace ppfr {
 namespace {
 
-LogLevel g_level = LogLevel::kInfo;
+// Messages below this level are dropped.
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -29,9 +30,6 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
-
 namespace internal {
 
 LogLine::LogLine(LogLevel level, const char* file, int line) : level_(level) {
@@ -39,7 +37,7 @@ LogLine::LogLine(LogLevel level, const char* file, int line) : level_(level) {
 }
 
 LogLine::~LogLine() {
-  if (level_ < g_level) return;
+  if (level_ < kMinLevel) return;
   std::fprintf(stderr, "%s\n", stream_.str().c_str());
 }
 

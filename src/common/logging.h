@@ -6,11 +6,8 @@
 
 namespace ppfr {
 
+// Messages below kInfo are dropped.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-// Global minimum level; messages below it are dropped. Defaults to kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 namespace internal {
 

@@ -8,30 +8,23 @@
 namespace ppfr {
 
 // The single sanctioned exception type in an otherwise exception-free
-// codebase: a DATA-DEPENDENT, recoverable runtime failure — a training run
-// diverging into a non-finite loss, the block-CG solver collapsing even
-// after its single-RHS fallback, a disk-cache entry failing mid-read, an
-// injected fault (common/fault_injection.h). Stage code throws it instead of
-// PPFR_CHECK-aborting on such conditions; the scenario runner catches it at
-// the cell boundary (runner::CellError is an alias) and marks that one cell
-// failed while the rest of the grid completes. Programming errors and
-// environmental misconfiguration still abort via PPFR_CHECK — nothing else
-// in this library throws, and nothing else catches.
+// codebase: a DATA-DEPENDENT runtime failure — a training run diverging into
+// a non-finite loss, or the block-CG solver collapsing even after its
+// single-RHS fallback. Stage code throws it instead of PPFR_CHECK-aborting on
+// such conditions; the scenario runner catches it at the cell boundary and
+// marks that one cell failed while the rest of the grid completes. Every
+// such failure is deterministic (the same inputs fail the same way), so
+// nothing retries it. Programming errors and environmental misconfiguration
+// still abort via PPFR_CHECK — nothing else in this library throws, and
+// nothing else catches.
 class RecoverableError : public std::exception {
  public:
-  explicit RecoverableError(std::string message, bool transient = false)
-      : message_(std::move(message)), transient_(transient) {}
+  explicit RecoverableError(std::string message) : message_(std::move(message)) {}
 
   const char* what() const noexcept override { return message_.c_str(); }
 
-  // Transient failures (read races against a concurrent cache writer,
-  // injected faults) are worth retrying with backoff; deterministic ones
-  // (a diverged loss will diverge again under the same seed) are not.
-  bool transient() const { return transient_; }
-
  private:
   std::string message_;
-  bool transient_;
 };
 
 }  // namespace ppfr

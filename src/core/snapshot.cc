@@ -1,6 +1,7 @@
 #include "core/snapshot.h"
 
 #include "nn/param_io.h"
+#include "privacy/distance.h"
 
 namespace ppfr::core {
 
@@ -28,7 +29,8 @@ bool LoadEval(BinaryReader* r, EvalResult* eval) {
   eval->attack.cluster_recall = r->ReadDouble();
   eval->attack.cluster_f1 = r->ReadDouble();
   eval->attack.cluster_accuracy = r->ReadDouble();
-  return r->ok();
+  return r->ok() &&
+         eval->attack.auc_per_distance.size() == privacy::AllDistanceKinds().size();
 }
 
 void SaveFrOutput(BinaryWriter* w, const FrOutput& fr) {

@@ -10,7 +10,9 @@ namespace ppfr::core {
 // (runner::CacheStore): each expensive pipeline stage serialises to a flat
 // binary payload and restores bitwise-identically. Loaders return false on
 // any structural mismatch or truncation — the cache treats that as a miss
-// and recomputes; they never crash on corrupt bytes.
+// and recomputes; they never crash on corrupt bytes. Vector lengths that
+// depend on the environment (FR weights and influences: one per training
+// node) are the caller's to check; runner::RunCache's decoders do.
 
 // ---- Evaluation scorecards ----
 void SaveEval(BinaryWriter* w, const EvalResult& eval);

@@ -474,7 +474,7 @@ BlockCgResult BlockConjugateGradientSolve(const std::vector<ag::Parameter*>& par
       // The fallback is the last line of defence: if even the single-RHS
       // oracle diverges on this residual system, the Hessian itself is
       // numerically broken for this cell's data — recoverable (other cells
-      // are fine), but not transient (the same system diverges every time).
+      // are fine).
       if (!std::isfinite(fix.residual_norm)) {
         throw RecoverableError(
             "block-CG total collapse: non-finite fallback residual");

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
-#include "common/flags.h"
 #include "fairness/bias_metric.h"
 #include "influence/param_vector.h"
 #include "la/backend.h"
@@ -76,6 +74,7 @@ InfluenceCalculator::InfluenceCalculator(nn::GnnModel* model,
       labels_(labels),
       config_(config) {
   PPFR_CHECK(!train_nodes_.empty());
+  PPFR_CHECK_GT(config_.cg_block, 0) << "InfluenceConfig::cg_block must be positive";
   params_ = model_->Params();
   train_labels_.reserve(train_nodes_.size());
   for (int v : train_nodes_) {
@@ -83,22 +82,6 @@ InfluenceCalculator::InfluenceCalculator(nn::GnnModel* model,
     PPFR_CHECK_LT(v, static_cast<int>(labels.size()));
     train_labels_.push_back(labels[v]);
   }
-}
-
-int ResolveCgBlock(int configured) {
-  if (configured > 0) return configured;
-  if (const char* env = std::getenv("PPFR_CG_BLOCK"); env != nullptr && *env != '\0') {
-    int64_t v = 0;
-    PPFR_CHECK(ParseInt64Strict(env, &v) && v >= std::numeric_limits<int>::min() &&
-               v <= std::numeric_limits<int>::max())
-        << "PPFR_CG_BLOCK must be an integer, got '" << env << "'";
-    if (v > 0) return static_cast<int>(v);
-  }
-  return 8;
-}
-
-int InfluenceCalculator::ResolvedCgBlock() const {
-  return ResolveCgBlock(config_.cg_block);
 }
 
 int InfluenceCalculator::ResolvedLaneCount(int num_items) const {
@@ -204,7 +187,7 @@ BatchGradFn InfluenceCalculator::BatchTrainGrad() {
     // clamped to the backend's thread count, since workers beyond it buy no
     // concurrency. Per-point gradients are bitwise invariant to the lane
     // count, so the clamp only moves time.
-    const int lanes = std::max(1, std::min(ResolvedLaneCount(2 * ResolvedCgBlock()),
+    const int lanes = std::max(1, std::min(ResolvedLaneCount(2 * config_.cg_block),
                                            la::ActiveBackend().num_threads()));
     // Captures are by value / stable pointer (never `this`): a cache-owned
     // pool outlives this calculator.
@@ -235,7 +218,7 @@ BatchGradFn InfluenceCalculator::BatchTrainGrad() {
 }
 
 MultiVector InfluenceCalculator::SolveRhsBlock(const MultiVector& b) {
-  const int block = ResolvedCgBlock();
+  const int block = config_.cg_block;
   const GradFn train_grad = [this] { return TrainingLossGrad(); };
   const BatchGradFn batch_grad = BatchTrainGrad();
   MultiVector solution(b.dim(), b.k());

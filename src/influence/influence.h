@@ -34,12 +34,11 @@ struct InfluenceConfig {
   bool serial_reference_per_node = false;
 
   // Columns per block in the multi-RHS inverse-HVP solve (InfluenceOnFunctions
-  // / InfluenceOnNodeLosses). 0 — the default — resolves at runtime from the
-  // PPFR_CG_BLOCK environment variable, else 8; 1 disables blocking, so every
-  // RHS runs through the single-RHS bitwise oracle. The resolved value for a
-  // fixed RHS set is deterministic: the same block width always produces the
-  // same bits regardless of thread or lane counts.
-  int cg_block = 0;
+  // / InfluenceOnNodeLosses); must be positive. 1 disables blocking, so every
+  // RHS runs through the single-RHS bitwise oracle. For a fixed RHS set the
+  // same block width always produces the same bits regardless of thread or
+  // lane counts.
+  int cg_block = 8;
 
   // Unused: nothing in the library reads this field. It remains only because
   // perfbench/scale.cc assigns it; the next change to the benchmark deletes
@@ -54,16 +53,8 @@ struct InfluenceConfig {
   ReplayCache* replay_cache = nullptr;
 };
 
-// The block width a configured cg_block value resolves to at runtime
-// (configured if > 0, else the PPFR_CG_BLOCK environment variable if > 0,
-// else 8). The variable parses strictly: a value that is not an integer in
-// int range ("8x", "abc", overflow) fails a check naming it; empty is unset.
-// Cache keys over FR results mix THIS value, not the raw config field, so
-// runs under different environments never share an entry.
-int ResolveCgBlock(int configured);
-
 // Aggregate instrumentation over the block solves an InfluenceCalculator has
-// issued since construction (or the last Reset) — surfaced into
+// issued since construction — surfaced into
 // BENCH_influence.json's block-sweep rows.
 struct BlockSolveStats {
   int solves = 0;            // block solves issued
@@ -73,8 +64,6 @@ struct BlockSolveStats {
   int converged_rhs = 0;     // columns meeting the relative-residual tolerance
   double algebra_seconds = 0.0;  // wall time in block GEMM/fused kernels
   double algebra_flops = 0.0;    // ≈ flops issued to those kernels
-
-  void Reset() { *this = BlockSolveStats(); }
 };
 
 // A seed set's exact 2-hop block with the model's precomputed first-layer
@@ -154,13 +143,8 @@ class InfluenceCalculator {
 
   int num_train_nodes() const { return static_cast<int>(train_nodes_.size()); }
 
-  // The block width InfluenceOnFunctions / InfluenceOnNodeLosses will use
-  // (config.cg_block, else PPFR_CG_BLOCK, else 8).
-  int ResolvedCgBlock() const;
-
   // Instrumentation over every block solve issued so far.
   const BlockSolveStats& block_stats() const { return block_stats_; }
-  void ResetBlockStats() { block_stats_.Reset(); }
 
   // The BatchGradFn the block solver consumes: training-loss gradients at
   // explicit parameter points, evaluated on pooled model clones (the real
@@ -191,7 +175,7 @@ class InfluenceCalculator {
   // a cell-scoped cache is installed, else built for this call).
   std::vector<std::vector<double>> SeedLossGrads(
       const std::shared_ptr<const SeedBlock>& block, const std::vector<int>& labels);
-  // Solves (H + λI) S = B in blocks of ResolvedCgBlock() columns,
+  // Solves (H + λI) S = B in blocks of config.cg_block columns,
   // accumulating block_stats_; returns S with one column per RHS column.
   MultiVector SolveRhsBlock(const MultiVector& b);
   // influence[i][v] = -s_iᵀ ∇θL_v for every solution column — one GEMM-T

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include "la/backend.h"
 
@@ -116,21 +115,6 @@ double Matrix::MaxAbs() const {
   double m = 0.0;
   for (double v : data_) m = std::max(m, std::fabs(v));
   return m;
-}
-
-std::string Matrix::DebugString(int max_rows, int max_cols) const {
-  std::ostringstream os;
-  os << "Matrix(" << rows_ << "x" << cols_ << ")";
-  for (int r = 0; r < std::min(rows_, max_rows); ++r) {
-    os << "\n  [";
-    for (int c = 0; c < std::min(cols_, max_cols); ++c) {
-      os << (c ? ", " : "") << (*this)(r, c);
-    }
-    if (cols_ > max_cols) os << ", ...";
-    os << "]";
-  }
-  if (rows_ > max_rows) os << "\n  ...";
-  return os.str();
 }
 
 // The dense kernels below dispatch through the active compute backend

@@ -2,7 +2,6 @@
 #define PPFR_LA_MATRIX_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -138,8 +137,6 @@ class Matrix {
   double SumAll() const;
   double FrobeniusNorm() const;
   double MaxAbs() const;
-
-  std::string DebugString(int max_rows = 6, int max_cols = 8) const;
 
  private:
   // Debug-build bounds checks (free in release). Out-of-range access used to

@@ -22,8 +22,6 @@ double Variance(const std::vector<double>& xs) {
   return s / static_cast<double>(xs.size());
 }
 
-double StdDev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
-
 double PearsonCorrelation(const std::vector<double>& xs, const std::vector<double>& ys) {
   PPFR_CHECK_EQ(xs.size(), ys.size());
   if (xs.size() < 2) return 0.0;

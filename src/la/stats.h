@@ -11,8 +11,6 @@ double Mean(const std::vector<double>& xs);
 // Population variance (divides by n); 0 for fewer than two samples.
 double Variance(const std::vector<double>& xs);
 
-double StdDev(const std::vector<double>& xs);
-
 // Pearson correlation coefficient in [-1, 1]; 0 when either side is constant.
 double PearsonCorrelation(const std::vector<double>& xs, const std::vector<double>& ys);
 

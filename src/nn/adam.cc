@@ -38,10 +38,4 @@ void Adam::Step() {
   }
 }
 
-void Adam::ResetState() {
-  step_ = 0;
-  for (auto& m : m_) m.Zero();
-  for (auto& v : v_) v.Zero();
-}
-
 }  // namespace ppfr::nn

@@ -25,9 +25,6 @@ class Adam {
   // then leaves gradients untouched (caller zeroes them).
   void Step();
 
-  // Resets first/second moment state and the step counter.
-  void ResetState();
-
   const Options& options() const { return options_; }
   void set_lr(double lr) { options_.lr = lr; }
 

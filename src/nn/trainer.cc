@@ -74,8 +74,7 @@ TrainStats Train(GnnModel* model, const GraphContext& ctx,
     // A non-finite loss is a data-dependent divergence (bad hyper-parameter
     // cell, exploding fairness term), not a programming error: raise the
     // sanctioned recoverable error so the runner can fail just this cell
-    // instead of killing the whole sweep. Not transient — the same inputs
-    // diverge identically, so retrying is wasted work.
+    // instead of killing the whole sweep.
     if (!std::isfinite(loss.scalar())) {
       throw RecoverableError("non-finite training loss at epoch " +
                              std::to_string(epoch));

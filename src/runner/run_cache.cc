@@ -3,13 +3,9 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 
-#include "common/fault_injection.h"
-#include "common/recoverable.h"
 #include "common/serialize.h"
 #include "core/snapshot.h"
-#include "influence/influence.h"
 
 namespace ppfr::runner {
 
@@ -79,7 +75,7 @@ void MixFrPrefix(KeyHasher* h, const core::MethodConfig& config) {
       .Mix(config.fr.influence.cg.max_iterations)
       .Mix(config.fr.influence.cg.tolerance)
       .Mix(config.fr.influence.cg.hvp_step)
-      .Mix(influence::ResolveCgBlock(config.fr.influence.cg_block));
+      .Mix(config.fr.influence.cg_block);
 }
 
 }  // namespace
@@ -177,20 +173,14 @@ V RunCache::GetOrCompute(std::unordered_map<uint64_t, std::shared_future<V>>* ma
   if (was_hit != nullptr) *was_hit = ready_at_claim;
   if (computer) {
     // The only thing compute() may throw is the sanctioned RecoverableError
-    // (a data-dependent stage failure or an injected fault — everything else
-    // still PPFR_CHECK-aborts). The key is unmapped FIRST so any requester
-    // arriving after the failure starts a fresh compute — i.e. a cell retry
-    // actually retries — and only then are the blocked waiters woken with
-    // the exception, which each of them rethrows from get() and handles as
-    // its own cell's failure. A failed compute therefore never wedges a key
-    // behind a broken promise.
+    // (a data-dependent stage failure — everything else still
+    // PPFR_CHECK-aborts). It is memoised like a value: the same inputs fail
+    // the same way, so every waiter and every later requester of the key
+    // rethrows it from get() and handles it as its own cell's failure. A
+    // failed compute therefore never wedges a key behind a broken promise.
     try {
       promise.set_value(compute());
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        map->erase(key);
-      }
       promise.set_exception(std::current_exception());
     }
   }
@@ -213,13 +203,6 @@ std::shared_ptr<const T> RunCache::LoadOrCompute(
     const std::function<std::shared_ptr<const T>()>& compute,
     const std::function<void(BinaryWriter*, const T&)>& encode) {
   if (store_.enabled()) {
-    // The injected read fault models a disk read racing a concurrent writer
-    // or a transient I/O error: transient, so the cell retry loop recovers it.
-    if (fault::ShouldFail(fault::kCacheStoreRead)) {
-      throw RecoverableError(std::string("injected cache-store read fault (") +
-                                 stage + " stage)",
-                             /*transient=*/true);
-    }
     std::string payload;
     if (store_.Load(stage, key, &payload)) {
       BinaryReader r(payload);
@@ -228,22 +211,13 @@ std::shared_ptr<const T> RunCache::LoadOrCompute(
         NoteDiskHit(stats);
         return value;
       }
-      // Architecture/shape drift inside a checksum-valid entry: fall through
-      // to the recompute, which overwrites it.
+      // Architecture/shape drift inside a checksum-valid entry (decode()
+      // checks every length against the env): fall through to the
+      // recompute, which overwrites it.
     }
   }
   std::shared_ptr<const T> value = compute();
   if (!store_.enabled()) return value;
-  // A write fault degrades exactly like the real full-disk path in
-  // CacheStore::Store: the entry is simply not persisted (a later process
-  // recomputes it); the in-memory result is unaffected.
-  if (fault::ShouldFail(fault::kCacheStoreWrite)) {
-    std::fprintf(stderr,
-                 "run cache: injected cache-store write fault (%s stage, "
-                 "entry not persisted)\n",
-                 stage);
-    return value;
-  }
   BinaryWriter w;
   encode(&w, *value);
   store_.Store(stage, key, w.data());
@@ -347,7 +321,12 @@ std::shared_ptr<const core::FrOutput> RunCache::FrWeights(
       &fr_outputs_, key, &stats_.fr, [&] {
         return LoadOrCompute<core::FrOutput>(
             "fr", key, &stats_.fr,
-            [](BinaryReader* r, core::FrOutput* fr) { return core::LoadFrOutput(r, fr); },
+            [&](BinaryReader* r, core::FrOutput* fr) {
+              const size_t n = env.train_nodes().size();
+              return core::LoadFrOutput(r, fr) && fr->w.size() == n &&
+                     fr->sample_weights.size() == n &&
+                     fr->bias_influence.size() == n && fr->util_influence.size() == n;
+            },
             [&] {
               const std::unique_ptr<nn::GnnModel> model =
                   VanillaModel(kind, env, config);
@@ -364,14 +343,14 @@ std::shared_ptr<const core::MethodRun> RunCache::CellRun(
   return GetOrCompute<std::shared_ptr<const core::MethodRun>>(
       &cells_, key, &stats_.cell,
       [&] {
-        if (fault::ShouldFail(fault::kStageCell)) {
-          throw RecoverableError("injected stage.cell fault", /*transient=*/true);
-        }
         const core::MethodConfig config = cell.ResolvedConfig();
         return LoadOrCompute<core::MethodRun>(
             "cell", key, &stats_.cell,
             [&](BinaryReader* r, core::MethodRun* run) {
-              return core::LoadMethodRun(r, cell.model, env, config.seed, run);
+              const bool fr = cell.method == core::MethodKind::kDpFr ||
+                              cell.method == core::MethodKind::kPpFr;
+              return core::LoadMethodRun(r, cell.model, env, config.seed, run) &&
+                     run->fr_weights.size() == (fr ? env.train_nodes().size() : 0);
             },
             [&] {
               return std::make_shared<const core::MethodRun>(

@@ -51,9 +51,9 @@ class KeyHasher {
 // The first requester of a key computes the entry (outside the map lock);
 // concurrent requesters for the same key block on a shared_future until it
 // is ready. Entries are immutable once computed and never evicted; a compute
-// that fails with the sanctioned RecoverableError (common/recoverable.h) is
-// unmapped again, so a retried cell recomputes instead of rethrowing a stale
-// failure, and its waiters rethrow from the shared future. Because
+// that fails with the sanctioned RecoverableError (common/recoverable.h)
+// stays mapped to its exception, which every requester of the key rethrows
+// (the failure is deterministic, so recomputing would only repeat it). Because
 // the computer is always a running thread — a waiter only ever waits on a
 // key some other running thread claimed — the latch cannot deadlock a
 // fixed-size scheduler.
@@ -154,11 +154,10 @@ class RunCache : public core::StageCache {
   void NoteDiskHit(StageStats* stats);
 
   // The disk half of a stage compute, and the only code that touches the
-  // CacheStore. With the store enabled: exactly one Load, behind the
-  // kCacheStoreRead fault site (a transient RecoverableError, modelling a
-  // read racing a writer); a payload that decode() accepts in full is a disk
-  // hit. Anything else runs compute() and persists encode() of its result,
-  // behind the kCacheStoreWrite site (degrades to "entry not persisted").
+  // CacheStore. With the store enabled: exactly one Load; a payload that
+  // decode() accepts in full is a disk hit. Anything else (no entry, or a
+  // checksum-valid entry decode() rejects) runs compute() and persists
+  // encode() of its result over it.
   template <typename T>
   std::shared_ptr<const T> LoadOrCompute(
       const char* stage, uint64_t key, StageStats* stats,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -10,6 +9,7 @@
 #include <thread>
 
 #include "common/json_writer.h"
+#include "common/recoverable.h"
 #include "common/stopwatch.h"
 #include "la/backend.h"
 #include "nn/trainer.h"
@@ -150,64 +150,47 @@ SweepResult RunSweep(const Sweep& sweep, RunCache* cache,
       return;
     }
     Stopwatch watch;
-    // The whole cell body sits inside the retry loop: a CellError from ANY
-    // stage (training, contexts, FR solve, a cache read) surfaces here.
-    // Transient errors retry with bounded exponential backoff; the rest —
-    // and exhausted retries — mark this one cell failed and let the grid
-    // finish. Anything other than CellError still terminates the process:
-    // per-cell isolation is for data-dependent failures, not bugs.
-    for (int attempt = 0;; ++attempt) {
-      try {
-        // Environments are heavyweight and shared read-only by every cell of
-        // the same dataset; fetching inside the cell (instead of prebuilding
-        // them serially) lets parallel workers overlap env construction with
-        // cell work — the cache's once-latch already builds each one exactly
-        // once.
-        const std::shared_ptr<const core::ExperimentEnv> env_ptr =
-            cache->Env(cell.dataset, options.env_seed);
-        const core::ExperimentEnv& env = *env_ptr;
-        out.run = cache->CellRun(cell, env, &out.cache_hit);
-        if (cell.method != core::MethodKind::kVanilla) {
-          const core::EvalResult vanilla =
-              cache->VanillaEval(cell.model, env, cell.ResolvedConfig());
-          out.vanilla_eval = vanilla;
-          out.delta = core::ComputeDeltas(out.run->eval, vanilla);
-        } else {
-          out.vanilla_eval = out.run->eval;
-          out.delta = {};
-        }
-        if (cell.method == core::MethodKind::kDpFr ||
-            cell.method == core::MethodKind::kPpFr) {
-          // Surface the FR solve's block-CG convergence debt instead of
-          // silently using a partial solve (0 = every RHS met tolerance).
-          out.extra["cg_unconverged"] =
-              static_cast<double>(out.run->cg_unconverged);
-        }
-        break;
-      } catch (const CellError& e) {
-        if (e.transient() && attempt < options.max_cell_retries) {
-          ++out.retries;
-          const int backoff_ms = std::min(
-              options.retry_backoff_ms << std::min(attempt, 10), 250);
-          if (backoff_ms > 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-          }
-          continue;
-        }
-        out.failed = true;
-        out.error = e.what();
-        SetNanPlaceholder(&out);
-        break;
+    // A RecoverableError from ANY stage (training, contexts, FR solve) marks
+    // this one cell failed and lets the grid finish. Anything else still
+    // terminates the process: per-cell isolation is for data-dependent
+    // failures, not bugs.
+    try {
+      // Environments are heavyweight and shared read-only by every cell of
+      // the same dataset; fetching inside the cell (instead of prebuilding
+      // them serially) lets parallel workers overlap env construction with
+      // cell work — the cache's once-latch already builds each one exactly
+      // once.
+      const std::shared_ptr<const core::ExperimentEnv> env_ptr =
+          cache->Env(cell.dataset, options.env_seed);
+      const core::ExperimentEnv& env = *env_ptr;
+      out.run = cache->CellRun(cell, env, &out.cache_hit);
+      if (cell.method != core::MethodKind::kVanilla) {
+        const core::EvalResult vanilla =
+            cache->VanillaEval(cell.model, env, cell.ResolvedConfig());
+        out.vanilla_eval = vanilla;
+        out.delta = core::ComputeDeltas(out.run->eval, vanilla);
+      } else {
+        out.vanilla_eval = out.run->eval;
+        out.delta = {};
       }
+      if (cell.method == core::MethodKind::kDpFr ||
+          cell.method == core::MethodKind::kPpFr) {
+        // Surface the FR solve's block-CG convergence debt instead of
+        // silently using a partial solve (0 = every RHS met tolerance).
+        out.extra["cg_unconverged"] = static_cast<double>(out.run->cg_unconverged);
+      }
+    } catch (const RecoverableError& e) {
+      out.failed = true;
+      out.error = e.what();
+      SetNanPlaceholder(&out);
     }
     out.seconds = watch.ElapsedSeconds();
     if (options.verbose) {
       if (out.failed) {
-        std::fprintf(stderr, "  [%s/%s] %s FAILED after %.1fs (%d retries): %s\n",
+        std::fprintf(stderr, "  [%s/%s] %s FAILED after %.1fs: %s\n",
                      data::DatasetName(cell.dataset).c_str(),
                      nn::ModelKindName(cell.model).c_str(),
-                     cell.DisplayLabel().c_str(), out.seconds, out.retries,
-                     out.error.c_str());
+                     cell.DisplayLabel().c_str(), out.seconds, out.error.c_str());
       } else {
         std::fprintf(stderr, "  [%s/%s] %s done in %.1fs%s\n",
                      data::DatasetName(cell.dataset).c_str(),
@@ -301,7 +284,7 @@ std::string WriteArtifact(const SweepResult& result, const std::string& dir,
   const bool stable = options.stable;
   JsonWriter w;
   w.BeginObject();
-  w.Key("schema_version").Int(5);
+  w.Key("schema_version").Int(6);
   w.Key("sweep").String(result.name);
   w.Key("title").String(result.title);
   w.Key("backend").String(la::ActiveBackend().name());
@@ -343,9 +326,6 @@ std::string WriteArtifact(const SweepResult& result, const std::string& dir,
     w.Key("cache_hit").Bool(stable ? false : cell.cache_hit);
     w.Key("status").String(cell.failed ? "failed" : cell.skipped ? "skipped" : "ok");
     w.Key("error").String(cell.error);
-    // Retry counts vary with fault timing, never with results — zeroed in
-    // stable mode like the cache counters.
-    w.Key("retries").Int(stable ? 0 : cell.retries);
     w.Key("eval").BeginObject();
     JsonMetric(&w, "accuracy", cell.run->eval.accuracy);
     JsonMetric(&w, "bias", cell.run->eval.bias);

@@ -7,18 +7,10 @@
 #include <string>
 #include <vector>
 
-#include "common/recoverable.h"
 #include "runner/run_cache.h"
 #include "runner/scenario.h"
 
 namespace ppfr::runner {
-
-// The exception a pipeline stage raises on a DATA-DEPENDENT, recoverable
-// failure (non-finite loss, block-CG collapse after fallback, a disk-cache
-// read race, an injected fault). RunSweep catches it at the cell boundary:
-// transient errors retry with bounded backoff, the rest mark the one cell
-// `failed` while the grid completes. See common/recoverable.h.
-using CellError = ppfr::RecoverableError;
 
 struct RunnerOptions {
   // Concurrent cells. 1 = serial on the calling thread with the process-wide
@@ -30,12 +22,6 @@ struct RunnerOptions {
   int threads = 1;
   uint64_t env_seed = core::kDefaultEnvSeed;
   bool verbose = true;  // per-cell progress lines on stderr
-  // Extra attempts for a cell that failed with a TRANSIENT CellError (cache
-  // read races, injected faults). Deterministic failures never retry.
-  int max_cell_retries = 2;
-  // Backoff before retry r (0-based) is retry_backoff_ms << r, capped at
-  // 250ms. 0 disables sleeping (tests).
-  int retry_backoff_ms = 10;
   // Graceful-interrupt flag (set from a SIGTERM/SIGINT handler). When it
   // reads true, cells not yet started are marked `skipped` while in-flight
   // cells finish normally, and the result comes back with interrupted=true.
@@ -52,12 +38,12 @@ struct CellResult {
   uint64_t seed = 0;       // resolved method seed this instance ran with
   double seconds = 0.0;
   bool cache_hit = false;  // the whole cell came out of the run cache
-  // The cell failed with a CellError after retries; `run` holds the NaN
+  // A stage of the cell raised ppfr::RecoverableError (common/recoverable.h:
+  // a non-finite training loss, a block-CG collapse); `run` holds the NaN
   // placeholder (no model), `error` the reason. Failed cells are excluded
   // from AggregateCells and emitted with status "failed" in the artifact.
   bool failed = false;
   std::string error;
-  int retries = 0;  // transient-failure attempts burned on this cell
   // Not computed because a graceful interrupt (RunnerOptions::stop) landed
   // before this cell started; carries the NaN placeholder, excluded from
   // aggregates, status "skipped".
@@ -137,8 +123,8 @@ void ParallelCells(size_t n, int threads, const std::function<void(size_t)>& fn)
 struct ArtifactOptions {
   // Stable mode zeroes the fields that legitimately vary between otherwise
   // identical runs — wall/cell seconds, cache hit/miss/disk counters,
-  // trainer invocations, per-cell cache_hit, retry counts and the runner and
-  // backend thread counts (results are thread-count invariant by contract) —
+  // trainer invocations, per-cell cache_hit and the runner and backend
+  // thread counts (results are thread-count invariant by contract) —
   // so two runs of the same sweep (e.g. cold vs warm --run_cache_dir,
   // killed-then-re-run vs uninterrupted, serial vs scheduled) produce
   // bitwise-identical files iff their numeric results are bitwise identical.
@@ -148,10 +134,8 @@ struct ArtifactOptions {
   bool stable = false;
 };
 
-// Writes the uniform BENCH_<name>.json artifact (schema_version 5: v4
-// without the multi-process sweep fields — the shard tag, the merge and
-// resume counts, the per-cell resume marker and the "missing" status);
-// returns its path.
+// Writes the uniform BENCH_<name>.json artifact (schema_version 6; the
+// version history is in EXPERIMENTS.md, "Artifacts"); returns its path.
 std::string WriteArtifact(const SweepResult& result, const std::string& dir = ".",
                           const ArtifactOptions& options = {});
 

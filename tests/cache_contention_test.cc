@@ -52,7 +52,6 @@ RunnerOptions QuietOptions() {
   opts.threads = 1;
   opts.env_seed = kEnvSeed;
   opts.verbose = false;
-  opts.retry_backoff_ms = 0;
   return opts;
 }
 

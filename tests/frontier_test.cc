@@ -134,7 +134,7 @@ TEST(FrontierSweepTest, BitwiseMatchesPerNodePathPerChunkOnAllBackends) {
   };
   for (const auto& [kind, threads] : backends) {
     la::ScopedBackend scoped(kind, threads);
-    InfluenceCalculator sweep_calc = fix.MakeCalc(/*cg_block=*/0);
+    InfluenceCalculator sweep_calc = fix.MakeCalc(/*cg_block=*/8);
     const FrontierSweepResult sweep = RunFrontierSweep(&sweep_calc, partition,
                                                        FrontierSweepOptions{});
     ASSERT_EQ(sweep.chunks_run, static_cast<int>(partition.chunks.size()));
@@ -142,7 +142,7 @@ TEST(FrontierSweepTest, BitwiseMatchesPerNodePathPerChunkOnAllBackends) {
 
     size_t row = 0;
     for (const FrontierChunk& chunk : partition.chunks) {
-      InfluenceCalculator fresh = fix.MakeCalc(/*cg_block=*/0);
+      InfluenceCalculator fresh = fix.MakeCalc(/*cg_block=*/8);
       const auto want = fresh.InfluenceOnNodeLosses(chunk.targets);
       ASSERT_EQ(want.size(), chunk.targets.size());
       for (size_t i = 0; i < chunk.targets.size(); ++i, ++row) {
@@ -211,7 +211,7 @@ TEST(FrontierSweepTest, ShardsFormDisjointCoverAndMergeBitwise) {
       PartitionByTwoHopSupport(fix.ctx.graph, targets, /*support_budget=*/25);
   ASSERT_GE(partition.chunks.size(), 3u);
 
-  InfluenceCalculator full_calc = fix.MakeCalc(/*cg_block=*/0);
+  InfluenceCalculator full_calc = fix.MakeCalc(/*cg_block=*/8);
   const FrontierSweepResult full =
       RunFrontierSweep(&full_calc, partition, FrontierSweepOptions{});
 
@@ -219,7 +219,7 @@ TEST(FrontierSweepTest, ShardsFormDisjointCoverAndMergeBitwise) {
   std::map<int, std::vector<double>> merged;
   int chunks_run = 0;
   for (int shard = 0; shard < kShards; ++shard) {
-    InfluenceCalculator calc = fix.MakeCalc(/*cg_block=*/0);
+    InfluenceCalculator calc = fix.MakeCalc(/*cg_block=*/8);
     const FrontierSweepResult part = RunFrontierSweep(
         &calc, partition, {.shard_index = shard, .shard_count = kShards});
     chunks_run += part.chunks_run;
@@ -238,7 +238,7 @@ TEST(FrontierSweepTest, ShardsFormDisjointCoverAndMergeBitwise) {
 
 TEST(FrontierSweepDeathTest, GuardsMisuse) {
   const SweepFixture fix;
-  InfluenceCalculator calc = fix.MakeCalc(0);
+  InfluenceCalculator calc = fix.MakeCalc(/*cg_block=*/8);
   const FrontierPartition partition;
   EXPECT_DEATH(RunFrontierSweep(nullptr, partition, FrontierSweepOptions{}),
                "CHECK failed");

@@ -267,7 +267,7 @@ FullGraphSolve SolveOnFullGraph(EngineFixture& fx, const InfluenceConfig& cfg,
   const MultiVector b = MultiVector::FromColumns(rhs);
   MultiVector s(b.dim(), b.k());
   FullGraphSolve out;
-  const int block = ResolveCgBlock(cfg.cg_block);
+  const int block = cfg.cg_block;
   for (int begin = 0; begin < b.k(); begin += block) {
     std::vector<int> cols;
     for (int j = begin; j < std::min(begin + block, b.k()); ++j) cols.push_back(j);
@@ -802,21 +802,17 @@ TEST(BlockCgTest, ZeroAndDuplicateColumnsAreExact) {
   EXPECT_EQ(block.residual_norm[1], block.residual_norm[3]);
 }
 
-TEST(ResolveCgBlockTest, ParsesTheEnvironmentStrictly) {
-  EXPECT_EQ(ResolveCgBlock(3), 3);  // a configured width ignores the variable
-  {
-    ppfr::testing::ScopedEnvVar env("PPFR_CG_BLOCK", "16");
-    EXPECT_EQ(ResolveCgBlock(0), 16);
-    EXPECT_EQ(ResolveCgBlock(5), 5);
-  }
-  for (const char* unset : {"", "0", "-3"}) {
-    ppfr::testing::ScopedEnvVar env("PPFR_CG_BLOCK", unset);
-    EXPECT_EQ(ResolveCgBlock(0), 8) << "'" << unset << "'";
-  }
-  for (const char* bad : {"8x", "abc", "99999999999"}) {
-    ppfr::testing::ScopedEnvVar env("PPFR_CG_BLOCK", bad);
-    EXPECT_DEATH(ResolveCgBlock(0),
-                 "PPFR_CG_BLOCK must be an integer, got '" + std::string(bad) + "'");
+TEST(InfluenceConfigDeathTest, NonPositiveCgBlockDies) {
+  EngineFixture fx(nn::ModelKind::kGcn);
+  for (int block : {0, -3}) {
+    InfluenceConfig cfg;
+    cfg.cg_block = block;
+    EXPECT_DEATH(
+        {
+          InfluenceCalculator calc(fx.model.get(), fx.ctx, fx.split.train,
+                                   fx.data.labels, cfg);
+        },
+        "cg_block must be positive");
   }
 }
 

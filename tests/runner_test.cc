@@ -2,8 +2,9 @@
 // stable across processes, stage-cached results that are bitwise identical
 // to cold runs, the parallel cell scheduler's parity with the serial order,
 // the "vanilla trains exactly once" trainer-invocation contract, crash
-// recovery by re-running against the disk cache, and the uniform JSON
-// artifact schema.
+// recovery by re-running against the disk cache, wrong-shape disk entries
+// as misses, per-cell failure isolation, and the uniform JSON artifact
+// schema.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "core/snapshot.h"
 #include "influence/param_vector.h"
 #include "nn/trainer.h"
+#include "privacy/distance.h"
 #include "runner/run_cache.h"
 #include "runner/runner.h"
 #include "runner/scenario.h"
@@ -53,7 +55,7 @@ core::MethodConfig PinnedConfig() {
   cfg.fr.influence.cg.max_iterations = 20;
   cfg.fr.influence.cg.tolerance = 1e-6;
   cfg.fr.influence.cg.hvp_step = 1e-4;
-  cfg.fr.influence.cg_block = 8;  // pinned: 0 would resolve from PPFR_CG_BLOCK
+  cfg.fr.influence.cg_block = 8;
   cfg.seed = 11;
   return cfg;
 }
@@ -109,7 +111,6 @@ TEST(KeyHasherTest, GoldenValuesStableAcrossProcesses) {
   // again when the FR prefix stopped mixing the resolved replay width (the
   // fused probe replay it named is gone); DP, PP and vanilla keys did not.
   EXPECT_EQ(RunCache::FrKey(nn::ModelKind::kGcn, env, cfg), 0x40825b9a037bd75dULL);
-  // (The cell's FR cg_block resolves to 8 under the default environment.)
   const Scenario cell = Cell(data::DatasetId::kCoraLike, nn::ModelKind::kGcn,
                              core::MethodKind::kPpFr, 50);
   EXPECT_EQ(RunCache::CellKey(cell, 123), 0x3b8f49c2b7b832a3ULL);
@@ -168,8 +169,7 @@ TEST(KeyHasherTest, KeysDistinguishStageInputs) {
   EXPECT_NE(RunCache::FrKey(nn::ModelKind::kGcn, env, cfg),
             RunCache::FrKey(nn::ModelKind::kGcn, env, other));
   // The block width changes FR results (different Krylov spaces), so it must
-  // separate FR keys — by its RESOLVED value, so cg_block = 0 under the
-  // default environment shares the explicit cg_block = 8 entry.
+  // separate FR keys.
   other = cfg;
   other.fr.influence.cg_block = 16;
   EXPECT_NE(RunCache::FrKey(nn::ModelKind::kGcn, env, cfg),
@@ -543,19 +543,83 @@ TEST(DiskCacheTest, MismatchedFingerprintIsAMissNotACrash) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
-// /proc/self is an existing directory where nobody, root included, can
-// create a file: every Store fails. The sweep must still finish, computing
-// each stage in memory, instead of waiting for an entry that never lands.
-TEST(DiskCacheTest, UnwritableCacheDirStillFinishesTheSweep) {
+RunnerOptions QuietOptions() {
   RunnerOptions opts;
   opts.threads = 1;
   opts.env_seed = kEnvSeed;
   opts.verbose = false;
+  return opts;
+}
+
+// /proc/self is an existing directory where nobody, root included, can
+// create a file: every Store fails. The sweep must still finish, computing
+// each stage in memory, instead of waiting for an entry that never lands,
+// and a failed write costs nothing but persistence: every number equals an
+// in-memory run's bit for bit.
+TEST(DiskCacheTest, UnwritableCacheDirStillFinishesTheSweep) {
+  const Sweep sweep = MiniSuiteSweep(4);
   RunCache cache("/proc/self");
-  const SweepResult result = RunSweep(MiniSuiteSweep(4), &cache, opts);
+  const SweepResult result = RunSweep(sweep, &cache, QuietOptions());
   EXPECT_EQ(result.failed_cells, 0);
   EXPECT_GT(result.trainer_invocations, 0);
   EXPECT_EQ(result.cache_stats.cell.disk_hits, 0);
+  RunCache in_memory;
+  ExpectSweepBitwiseEq(RunSweep(sweep, &in_memory, QuietOptions()), result);
+}
+
+// A checksum-valid entry of the wrong shape for its env — an FR solve one
+// weight short of the training set, then a cell whose FR weights are one
+// short — is a miss: the stage recomputes and overwrites it, and the sweep's
+// numbers equal an in-memory run's. Unchecked, the short FR weights reached
+// fine-tuning and aborted the process on a size CHECK.
+TEST(DiskCacheTest, WrongShapeEntriesAreMissesAndGetOverwritten) {
+  const std::string dir = ::testing::TempDir() + "/disk_cache_wrong_shape";
+  std::filesystem::remove_all(dir);
+  const Sweep sweep = MiniSuiteSweep(4);
+  const Scenario& dpfr = sweep.cells[1];
+  ASSERT_EQ(dpfr.method, core::MethodKind::kDpFr);
+  const core::MethodConfig config = dpfr.ResolvedConfig();
+  const auto env = SharedCache().Env(dpfr.dataset, kEnvSeed);
+  const size_t n = env->train_nodes().size();
+
+  CacheStore store(dir);
+  const uint64_t fr_key = RunCache::FrKey(dpfr.model, *env, config);
+  core::FrOutput short_fr;
+  short_fr.w.assign(n - 1, 0.0);
+  short_fr.sample_weights.assign(n - 1, 1.0);
+  short_fr.bias_influence.assign(n - 1, 0.0);
+  short_fr.util_influence.assign(n - 1, 0.0);
+  BinaryWriter fr_writer;
+  core::SaveFrOutput(&fr_writer, short_fr);
+  store.Store("fr", fr_key, fr_writer.data());
+
+  RunCache in_memory;
+  const SweepResult want = RunSweep(sweep, &in_memory, QuietOptions());
+  RunCache planted(dir);
+  const SweepResult got = RunSweep(sweep, &planted, QuietOptions());
+  EXPECT_EQ(got.failed_cells, 0);
+  EXPECT_EQ(got.cache_stats.fr.disk_hits, 0);
+  ExpectSweepBitwiseEq(want, got);
+  std::string payload;
+  ASSERT_TRUE(store.Load("fr", fr_key, &payload));
+  BinaryReader fr_reader(payload);
+  core::FrOutput rewritten;
+  ASSERT_TRUE(core::LoadFrOutput(&fr_reader, &rewritten));
+  EXPECT_EQ(rewritten.sample_weights.size(), n) << "the recompute overwrote the entry";
+
+  const uint64_t cell_key = RunCache::CellKey(dpfr, kEnvSeed);
+  ASSERT_TRUE(store.Load("cell", cell_key, &payload));
+  BinaryReader cell_reader(payload);
+  core::MethodRun run;
+  ASSERT_TRUE(core::LoadMethodRun(&cell_reader, dpfr.model, *env, config.seed, &run));
+  run.fr_weights.pop_back();
+  BinaryWriter cell_writer;
+  core::SaveMethodRun(&cell_writer, run);
+  store.Store("cell", cell_key, cell_writer.data());
+  RunCache reloaded(dir);
+  const SweepResult rerun = RunSweep(sweep, &reloaded, QuietOptions());
+  EXPECT_EQ(rerun.cache_stats.cell.disk_hits, 2) << "only the DPFR cell misses";
+  ExpectSweepBitwiseEq(want, rerun);
 }
 
 // Two cells expanded over three method seeds: 6 grid instances whose seed
@@ -650,6 +714,65 @@ TEST(GracefulStopTest, StopSkipsCellsAndReRunOnTheCacheDirFinishesBitwise) {
   const SweepResult clean = RunSweep(sweep, &clean_cache, opts);
   EXPECT_EQ(StableArtifactBytes(clean, ::testing::TempDir() + "/stop_a"),
             StableArtifactBytes(finished, ::testing::TempDir() + "/stop_b"));
+}
+
+// A data-dependent failure — a Reg cell whose fairness weight is +inf, so
+// training diverges at once — fails that cell alone: its vanilla sibling
+// finishes, aggregates leave it out, and the artifact reports it. The
+// failure is memoised like a result, so a second sweep on the same cache
+// rethrows it without training again.
+TEST(CellFailureTest, DivergedCellFailsAloneAndTheArtifactSaysSo) {
+  Sweep sweep;
+  sweep.name = "diverged_cell";
+  sweep.cells.push_back(Cell(data::DatasetId::kEnzymesLike, nn::ModelKind::kGcn,
+                             core::MethodKind::kVanilla, 4));
+  Scenario reg = Cell(data::DatasetId::kEnzymesLike, nn::ModelKind::kGcn,
+                      core::MethodKind::kReg, 4);
+  reg.overrides.lambda = std::numeric_limits<double>::infinity();
+  sweep.cells.push_back(reg);
+
+  RunCache cache;
+  const SweepResult result = RunSweep(sweep, &cache, QuietOptions());
+  ASSERT_EQ(result.cells.size(), 2u);
+  EXPECT_EQ(result.failed_cells, 1);
+  EXPECT_FALSE(result.cells[0].failed);
+  EXPECT_TRUE(std::isfinite(result.cells[0].run->eval.accuracy));
+  const CellResult& failed = result.cells[1];
+  EXPECT_TRUE(failed.failed);
+  EXPECT_EQ(failed.error, "non-finite training loss at epoch 0");
+  EXPECT_TRUE(std::isnan(failed.run->eval.accuracy));
+  const std::vector<CellAggregate> groups = AggregateCells(result);
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].scenario.method, core::MethodKind::kVanilla);
+
+  const std::string json =
+      StableArtifactBytes(result, ::testing::TempDir() + "/diverged_art");
+  EXPECT_NE(json.find("\"failed_cells\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"status\": \"failed\""), std::string::npos);
+  EXPECT_NE(json.find("\"error\": \"non-finite training loss at epoch 0\""),
+            std::string::npos);
+
+  const SweepResult again = RunSweep(sweep, &cache, QuietOptions());
+  EXPECT_EQ(again.trainer_invocations, 0);
+  EXPECT_EQ(again.failed_cells, 1);
+  EXPECT_EQ(again.cells[1].error, failed.error);
+}
+
+// FR-backed cells surface their inverse-HVP solve health as an artifact
+// extra.
+TEST(RunnerTest, FrCellsReportCgConvergenceExtra) {
+  Sweep sweep;
+  sweep.name = "cg_extra";
+  sweep.cells.push_back(Cell(data::DatasetId::kEnzymesLike, nn::ModelKind::kGcn,
+                             core::MethodKind::kPpFr, 6));
+  RunCache cache;
+  const SweepResult result = RunSweep(sweep, &cache, QuietOptions());
+  ASSERT_EQ(result.cells.size(), 1u);
+  const CellResult& cell = result.cells[0];
+  ASSERT_TRUE(cell.extra.count("cg_unconverged"));
+  EXPECT_GE(cell.extra.at("cg_unconverged"), 0.0);
+  EXPECT_GT(cell.run->cg_total_rhs, 0);
+  EXPECT_LE(cell.run->cg_unconverged, cell.run->cg_total_rhs);
 }
 
 TEST(MultiSeedTest, SeedExpansionMatchesIndependentRunsAndAggregates) {
@@ -788,6 +911,21 @@ TEST(SnapshotTest, GarbageEdgeCountIsRejectedBeforeAllocating) {
   EXPECT_FALSE(core::LoadGraphContext(&r, features, &ctx));
 }
 
+// The attack scorecard holds one AUC per distance kind; an entry with any
+// other count (bench_fig4 reads every kind's slot) is rejected.
+TEST(SnapshotTest, EvalWithWrongAucCountIsRejected) {
+  const size_t kinds = privacy::AllDistanceKinds().size();
+  for (const size_t count : {kinds - 1, kinds, kinds + 1}) {
+    core::EvalResult eval;
+    eval.attack.auc_per_distance.assign(count, 0.5);
+    BinaryWriter w;
+    core::SaveEval(&w, eval);
+    BinaryReader r(w.data());
+    core::EvalResult loaded;
+    EXPECT_EQ(core::LoadEval(&r, &loaded), count == kinds) << count << " AUCs";
+  }
+}
+
 TEST(ArtifactTest, WritesUniformSchemaGolden) {
   Sweep sweep;
   sweep.name = "artifact_probe";
@@ -813,7 +951,7 @@ TEST(ArtifactTest, WritesUniformSchemaGolden) {
   // The uniform schema every sweep artifact shares (CI diffs the same list
   // against bench/golden/artifact_schema.txt).
   for (const char* key :
-       {"\"schema_version\": 5", "\"sweep\"", "\"title\"", "\"backend\"",
+       {"\"schema_version\": 6", "\"sweep\"", "\"title\"", "\"backend\"",
         "\"backend_threads\"", "\"runner_threads\"", "\"env_seed\"",
         "\"seeds\"", "\"stable\"", "\"wall_seconds\"",
         "\"trainer_invocations\"", "\"failed_cells\"", "\"interrupted\"",
@@ -822,7 +960,7 @@ TEST(ArtifactTest, WritesUniformSchemaGolden) {
         "\"fr\"", "\"cell\"", "\"hits\"", "\"misses\"", "\"disk_hits\"",
         "\"cells\"", "\"dataset\"", "\"model\"", "\"method\"", "\"label\"",
         "\"seed\"", "\"seconds\"", "\"cache_hit\"", "\"status\"", "\"error\"",
-        "\"retries\"", "\"eval\"", "\"accuracy\"",
+        "\"eval\"", "\"accuracy\"",
         "\"bias\"", "\"risk_auc\"", "\"delta_d\"", "\"delta\"", "\"d_acc\"",
         "\"d_bias\"", "\"d_risk\"", "\"combined\"", "\"extra\"",
         "\"probe_metric\"", "\"aggregates\"", "\"metrics\"", "\"mean\"",
@@ -830,6 +968,7 @@ TEST(ArtifactTest, WritesUniformSchemaGolden) {
     EXPECT_NE(json.find(key), std::string::npos) << "artifact missing " << key;
   }
   EXPECT_NE(json.find("\"sweep\": \"artifact_probe\""), std::string::npos);
+  EXPECT_EQ(json.find("\"retries\""), std::string::npos);
   // A non-finite metric serialises as null but announces itself with a
   // sibling marker instead of corrupting the trajectory silently.
   EXPECT_NE(json.find("\"bad_metric\": null"), std::string::npos);

@@ -14,7 +14,7 @@
 namespace ppfr::testing {
 
 // setenv/restore guard for environment variables the library samples
-// (PPFR_LA_BACKEND, PPFR_LA_THREADS, PPFR_CG_BLOCK).
+// (PPFR_LA_BACKEND, PPFR_LA_THREADS, PPFR_RUN_CACHE_DIR).
 class ScopedEnvVar {
  public:
   ScopedEnvVar(const char* name, const char* value) : name_(name) {
