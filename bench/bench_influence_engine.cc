@@ -342,6 +342,25 @@ int Main(int argc, char** argv) {
   const int cg_targets = flags.GetInt("cg_targets", 16);
   const int cg_dim = flags.GetInt("cg_dim", 1280);
 
+  // Malformed values already died inside Flags with the flag name; these are
+  // the value contracts, which would otherwise abort deep inside the library
+  // (a zero --cg_block on InfluenceCalculator's CHECK) instead of printing a
+  // usage line.
+  const std::pair<const char*, int> counts[] = {
+      {"nodes", nodes},   {"train", train_count},     {"lanes", lanes},
+      {"epochs", epochs}, {"reps", reps},             {"cg_block", cg_block},
+      {"cg_targets", cg_targets},                     {"cg_dim", cg_dim}};
+  for (const auto& [name, value] : counts) {
+    if (value < 1) {
+      std::fprintf(stderr, "--%s must be >= 1 (got %d)\n", name, value);
+      return bench::kExitUsage;
+    }
+  }
+  if (!(degree > 0.0)) {
+    std::fprintf(stderr, "--degree must be > 0 (got %g)\n", degree);
+    return bench::kExitUsage;
+  }
+
   data::SbmConfig sbm;
   sbm.name = "bench-influence";
   sbm.num_nodes = nodes;

@@ -25,6 +25,29 @@ constexpr int64_t kApplyGrain = 32 * 1024;
 
 int64_t RowGrain(int cols) { return std::max<int64_t>(1, kApplyGrain / std::max(cols, 1)); }
 
+// The sorted, distinct columns listed in `rows` of a CSR pattern whose
+// columns lie in [0, num_cols), written to `out`. Each column is marked in a
+// per-thread array sized to the operand the first time it is met, so the
+// cost is linear in the listed entries plus a sort of the distinct columns
+// (a saturated support lists each column many times over).
+void UnionOfRows(const std::vector<int64_t>& row_ptr, const std::vector<int>& col_idx,
+                 int num_cols, const std::vector<int>& rows, std::vector<int>* out) {
+  thread_local std::vector<uint8_t> seen;  // all zero between calls
+  if (static_cast<int>(seen.size()) < num_cols) seen.resize(static_cast<size_t>(num_cols), 0);
+  out->clear();
+  for (int r : rows) {
+    for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const int c = col_idx[k];
+      if (seen[static_cast<size_t>(c)] == 0) {
+        seen[static_cast<size_t>(c)] = 1;
+        out->push_back(c);
+      }
+    }
+  }
+  for (int c : *out) seen[static_cast<size_t>(c)] = 0;
+  std::sort(out->begin(), out->end());
+}
+
 // Creates the output node; `backward(tape, out_grad)` routes gradients to
 // parents. Reduces the per-op boilerplate of discovering the output id. The
 // output gradient is read through GradView so the node's own dirty/row
@@ -215,16 +238,7 @@ Var SpMM(const std::shared_ptr<const SparseOperand>& sp, Var x) {
           // (thread_local scratch: this runs once per seed per SpMM inside
           // the pooled per-node loop, which must stay allocation-free.)
           thread_local std::vector<int> targets;
-          targets.clear();
-          const std::vector<int64_t>& row_ptr = sp->mat.row_ptr();
-          const std::vector<int>& col_idx = sp->mat.col_idx();
-          for (int c : *supp) {
-            for (int64_t k = row_ptr[c]; k < row_ptr[c + 1]; ++k) {
-              targets.push_back(col_idx[k]);
-            }
-          }
-          std::sort(targets.begin(), targets.end());
-          targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+          UnionOfRows(sp->mat.row_ptr(), sp->mat.col_idx(), sp->mat.cols(), *supp, &targets);
           // Mark the supported g rows so the kernel never streams the
           // known-zero rows between them through the cache (thread-local
           // scratch: workers under different arenas get their own).
@@ -1280,13 +1294,7 @@ Var GatAttention(Var h, Var attn_left, Var attn_right,
         la::Matrix* dh = nullptr;
         if (supp != nullptr) {
           std::vector<int>& sources = scratch.sources;
-          sources.clear();
-          for (int i : *supp) {
-            sources.insert(sources.end(), edges->col_idx.begin() + edges->row_ptr[i],
-                           edges->col_idx.begin() + edges->row_ptr[i + 1]);
-          }
-          std::sort(sources.begin(), sources.end());
-          sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+          UnionOfRows(edges->row_ptr, edges->col_idx, hv.rows(), *supp, &sources);
           if (tp.NeedsGrad(h)) {
             scratch.touched.clear();
             std::set_union(sources.begin(), sources.end(), supp->begin(), supp->end(),

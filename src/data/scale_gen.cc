@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "la/backend.h"
 
 namespace ppfr::data {
 namespace {
@@ -14,6 +15,10 @@ namespace {
 constexpr uint64_t kEdgeStreamTag = 0x45444745;     // "EDGE"
 constexpr uint64_t kFeatureStreamTag = 0x46454154;  // "FEAT"
 constexpr uint64_t kSplitStreamTag = 0x53504c54;    // "SPLT"
+
+// Feature rows per backend chunk: each row is its own RNG stream, so rows
+// fill in any order and on any thread with the same bits.
+constexpr int64_t kFeatureRowGrain = 256;
 
 // Draws a local rank in [0, n) with density ∝ x^(-alpha) over the continuous
 // relaxation [1, n+1] (inverse CDF), so rank 0 is the block's biggest hub.
@@ -51,54 +56,82 @@ int ScaleGraphConfig::BlockOf(int64_t v) const {
   return b;
 }
 
-void StreamScaleEdges(const ScaleGraphConfig& config, uint64_t seed,
-                      const std::function<void(int64_t, int64_t)>& emit) {
+namespace {
+
+// One block pair's share of the edge stream: `count` endpoint draws from the
+// pair's own counter-based stream Rng(MixSeed(MixSeed(edge seed, a), b)).
+struct BlockPair {
+  int a = 0;
+  int b = 0;
+  int64_t count = 0;
+};
+
+// The block pairs a <= b in stream order, each with its deterministic edge
+// budget: intra-block pairs take `homophily` of the edges in proportion to
+// block size, cross pairs the rest in proportion to |a|·|b|. Pairs that
+// cannot hold an edge are left out.
+std::vector<BlockPair> PlanBlockPairs(const ScaleGraphConfig& config) {
   const int64_t n = config.num_nodes;
   const int num_blocks = config.num_blocks;
-  const uint64_t edge_seed = MixSeed(seed, kEdgeStreamTag);
   const double total_edges = static_cast<double>(n) * config.average_degree / 2.0;
+  const auto size_of = [&config](int b) {
+    return config.BlockStart(b + 1) - config.BlockStart(b);
+  };
 
   // Cross-pair weight normaliser: inter-block budget splits ∝ |a|·|b|.
   double cross_weight = 0.0;
   for (int a = 0; a < num_blocks; ++a) {
-    const double sa = static_cast<double>(config.BlockStart(a + 1) - config.BlockStart(a));
     for (int b = a + 1; b < num_blocks; ++b) {
-      const double sb =
-          static_cast<double>(config.BlockStart(b + 1) - config.BlockStart(b));
-      cross_weight += sa * sb;
+      cross_weight += static_cast<double>(size_of(a)) * static_cast<double>(size_of(b));
     }
   }
 
+  std::vector<BlockPair> plan;
   for (int a = 0; a < num_blocks; ++a) {
-    const int64_t start_a = config.BlockStart(a);
-    const int64_t size_a = config.BlockStart(a + 1) - start_a;
+    const int64_t size_a = size_of(a);
     for (int b = a; b < num_blocks; ++b) {
-      const int64_t start_b = config.BlockStart(b);
-      const int64_t size_b = config.BlockStart(b + 1) - start_b;
-
-      // Deterministic budget for this block pair; an independent counter-based
-      // stream per pair means replay (and any per-pair parallel split) never
-      // depends on emission order elsewhere.
+      const int64_t size_b = size_of(b);
       double budget;
       if (a == b) {
+        if (size_a < 2) continue;
         budget = config.homophily * total_edges * static_cast<double>(size_a) /
                  static_cast<double>(n);
-        if (size_a < 2) continue;
       } else {
         if (cross_weight <= 0.0) continue;
         budget = (1.0 - config.homophily) * total_edges *
                  (static_cast<double>(size_a) * static_cast<double>(size_b)) /
                  cross_weight;
       }
-      const int64_t m = static_cast<int64_t>(std::llround(budget));
-      Rng rng(MixSeed(MixSeed(edge_seed, static_cast<uint64_t>(a)),
-                      static_cast<uint64_t>(b)));
-      for (int64_t e = 0; e < m; ++e) {
-        const int64_t u = start_a + PowerLawRank(size_a, config.power_law_alpha, &rng);
-        const int64_t v = start_b + PowerLawRank(size_b, config.power_law_alpha, &rng);
-        emit(u, v);  // u == v (intra pairs) is a self-loop; the builder drops it
-      }
+      plan.push_back({a, b, static_cast<int64_t>(std::llround(budget))});
     }
+  }
+  return plan;
+}
+
+// Replays one block pair's stream into `emit`. Self-loops (u == v, intra
+// pairs only) and duplicates are emitted; BuildCsrFromEdgeStream drops and
+// collapses them.
+void EmitBlockPair(const ScaleGraphConfig& config, uint64_t seed, const BlockPair& pair,
+                   const std::function<void(int64_t, int64_t)>& emit) {
+  const int64_t start_a = config.BlockStart(pair.a);
+  const int64_t size_a = config.BlockStart(pair.a + 1) - start_a;
+  const int64_t start_b = config.BlockStart(pair.b);
+  const int64_t size_b = config.BlockStart(pair.b + 1) - start_b;
+  Rng rng(MixSeed(MixSeed(MixSeed(seed, kEdgeStreamTag), static_cast<uint64_t>(pair.a)),
+                  static_cast<uint64_t>(pair.b)));
+  for (int64_t e = 0; e < pair.count; ++e) {
+    const int64_t u = start_a + PowerLawRank(size_a, config.power_law_alpha, &rng);
+    const int64_t v = start_b + PowerLawRank(size_b, config.power_law_alpha, &rng);
+    emit(u, v);
+  }
+}
+
+}  // namespace
+
+void StreamScaleEdges(const ScaleGraphConfig& config, uint64_t seed,
+                      const std::function<void(int64_t, int64_t)>& emit) {
+  for (const BlockPair& pair : PlanBlockPairs(config)) {
+    EmitBlockPair(config, seed, pair, emit);
   }
 }
 
@@ -111,9 +144,13 @@ ScaleDataset::ScaleDataset(const ScaleGraphConfig& config, uint64_t seed)
   PPFR_CHECK_LE(config.homophily, 1.0);
   PPFR_CHECK_LE(config.signature_size * config.num_blocks, config.feature_dim)
       << "class signatures must fit in the feature space";
+  // One part per block pair: the pairs' streams are independent, so both
+  // passes of the CSR build run them concurrently.
+  const std::vector<BlockPair> plan = PlanBlockPairs(config_);
   adj_ = graph::BuildCsrFromEdgeStream(
-      config.num_nodes, [this](const std::function<void(int64_t, int64_t)>& emit) {
-        StreamScaleEdges(config_, seed_, emit);
+      config_.num_nodes, static_cast<int>(plan.size()),
+      [this, &plan](int p, const graph::EdgeEmit& emit) {
+        EmitBlockPair(config_, seed_, plan[static_cast<size_t>(p)], emit);
       });
 }
 
@@ -138,9 +175,11 @@ void ScaleDataset::FillFeatureRow(int64_t v, double* row) const {
 
 la::Matrix ScaleDataset::GatherFeatures(const std::vector<int>& nodes) const {
   la::Matrix out(static_cast<int>(nodes.size()), config_.feature_dim);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    FillFeatureRow(nodes[i], out.row(static_cast<int>(i)));
-  }
+  la::ActiveBackend().Apply(out.rows(), kFeatureRowGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      FillFeatureRow(nodes[static_cast<size_t>(i)], out.row(static_cast<int>(i)));
+    }
+  });
   return out;
 }
 
@@ -148,9 +187,9 @@ la::Matrix ScaleDataset::MaterializeFeatures() const {
   PPFR_CHECK_LE(config_.num_nodes, int64_t{1} << 22)
       << "MaterializeFeatures is a small-scale parity helper";
   la::Matrix out(static_cast<int>(config_.num_nodes), config_.feature_dim);
-  for (int64_t v = 0; v < config_.num_nodes; ++v) {
-    FillFeatureRow(v, out.row(static_cast<int>(v)));
-  }
+  la::ActiveBackend().Apply(out.rows(), kFeatureRowGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t v = lo; v < hi; ++v) FillFeatureRow(v, out.row(static_cast<int>(v)));
+  });
   return out;
 }
 

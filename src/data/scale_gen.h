@@ -48,10 +48,12 @@ struct ScaleGraphConfig {
 };
 
 // Streams the deterministic edge multiset for (config, seed) into `emit`,
-// one Rng(MixSeed(MixSeed(seed, a), b)) stream per block pair — replaying the
-// call yields the identical sequence, which is what lets the two-pass CSR
-// builder run without an edge list. Self-loops and duplicates may be emitted;
-// the builder drops/collapses them.
+// one Rng(MixSeed(MixSeed(seed, a), b)) stream per block pair, the pairs in
+// order — replaying the call yields the identical sequence. ScaleDataset
+// hands the same per-pair streams to BuildCsrFromEdgeStream as separate
+// parts, which is what lets the two-pass build run without an edge list and
+// run the pairs concurrently. Self-loops and duplicates may be emitted; the
+// build drops/collapses them.
 void StreamScaleEdges(const ScaleGraphConfig& config, uint64_t seed,
                       const std::function<void(int64_t, int64_t)>& emit);
 
@@ -76,10 +78,12 @@ class ScaleDataset {
   // Each node owns an independent RNG stream, so any row can be regenerated
   // in isolation, in any order, any number of times.
   void FillFeatureRow(int64_t v, double* row) const;
-  // Stacks FillFeatureRow over `nodes` — the mini-batch feature path.
+  // Stacks FillFeatureRow over `nodes` — the mini-batch feature path. Rows
+  // are filled on the active la backend's threads.
   la::Matrix GatherFeatures(const std::vector<int>& nodes) const;
 
-  // Full dense materialisations (small graphs / parity tests only).
+  // Full dense materialisations (small graphs / parity tests, and the dense
+  // bridge of the scale pipeline); features fill like GatherFeatures.
   la::Matrix MaterializeFeatures() const;
   std::vector<int> MaterializeLabels() const;
 

@@ -14,40 +14,44 @@ la::CsrMatrix GcnNormalizedAdjacency(const Graph& g) {
   for (int v = 0; v < n; ++v) {
     inv_sqrt_deg[v] = 1.0 / std::sqrt(static_cast<double>(g.Degree(v)) + 1.0);
   }
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(2 * g.num_edges() + n);
+  // Row v is N(v) ∪ {v}: the adjacency list is sorted and never holds v, so
+  // the self-loop is merged in at its sorted position and the CSR is written
+  // directly.
+  std::vector<int64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
+  for (int v = 0; v < n; ++v) row_ptr[v + 1] = row_ptr[v] + g.Degree(v) + 1;
+  std::vector<int> col_idx(static_cast<size_t>(row_ptr[n]));
+  std::vector<double> values(col_idx.size());
   for (int v = 0; v < n; ++v) {
-    triplets.push_back({v, v, inv_sqrt_deg[v] * inv_sqrt_deg[v]});
-    for (int u : g.Neighbors(v)) {
-      triplets.push_back({v, u, inv_sqrt_deg[v] * inv_sqrt_deg[u]});
-    }
+    const auto nbrs = g.Neighbors(v);
+    const auto self = std::lower_bound(nbrs.begin(), nbrs.end(), v);
+    int64_t k = row_ptr[v];
+    const auto put = [&](int u) {
+      col_idx[k] = u;
+      values[k++] = inv_sqrt_deg[v] * inv_sqrt_deg[u];
+    };
+    for (auto it = nbrs.begin(); it != self; ++it) put(*it);
+    put(v);
+    for (auto it = self; it != nbrs.end(); ++it) put(*it);
   }
-  return la::CsrMatrix::FromTriplets(n, n, std::move(triplets));
-}
-
-la::CsrMatrix LeftNormalizedAdjacency(const Graph& g) {
-  const int n = g.num_nodes();
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(2 * g.num_edges() + n);
-  for (int v = 0; v < n; ++v) {
-    const double w = 1.0 / (static_cast<double>(g.Degree(v)) + 1.0);
-    triplets.push_back({v, v, w});
-    for (int u : g.Neighbors(v)) triplets.push_back({v, u, w});
-  }
-  return la::CsrMatrix::FromTriplets(n, n, std::move(triplets));
+  return la::CsrMatrix::FromSortedRows(n, n, std::move(row_ptr), std::move(col_idx),
+                                       std::move(values));
 }
 
 la::CsrMatrix MeanAggregationMatrix(const Graph& g) {
   const int n = g.num_nodes();
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(2 * g.num_edges());
+  // The adjacency lists are the rows, already sorted and duplicate-free.
+  std::vector<int64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
+  for (int v = 0; v < n; ++v) row_ptr[v + 1] = row_ptr[v] + g.Degree(v);
+  std::vector<int> col_idx(static_cast<size_t>(row_ptr[n]));
+  std::vector<double> values(col_idx.size());
   for (int v = 0; v < n; ++v) {
-    const int deg = g.Degree(v);
-    if (deg == 0) continue;
-    const double w = 1.0 / deg;
-    for (int u : g.Neighbors(v)) triplets.push_back({v, u, w});
+    const auto nbrs = g.Neighbors(v);
+    if (nbrs.empty()) continue;  // isolated node: zero row
+    std::copy(nbrs.begin(), nbrs.end(), col_idx.begin() + row_ptr[v]);
+    std::fill_n(values.begin() + row_ptr[v], nbrs.size(), 1.0 / g.Degree(v));
   }
-  return la::CsrMatrix::FromTriplets(n, n, std::move(triplets));
+  return la::CsrMatrix::FromSortedRows(n, n, std::move(row_ptr), std::move(col_idx),
+                                       std::move(values));
 }
 
 la::CsrMatrix SampledMeanAggregationMatrix(const Graph& g, int fanout, Rng* rng) {

@@ -13,10 +13,6 @@ namespace ppfr::graph {
 // with D̃ the degree matrix of (A + I) (Kipf & Welling).
 la::CsrMatrix GcnNormalizedAdjacency(const Graph& g);
 
-// Left-normalised operator D̃^{-1} (A + I) used by the paper's §VI-B2 risk
-// model (one-hop mean aggregation including self).
-la::CsrMatrix LeftNormalizedAdjacency(const Graph& g);
-
 // Row-stochastic neighbour-mean operator M: M_ij = 1/deg(i) for j ∈ N(i)
 // (rows of isolated nodes are zero). The GraphSAGE mean aggregator.
 la::CsrMatrix MeanAggregationMatrix(const Graph& g);

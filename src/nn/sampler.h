@@ -74,7 +74,10 @@ class NeighborSampler {
 
   // Builds the block for one mini-batch of target nodes. Sampled neighbours
   // are kept in ascending node-id order, so the frontier layout itself is
-  // canonical.
+  // canonical. Rows are sampled on the active la backend's threads, so
+  // concurrent callers follow the backend's threading contract
+  // (la/backend.h); the global-to-local id map is a dense array over the
+  // graph's nodes, 4 bytes per node for the duration of the call.
   SampledBlock SampleBlock(const std::vector<int>& targets, int epoch,
                            int batch) const;
 

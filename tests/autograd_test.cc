@@ -956,6 +956,64 @@ TEST_P(GatAttentionThreads, MultiChunkPassIsBitwiseThreadInvariant) {
 INSTANTIATE_TEST_SUITE_P(Backends, GatAttentionThreads, ::testing::ValuesIn(kBackends),
                          [](const auto& info) { return la::BackendKindName(info.param); });
 
+// A seed on every output row saturates the row support: each operand column
+// is listed by many supported rows, so the backwards' support unions meet
+// every column many times over. The row-support backwards must still give
+// the dense backward's bits.
+TEST(RowSupportTest, SaturatedSupportMatchesDenseBackwardBitwise) {
+  Rng rng(29);
+  const int n = 40, groups = 2, dim = 3;
+  std::vector<la::Triplet> triplets;
+  std::vector<std::vector<int>> lists(n);
+  for (int r = 0; r < n; ++r) {
+    lists[static_cast<size_t>(r)].push_back(r);
+    for (int c = 0; c < n; ++c) {
+      if (rng.Uniform() < 0.3) triplets.push_back({r, c, rng.Normal()});
+      if (c != r && rng.Uniform() < 0.3) lists[static_cast<size_t>(r)].push_back(c);
+    }
+  }
+  const auto sp = MakeSparseOperand(la::CsrMatrix::FromTriplets(n, n, triplets),
+                                    /*symmetric=*/false);
+  const auto edges = EdgesFromLists(lists);
+  Parameter x = MakeParam("x", n, 5, &rng);
+  Parameter h = MakeParam("h", n, groups * dim, &rng);
+  Parameter left = MakeParam("left", dim, groups, &rng);
+  Parameter right = MakeParam("right", dim, groups, &rng);
+  const la::Matrix spmm_seed = RandomMatrix(n, 5, &rng);
+  const la::Matrix gat_seed = RandomMatrix(n, groups * dim, &rng);
+
+  const auto spmm_grad = [&](bool sparse) {
+    x.ZeroGrad();
+    Tape tape;
+    Var out = SpMM(sp, tape.Leaf(&x));
+    if (sparse) {
+      std::vector<int> rows, cols;
+      std::vector<double> values;
+      for (int r = 0; r < n; ++r) {
+        for (int c = 0; c < spmm_seed.cols(); ++c) {
+          rows.push_back(r);
+          cols.push_back(c);
+          values.push_back(spmm_seed(r, c));
+        }
+      }
+      tape.BackwardWithSparseSeed(out, rows, cols, values);
+    } else {
+      tape.BackwardWithSeed(out, spmm_seed);
+    }
+    return x.grad;
+  };
+  for (const la::BackendKind backend : kBackends) {
+    SCOPED_TRACE(la::BackendKindName(backend));
+    la::ScopedBackend scoped(backend, 4);
+    ExpectBitwiseEq(spmm_grad(false), spmm_grad(true), "SpMM dx");
+    const GatResult want = RunGat(&h, &left, &right, edges, gat_seed, /*sparse=*/false);
+    const GatResult got = RunGat(&h, &left, &right, edges, gat_seed, /*sparse=*/true);
+    ExpectBitwiseEq(want.dh, got.dh, "GAT dh");
+    ExpectBitwiseEq(want.dleft, got.dleft, "GAT dleft");
+    ExpectBitwiseEq(want.dright, got.dright, "GAT dright");
+  }
+}
+
 // f(x) = (x + 1) − x: the tape's derivative is exactly 1 − 1 = 0, but the
 // two perturbed losses round apart. One ulp between them is rounding, so the
 // entry must pass; before GradCheck allowed for it, it read as an error of

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "data/sbm.h"
 #include "graph/graph.h"
@@ -54,14 +56,6 @@ TEST(GraphOpsTest, GcnNormalizedAdjacencyIsSymmetricWithSelfLoops) {
   EXPECT_NEAR(a.At(4, 0), 1.0 / std::sqrt(2.0 * 5.0), 1e-14);
 }
 
-TEST(GraphOpsTest, LeftNormalizedRowsSumToOne) {
-  const Graph g = SmallGraph();
-  const la::CsrMatrix a = LeftNormalizedAdjacency(g);
-  la::Matrix ones(g.num_nodes(), 1, 1.0);
-  const la::Matrix row_sums = a.Multiply(ones);
-  for (int i = 0; i < g.num_nodes(); ++i) EXPECT_NEAR(row_sums(i, 0), 1.0, 1e-12);
-}
-
 TEST(GraphOpsTest, MeanAggregationRowsSumToOneExceptIsolated) {
   const Graph g = SmallGraph();
   const la::CsrMatrix m = MeanAggregationMatrix(g);
@@ -88,6 +82,20 @@ TEST(GraphOpsTest, SampledMeanAggregationRespectsFanout) {
       }
       EXPECT_NEAR(sum, 1.0, 1e-12);
     }
+  }
+}
+
+// The same CSR arrays, values compared bit for bit.
+void ExpectSameCsrBits(const la::CsrMatrix& got, const la::CsrMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  for (size_t k = 0; k < want.values().size(); ++k) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.values()[k]),
+              std::bit_cast<uint64_t>(want.values()[k]))
+        << "entry " << k;
   }
 }
 
@@ -122,17 +130,52 @@ TEST(GraphOpsTest, SampledMeanAggregationEqualsTripletBuild) {
   for (const int fanout : {2, max_degree + 1}) {
     SCOPED_TRACE("fanout=" + std::to_string(fanout));
     Rng want_rng(11), got_rng(11);
-    const la::CsrMatrix want = TripletSampledMean(g, fanout, &want_rng);
-    const la::CsrMatrix got = SampledMeanAggregationMatrix(g, fanout, &got_rng);
-    EXPECT_EQ(got.row_ptr(), want.row_ptr());
-    EXPECT_EQ(got.col_idx(), want.col_idx());
-    ASSERT_EQ(got.values().size(), want.values().size());
-    for (size_t k = 0; k < want.values().size(); ++k) {
-      EXPECT_EQ(std::bit_cast<uint64_t>(got.values()[k]),
-                std::bit_cast<uint64_t>(want.values()[k]));
-    }
+    ExpectSameCsrBits(SampledMeanAggregationMatrix(g, fanout, &got_rng),
+                      TripletSampledMean(g, fanout, &want_rng));
     EXPECT_EQ(got_rng.NextU64(), want_rng.NextU64());
   }
+}
+
+// The GCN and mean operators built from triplets, the oracles for the direct
+// CSR builds: the same products, summed and sorted by FromTriplets.
+la::CsrMatrix TripletGcn(const Graph& g) {
+  std::vector<double> inv_sqrt_deg(g.num_nodes());
+  for (int v = 0; v < g.num_nodes(); ++v) {
+    inv_sqrt_deg[v] = 1.0 / std::sqrt(static_cast<double>(g.Degree(v)) + 1.0);
+  }
+  std::vector<la::Triplet> triplets;
+  for (int v = 0; v < g.num_nodes(); ++v) {
+    triplets.push_back({v, v, inv_sqrt_deg[v] * inv_sqrt_deg[v]});
+    for (int u : g.Neighbors(v)) triplets.push_back({v, u, inv_sqrt_deg[v] * inv_sqrt_deg[u]});
+  }
+  return la::CsrMatrix::FromTriplets(g.num_nodes(), g.num_nodes(), std::move(triplets));
+}
+
+la::CsrMatrix TripletMean(const Graph& g) {
+  std::vector<la::Triplet> triplets;
+  for (int v = 0; v < g.num_nodes(); ++v) {
+    for (int u : g.Neighbors(v)) triplets.push_back({v, u, 1.0 / g.Degree(v)});
+  }
+  return la::CsrMatrix::FromTriplets(g.num_nodes(), g.num_nodes(), std::move(triplets));
+}
+
+// The direct CSR builds merge the self-loop into each sorted row: first in
+// rows 0 and 1, inside rows 2 and 4, last in row 5; rows 3 and 6 are
+// isolated (a lone self-loop for Â, an empty row for the mean).
+TEST(GraphOpsTest, DirectGcnAndMeanOperatorsEqualTripletBuilds) {
+  const Graph edge_cases =
+      Graph::FromEdges(7, {{0, 2}, {0, 4}, {1, 2}, {2, 5}, {4, 5}});
+  const auto sbm = ppfr::testing::SmallSbm(7, 300, 2);
+  for (const Graph* g : {&edge_cases, &sbm.graph}) {
+    SCOPED_TRACE("nodes=" + std::to_string(g->num_nodes()));
+    ExpectSameCsrBits(GcnNormalizedAdjacency(*g), TripletGcn(*g));
+    ExpectSameCsrBits(MeanAggregationMatrix(*g), TripletMean(*g));
+  }
+  const la::CsrMatrix gcn = GcnNormalizedAdjacency(edge_cases);
+  EXPECT_EQ(gcn.row_ptr()[4] - gcn.row_ptr()[3], 1);
+  EXPECT_EQ(gcn.col_idx()[static_cast<size_t>(gcn.row_ptr()[3])], 3);
+  const la::CsrMatrix mean = MeanAggregationMatrix(edge_cases);
+  EXPECT_EQ(mean.row_ptr()[7] - mean.row_ptr()[6], 0);
 }
 
 TEST(GraphOpsTest, BfsHopsOnPathGraph) {

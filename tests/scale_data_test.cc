@@ -1,14 +1,16 @@
 // Tests for the scale axis's data layer: the streamed power-law block-model
 // generator (data/scale_gen) and the bounded-peak-memory CSR builder
 // (graph/csr_builder). The load-bearing properties: every stream is a pure
-// function of (config, seed) and replays bit-identically; the two-pass
-// builder produces the same structure as the edge-list path; the hardening
-// contracts (node-count ceiling, endpoint bounds, replay mismatch) abort
-// with messages naming their limits.
+// function of (config, seed) and replays bit-identically; the two-pass CSR
+// build produces the same structure as the edge-list path for any part
+// split and backend thread count; the hardening contracts (node-count
+// ceiling, endpoint bounds, replay mismatch) abort with messages naming
+// their limits.
 
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "data/scale_gen.h"
 #include "graph/csr_builder.h"
 #include "graph/graph.h"
+#include "la/backend.h"
 #include "la/matrix.h"
 #include "test_util.h"
 
@@ -126,37 +129,100 @@ TEST(CsrBuilderTest, NeighboursAreSortedDeduplicatedAndSymmetric) {
   }
 }
 
+// The partitioned build is a function of the edge multiset alone: one part
+// (FromGraph) and the ten block-pair parts of ScaleDataset give the same
+// arrays as the edge-list oracle at every backend thread count. The graph is
+// large enough that the row sort runs in several chunks, so at 2 and 4
+// threads the count, placement and sort passes all run concurrently.
+TEST(CsrBuilderTest, PartitionedBuildIsInvariantToPartsAndThreads) {
+  const data::ScaleGraphConfig cfg = SmallScaleConfig(20000);
+  std::vector<graph::Edge> edges;
+  data::StreamScaleEdges(cfg, 13, [&](int64_t u, int64_t v) {
+    edges.push_back({static_cast<int>(u), static_cast<int>(v)});
+  });
+  const graph::Graph reference =
+      graph::Graph::FromEdges(static_cast<int>(cfg.num_nodes), edges);
+  std::vector<int64_t> want_row_ptr{0};
+  std::vector<int> want_adj;
+  for (int v = 0; v < reference.num_nodes(); ++v) {
+    const auto nbrs = reference.Neighbors(v);
+    want_adj.insert(want_adj.end(), nbrs.begin(), nbrs.end());
+    want_row_ptr.push_back(static_cast<int64_t>(want_adj.size()));
+  }
+
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    la::ScopedBackend scoped(la::BackendKind::kParallel, threads);
+    const data::ScaleDataset dataset(cfg, 13);  // ten block-pair parts
+    EXPECT_EQ(dataset.adjacency().row_ptr(), want_row_ptr);
+    EXPECT_EQ(dataset.adjacency().adj(), want_adj);
+    const graph::CsrAdjacency one_part = graph::CsrAdjacency::FromGraph(reference);
+    EXPECT_EQ(one_part.row_ptr(), want_row_ptr);
+    EXPECT_EQ(one_part.adj(), want_adj);
+  }
+}
+
+// Builds on a 2-thread backend made inside the death-test child, so the
+// parts run on pool workers there as well (a pool inherited across fork
+// runs inline).
+graph::CsrAdjacency BuildOnTwoThreads(int64_t num_nodes, int num_parts,
+                                      const graph::EdgeStreamPart& part) {
+  la::ScopedBackend scoped(la::BackendKind::kParallel, 2);
+  return graph::BuildCsrFromEdgeStream(num_nodes, num_parts, part);
+}
+
 TEST(CsrBuilderDeathTest, RejectsNodeCountsPastTheInt32Ceiling) {
-  EXPECT_DEATH(graph::BuildCsrFromEdgeStream(
-                   graph::kMaxCsrNodes + 1,
-                   [](const std::function<void(int64_t, int64_t)>&) {}),
+  EXPECT_DEATH(graph::BuildCsrFromEdgeStream(graph::kMaxCsrNodes + 1, 1,
+                                             [](int, const graph::EdgeEmit&) {}),
                "kMaxCsrNodes");
 }
 
 TEST(CsrBuilderDeathTest, RejectsOutOfRangeEndpoints) {
-  EXPECT_DEATH(graph::BuildCsrFromEdgeStream(
-                   10,
-                   [](const std::function<void(int64_t, int64_t)>& emit) {
-                     emit(3, 10);  // v == num_nodes
-                   }),
+  EXPECT_DEATH(BuildOnTwoThreads(10, 3,
+                                 [](int p, const graph::EdgeEmit& emit) {
+                                   emit(p, p + 1);
+                                   if (p == 2) emit(3, 10);  // v == num_nodes
+                                 }),
                "CHECK failed");
-  EXPECT_DEATH(graph::BuildCsrFromEdgeStream(
-                   10,
-                   [](const std::function<void(int64_t, int64_t)>& emit) {
-                     emit(-1, 3);
-                   }),
+  EXPECT_DEATH(BuildOnTwoThreads(10, 3,
+                                 [](int p, const graph::EdgeEmit& emit) {
+                                   emit(p, p + 1);
+                                   if (p == 1) emit(-1, 3);
+                                 }),
                "CHECK failed");
 }
 
 TEST(CsrBuilderDeathTest, RejectsNonReplayableStreams) {
-  // Emits one edge on the first pass, two on the second — the counting pass
-  // and the placement pass disagree, which must abort, not corrupt.
-  EXPECT_DEATH(graph::BuildCsrFromEdgeStream(
-                   10,
-                   [calls = 0](const std::function<void(int64_t, int64_t)>&
-                                   emit) mutable {
-                     emit(1, 2);
-                     if (++calls == 2) emit(3, 4);
+  // Part 1 emits one edge on the count pass and two on the placement pass:
+  // the passes disagree, which must abort, not corrupt.
+  EXPECT_DEATH(BuildOnTwoThreads(
+                   10, 3,
+                   [calls = std::vector<int>(3, 0)](int p,
+                                                    const graph::EdgeEmit& emit) mutable {
+                     emit(p, p + 5);
+                     if (p == 1 && ++calls[1] == 2) emit(3, 4);
+                   }),
+               "replay");
+  // Part 2 emits a different edge of the same count on replay: no part
+  // overruns its count, but rows 8 and 9 would take slots they never
+  // counted.
+  EXPECT_DEATH(BuildOnTwoThreads(
+                   10, 3,
+                   [calls = std::vector<int>(3, 0)](int p,
+                                                    const graph::EdgeEmit& emit) mutable {
+                     if (p == 2 && ++calls[2] == 2) {
+                       emit(8, 9);
+                     } else {
+                       emit(p, p + 5);
+                     }
+                   }),
+               "replay");
+  // Fewer edges on replay.
+  EXPECT_DEATH(BuildOnTwoThreads(
+                   10, 3,
+                   [calls = std::vector<int>(3, 0)](int p,
+                                                    const graph::EdgeEmit& emit) mutable {
+                     if (p != 0 || ++calls[0] == 1) emit(p, p + 5);
                    }),
                "replay");
 }
