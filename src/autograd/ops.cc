@@ -443,10 +443,21 @@ Var LeakyRelu(Var a, double slope) {
       [slope](double x) { return x > 0.0 ? 1.0 : slope; });
 }
 
+// Both arms are evaluated, then one is selected: GCC does not if-convert an
+// exp evaluated on one arm only (it may trap under the default
+// -ftrapping-math), and the select lets the loops vectorise. la::Exp is
+// lane-invariant, so every element gets the bits of a per-element branch.
 Var Elu(Var a, double alpha) {
   return UnaryElementwise(
-      a, [alpha](double x) { return x > 0.0 ? x : alpha * (la::Exp(x) - 1.0); },
-      [alpha](double x) { return x > 0.0 ? 1.0 : alpha * la::Exp(x); });
+      a,
+      [alpha](double x) {
+        const double negative = alpha * (la::Exp(x) - 1.0);
+        return x > 0.0 ? x : negative;
+      },
+      [alpha](double x) {
+        const double negative = alpha * la::Exp(x);
+        return x > 0.0 ? 1.0 : negative;
+      });
 }
 
 Var Tanh(Var a) {

@@ -132,7 +132,9 @@ Var Tape::MakeNode(la::Matrix value, bool needs_grad,
 }
 
 la::Matrix Tape::NewValue(int rows, int cols, bool zero_init) {
-  if (!replaying_) return la::Matrix(rows, cols);
+  if (!replaying_) {
+    return zero_init ? la::Matrix(rows, cols) : la::Matrix(rows, cols, la::kUninitialized);
+  }
   PPFR_CHECK(!value_pending_) << "two NewValue calls without a node creation";
   PPFR_CHECK_LT(replay_cursor_, static_cast<int>(nodes_.size()))
       << "replay built more nodes than were recorded";

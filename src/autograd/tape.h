@@ -144,10 +144,12 @@ class Tape {
   Var MakeNode(la::Matrix value, bool needs_grad, std::function<void(Tape&)> backward,
                const std::vector<Var>& parents);
 
-  // Output-buffer hand-off for ops: in record mode this is just a fresh
+  // Output-buffer hand-off for ops: in record mode this is a fresh
   // (rows x cols) matrix; in replay mode it recycles the buffer of the node
-  // slot the subsequent MakeNode/Constant call will refill. Pass
-  // zero_init=false when the op overwrites every element. Each NewValue must
+  // slot the subsequent MakeNode/Constant call will refill. With zero_init
+  // the buffer is zeroed. Without it the op gets a buffer it must overwrite
+  // in full: an uninitialised matrix when recording (NaN in builds without
+  // NDEBUG), the previous pass's values when replaying. Each NewValue must
   // be followed by exactly one node creation before the next NewValue.
   la::Matrix NewValue(int rows, int cols, bool zero_init = true);
 

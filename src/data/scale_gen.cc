@@ -20,22 +20,40 @@ constexpr uint64_t kSplitStreamTag = 0x53504c54;    // "SPLT"
 // fill in any order and on any thread with the same bits.
 constexpr int64_t kFeatureRowGrain = 256;
 
+// One block's inverse-CDF constants for PowerLawRank, computed once per block
+// pair: with top = n + 1 and e = 1 − alpha, `span` = top^e − 1, `inv_e` =
+// 1/e and `log_top` = log(top). Each draw then evaluates the same
+// expressions as a per-draw evaluation of the constants would, bit for bit.
+struct PowerLawBlock {
+  PowerLawBlock(int64_t size, double alpha)
+      : n(size),
+        uniform(alpha <= 0.0),
+        log_branch(std::fabs(alpha - 1.0) < 1e-12) {
+    const double top = static_cast<double>(n) + 1.0;
+    const double e = 1.0 - alpha;
+    span = std::pow(top, e) - 1.0;
+    inv_e = 1.0 / e;
+    log_top = std::log(top);
+  }
+
+  int64_t n;
+  bool uniform;
+  bool log_branch;
+  double span;
+  double inv_e;
+  double log_top;
+};
+
 // Draws a local rank in [0, n) with density ∝ x^(-alpha) over the continuous
 // relaxation [1, n+1] (inverse CDF), so rank 0 is the block's biggest hub.
 // alpha <= 0 falls back to uniform.
-int64_t PowerLawRank(int64_t n, double alpha, Rng* rng) {
-  if (alpha <= 0.0) return rng->UniformInt(n);
+int64_t PowerLawRank(const PowerLawBlock& block, Rng* rng) {
+  if (block.uniform) return rng->UniformInt(block.n);
   const double u = rng->Uniform();
-  const double top = static_cast<double>(n) + 1.0;
-  double x;
-  if (std::fabs(alpha - 1.0) < 1e-12) {
-    x = std::exp(u * std::log(top));
-  } else {
-    const double e = 1.0 - alpha;
-    x = std::pow(1.0 + u * (std::pow(top, e) - 1.0), 1.0 / e);
-  }
+  const double x = block.log_branch ? std::exp(u * block.log_top)
+                                    : std::pow(1.0 + u * block.span, block.inv_e);
   const int64_t rank = static_cast<int64_t>(std::floor(x)) - 1;
-  return std::clamp<int64_t>(rank, 0, n - 1);
+  return std::clamp<int64_t>(rank, 0, block.n - 1);
 }
 
 }  // namespace
@@ -114,14 +132,14 @@ std::vector<BlockPair> PlanBlockPairs(const ScaleGraphConfig& config) {
 void EmitBlockPair(const ScaleGraphConfig& config, uint64_t seed, const BlockPair& pair,
                    const std::function<void(int64_t, int64_t)>& emit) {
   const int64_t start_a = config.BlockStart(pair.a);
-  const int64_t size_a = config.BlockStart(pair.a + 1) - start_a;
   const int64_t start_b = config.BlockStart(pair.b);
-  const int64_t size_b = config.BlockStart(pair.b + 1) - start_b;
+  const PowerLawBlock block_a(config.BlockStart(pair.a + 1) - start_a, config.power_law_alpha);
+  const PowerLawBlock block_b(config.BlockStart(pair.b + 1) - start_b, config.power_law_alpha);
   Rng rng(MixSeed(MixSeed(MixSeed(seed, kEdgeStreamTag), static_cast<uint64_t>(pair.a)),
                   static_cast<uint64_t>(pair.b)));
   for (int64_t e = 0; e < pair.count; ++e) {
-    const int64_t u = start_a + PowerLawRank(size_a, config.power_law_alpha, &rng);
-    const int64_t v = start_b + PowerLawRank(size_b, config.power_law_alpha, &rng);
+    const int64_t u = start_a + PowerLawRank(block_a, &rng);
+    const int64_t v = start_b + PowerLawRank(block_b, &rng);
     emit(u, v);
   }
 }
@@ -174,7 +192,7 @@ void ScaleDataset::FillFeatureRow(int64_t v, double* row) const {
 }
 
 la::Matrix ScaleDataset::GatherFeatures(const std::vector<int>& nodes) const {
-  la::Matrix out(static_cast<int>(nodes.size()), config_.feature_dim);
+  la::Matrix out(static_cast<int>(nodes.size()), config_.feature_dim, la::kUninitialized);
   la::ActiveBackend().Apply(out.rows(), kFeatureRowGrain, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       FillFeatureRow(nodes[static_cast<size_t>(i)], out.row(static_cast<int>(i)));
@@ -186,7 +204,7 @@ la::Matrix ScaleDataset::GatherFeatures(const std::vector<int>& nodes) const {
 la::Matrix ScaleDataset::MaterializeFeatures() const {
   PPFR_CHECK_LE(config_.num_nodes, int64_t{1} << 22)
       << "MaterializeFeatures is a small-scale parity helper";
-  la::Matrix out(static_cast<int>(config_.num_nodes), config_.feature_dim);
+  la::Matrix out(static_cast<int>(config_.num_nodes), config_.feature_dim, la::kUninitialized);
   la::ActiveBackend().Apply(out.rows(), kFeatureRowGrain, [&](int64_t lo, int64_t hi) {
     for (int64_t v = lo; v < hi; ++v) FillFeatureRow(v, out.row(static_cast<int>(v)));
   });

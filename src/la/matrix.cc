@@ -118,31 +118,33 @@ double Matrix::MaxAbs() const {
 }
 
 // The dense kernels below dispatch through the active compute backend
-// (la/backend.h); this file only owns shape validation and allocation.
+// (la/backend.h); this file only owns shape validation and allocation. The
+// Gemm, Transpose and Hadamard kernels overwrite their whole output, so it
+// is allocated uninitialised.
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   PPFR_CHECK_EQ(a.cols(), b.rows());
-  Matrix out(a.rows(), b.cols());
+  Matrix out(a.rows(), b.cols(), kUninitialized);
   ActiveBackend().Gemm(a, b, &out);
   return out;
 }
 
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   PPFR_CHECK_EQ(a.rows(), b.rows());
-  Matrix out(a.cols(), b.cols());
+  Matrix out(a.cols(), b.cols(), kUninitialized);
   ActiveBackend().GemmTransA(a, b, &out);
   return out;
 }
 
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   PPFR_CHECK_EQ(a.cols(), b.cols());
-  Matrix out(a.rows(), b.rows());
+  Matrix out(a.rows(), b.rows(), kUninitialized);
   ActiveBackend().GemmTransB(a, b, &out);
   return out;
 }
 
 Matrix Transpose(const Matrix& a) {
-  Matrix out(a.cols(), a.rows());
+  Matrix out(a.cols(), a.rows(), kUninitialized);
   ActiveBackend().Transpose(a, &out);
   return out;
 }
@@ -163,7 +165,7 @@ Matrix Sub(const Matrix& a, const Matrix& b) {
 
 Matrix Hadamard(const Matrix& a, const Matrix& b) {
   PPFR_CHECK(a.SameShape(b));
-  Matrix out(a.rows(), a.cols());
+  Matrix out(a.rows(), a.cols(), kUninitialized);
   ActiveBackend().Hadamard(a, b, &out);
   return out;
 }

@@ -1,7 +1,12 @@
 #ifndef PPFR_LA_MATRIX_H_
 #define PPFR_LA_MATRIX_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -69,23 +74,57 @@ class ArenaRegistration {
  private:
   int64_t bytes_ = 0;
 };
+
+// std::allocator, except that a value-initialising construct (vector(n),
+// resize(n)) default-initialises, which leaves a double unwritten. Every
+// other construct forwards its arguments, so filling and copying behave as
+// with std::allocator.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 }  // namespace internal
+
+// Selects Matrix's uninitialised-shape constructor.
+struct Uninitialized {};
+inline constexpr Uninitialized kUninitialized{};
 
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}
   Matrix(int rows, int cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows) * cols, fill) {
-    PPFR_CHECK_GE(rows, 0);
-    PPFR_CHECK_GE(cols, 0);
-    if (!data_.empty()) internal::BumpMatrixAllocCount();
-    arena_.Set(static_cast<int64_t>(data_.size()) * sizeof(double));
+    Register();
+  }
+  // A (rows x cols) buffer whose elements are not written: only for a caller
+  // that overwrites every element before anything reads it. It counts and
+  // registers like the filling constructor. Builds without NDEBUG fill it
+  // with NaN, so a missed element shows up in the result.
+  Matrix(int rows, int cols, Uninitialized)
+      : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows) * cols) {
+    Register();
+#ifndef NDEBUG
+    Fill(std::numeric_limits<double>::quiet_NaN());
+#endif
   }
 
+  // Copies into a default-initialised buffer: the allocator would construct
+  // a copied vector element by element, where std::copy is one memmove.
   Matrix(const Matrix& other)
-      : rows_(other.rows_), cols_(other.cols_), data_(other.data_) {
-    if (!data_.empty()) internal::BumpMatrixAllocCount();
-    arena_.Set(static_cast<int64_t>(data_.size()) * sizeof(double));
+      : rows_(other.rows_), cols_(other.cols_), data_(other.data_.size()) {
+    std::copy(other.data_.begin(), other.data_.end(), data_.begin());
+    Register();
   }
   Matrix& operator=(const Matrix& other) = default;
   // Declaring the counting copy constructor suppresses the implicit move
@@ -152,9 +191,18 @@ class Matrix {
     PPFR_DCHECK_LT(r, rows_) << "row index out of range for " << rows_ << "x" << cols_;
   }
 
+  // Counts the allocation and registers the buffer's bytes (see
+  // MatrixAllocCount and ArenaRegistration).
+  void Register() {
+    PPFR_CHECK_GE(rows_, 0);
+    PPFR_CHECK_GE(cols_, 0);
+    if (!data_.empty()) internal::BumpMatrixAllocCount();
+    arena_.Set(static_cast<int64_t>(data_.size()) * sizeof(double));
+  }
+
   int rows_;
   int cols_;
-  std::vector<double> data_;
+  std::vector<double, internal::DefaultInitAllocator<double>> data_;
   // Last member: its default copy/move/destroy semantics keep the global
   // arena-byte counters consistent with `data_` (see ArenaRegistration).
   internal::ArenaRegistration arena_;

@@ -141,7 +141,7 @@ BlockInputs GraphSage::PrepareBlock(const SampledBlock& block, la::Matrix x) con
   PPFR_CHECK_EQ(x.rows(), block.num_inputs());
   const int num_self = block.hops[0].num_out();
   BlockInputs inputs;
-  inputs.self = la::Matrix(num_self, x.cols());
+  inputs.self = la::Matrix(num_self, x.cols(), la::kUninitialized);
   std::copy(x.data(), x.data() + inputs.self.size(), inputs.self.data());
   inputs.agg = block.hops[0].agg->mat.Multiply(x);
   return inputs;

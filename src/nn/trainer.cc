@@ -187,7 +187,8 @@ la::Matrix SampledLogits(GnnModel* model, const SampledTrainSpec& spec,
         tape, block, model->PrepareBlock(block, spec.gather_features(block.frontier)));
     const la::Matrix& vals = logits.value();
     if (out.rows() == 0) {
-      out = la::Matrix(static_cast<int>(nodes.size()), vals.cols());
+      // The batches cover every row.
+      out = la::Matrix(static_cast<int>(nodes.size()), vals.cols(), la::kUninitialized);
     }
     for (int i = 0; i < static_cast<int>(batch.size()); ++i) {
       std::copy(vals.row(i), vals.row(i) + vals.cols(),

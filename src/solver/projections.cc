@@ -52,14 +52,15 @@ void DykstraProject(const std::vector<ProjectionFn>& sets,
   PPFR_CHECK(!sets.empty());
   const size_t n = w->size();
   std::vector<std::vector<double>> corrections(sets.size(), std::vector<double>(n, 0.0));
+  std::vector<double> y(n);
+  std::vector<double> projected(n);
 
   for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
     double change_sq = 0.0;
     for (size_t set_idx = 0; set_idx < sets.size(); ++set_idx) {
       std::vector<double>& correction = corrections[set_idx];
-      std::vector<double> y(n);
       for (size_t i = 0; i < n; ++i) y[i] = (*w)[i] + correction[i];
-      std::vector<double> projected = y;
+      projected = y;  // same size: no allocation
       sets[set_idx](&projected);
       for (size_t i = 0; i < n; ++i) {
         correction[i] = y[i] - projected[i];

@@ -13,8 +13,9 @@ double Objective(const std::vector<double>& c, const std::vector<double>& w) {
   return s;
 }
 
-void Project(const QclpProblem& p, const DykstraOptions& dykstra,
-             std::vector<double>* w) {
+// The convex sets whose intersection is the feasible region, in the order
+// Dykstra visits them.
+std::vector<ProjectionFn> FeasibleSets(const QclpProblem& p) {
   std::vector<ProjectionFn> sets;
   sets.push_back(
       [&p](std::vector<double>* v) { ProjectBox(p.box_lo, p.box_hi, v); });
@@ -26,12 +27,10 @@ void Project(const QclpProblem& p, const DykstraOptions& dykstra,
     });
   }
   if (p.zero_sum) {
-    sets.push_back([](std::vector<double>* v) {
-      const std::vector<double> ones(v->size(), 1.0);
-      ProjectHyperplane(ones, 0.0, v);
-    });
+    sets.push_back([ones = std::vector<double>(p.objective.size(), 1.0)](
+                       std::vector<double>* v) { ProjectHyperplane(ones, 0.0, v); });
   }
-  DykstraProject(sets, dykstra, w);
+  return sets;
 }
 
 }  // namespace
@@ -47,9 +46,10 @@ QclpResult SolveQclp(const QclpProblem& problem, const QclpOptions& options) {
   for (double c : problem.objective) c_norm += c * c;
   c_norm = std::sqrt(c_norm);
 
+  const std::vector<ProjectionFn> sets = FeasibleSets(problem);
   QclpResult result;
   result.w.assign(n, 0.0);
-  Project(problem, options.dykstra, &result.w);  // feasible start
+  DykstraProject(sets, options.dykstra, &result.w);  // feasible start
   double best_value = Objective(problem.objective, result.w);
   std::vector<double> best_w = result.w;
 
@@ -65,7 +65,7 @@ QclpResult SolveQclp(const QclpProblem& problem, const QclpOptions& options) {
   for (int it = 1; it <= options.max_iterations; ++it) {
     const double step = step0 / std::sqrt(static_cast<double>(it));
     for (size_t i = 0; i < n; ++i) w[i] -= step * problem.objective[i];
-    Project(problem, options.dykstra, &w);
+    DykstraProject(sets, options.dykstra, &w);
     const double value = Objective(problem.objective, w);
     if (value < best_value) {
       best_value = value;

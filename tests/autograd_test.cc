@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -1080,6 +1083,92 @@ TEST(GradCheckTest, RiskSurrogateShapedExpression) {
   };
   const GradCheckResult r = GradCheck(build, {&logits}, &rng, 20, 1e-6);
   EXPECT_LT(r.max_rel_error, 1e-3);
+}
+
+// ELU evaluates its exp term on every element and selects, so that its
+// loops vectorise. Forward and backward must equal a plain loop that takes
+// the exp on the non-positive arm only, bit for bit, on every backend and
+// on both backward paths (flat, and the seeded row support). The inputs
+// cover ±0, tiny, small and large negatives, both sides of la::Exp's clamps
+// at −746 and 710, and positives; the seed has exact zeros. The size spans
+// two Apply chunks and leaves a scalar tail.
+TEST(OpsTest, EluEqualsPlainLoopReferenceBitwise) {
+  constexpr double kAlpha = 0.7;
+  const int rows = 523, cols = 129;
+  Rng rng(47);
+  la::Matrix x = RandomMatrix(rows, cols, &rng);
+  const double specials[] = {0.0,    -0.0,   4.9e-324, -4.9e-324, -1e-300, -1e-8,  -0.5,
+                             -1.0,   -20.0,  -700.0,   -745.9,    -746.0,  -746.1, -1e4,
+                             1e-300, 0.5,    3.0,      709.9,     710.0,   710.1,  1e4};
+  for (size_t i = 0; i < std::size(specials); ++i) x.data()[i] = specials[i];
+  for (int64_t i = static_cast<int64_t>(std::size(specials)); i < x.size(); i += 3) {
+    x.data()[i] *= 50.0;
+  }
+  la::Matrix seed = RandomMatrix(rows, cols, &rng);
+  for (int64_t i = 0; i < seed.size(); i += 5) seed.data()[i] = 0.0;
+  std::vector<int> seed_rows, seed_cols;
+  std::vector<double> seed_values;
+  for (int r = 0; r < rows; r += 2) {
+    for (int c = 0; c < cols; ++c) {
+      seed_rows.push_back(r);
+      seed_cols.push_back(c);
+      seed_values.push_back(seed(r, c));
+    }
+  }
+
+  const auto same_bits = [](const la::Matrix& want, const la::Matrix& got, const char* what) {
+    ASSERT_TRUE(want.SameShape(got)) << what;
+    for (int64_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(want.data()[i]), std::bit_cast<uint64_t>(got.data()[i]))
+          << what << " entry " << i << ": " << want.data()[i] << " vs " << got.data()[i];
+    }
+  };
+  // The reference backward reads the seeded output gradient back from the
+  // tape and adds g·f'(x) to a zero gradient where g is nonzero.
+  const auto reference_grad = [&](const la::Matrix& g) {
+    la::Matrix dx(rows, cols);
+    for (int64_t i = 0; i < x.size(); ++i) {
+      const double v = x.data()[i];
+      double slope;
+      if (v > 0.0) {
+        slope = 1.0;
+      } else {
+        slope = kAlpha * la::Exp(v);
+      }
+      if (g.data()[i] != 0.0) dx.data()[i] = la::MulAdd(g.data()[i], slope, 0.0);
+    }
+    return dx;
+  };
+
+  la::Matrix want_out(rows, cols);
+  for (int64_t i = 0; i < x.size(); ++i) {
+    const double v = x.data()[i];
+    if (v > 0.0) {
+      want_out.data()[i] = v;
+    } else {
+      want_out.data()[i] = kAlpha * (la::Exp(v) - 1.0);
+    }
+  }
+
+  for (const la::BackendKind backend : kBackends) {
+    SCOPED_TRACE(la::BackendKindName(backend));
+    la::ScopedBackend scoped(backend, 4);
+    for (const bool sparse : {false, true}) {
+      SCOPED_TRACE(sparse ? "row-support backward" : "flat backward");
+      Parameter p("x", x);
+      Tape tape;
+      tape.set_accumulate_param_grads(false);
+      const Var leaf = tape.Leaf(&p);
+      const Var out = Elu(leaf, kAlpha);
+      same_bits(want_out, out.value(), "forward");
+      if (sparse) {
+        tape.BackwardWithSparseSeed(out, seed_rows, seed_cols, seed_values);
+      } else {
+        tape.BackwardWithSeed(out, seed);
+      }
+      same_bits(reference_grad(tape.GradView(out)), tape.GradView(leaf), "backward");
+    }
+  }
 }
 
 TEST(OpsTest, NegAndSubConsistency) {

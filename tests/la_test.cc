@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "common/rng.h"
 #include "la/csr_matrix.h"
@@ -21,6 +24,43 @@ TEST(MatrixTest, ConstructionAndIndexing) {
   m(1, 2) = -4.0;
   EXPECT_DOUBLE_EQ(m(1, 2), -4.0);
   EXPECT_DOUBLE_EQ(m(0, 0), 1.5);
+}
+
+// The uninitialised-shape constructor must count one allocation and register
+// its bytes exactly as the zeroing constructor does (the scale benchmark's
+// la.matrix_allocs and la.arena_peak_mb read these), and builds without
+// NDEBUG hand out NaN so that a writer which misses an element shows it. The
+// zeroing constructor must still zero a buffer an uninitialised one used.
+TEST(MatrixTest, UninitializedShapeCountsAndRegistersLikeZeroing) {
+  for (const auto& [rows, cols] : {std::pair{37, 11}, std::pair{0, 5}, std::pair{6, 0}}) {
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+    const auto measure = [](auto make) {
+      const int64_t allocs = MatrixAllocCount();
+      const int64_t bytes = ArenaBytesInUse();
+      ResetArenaPeakBytes();
+      const Matrix m = make();
+      return std::tuple{MatrixAllocCount() - allocs, ArenaBytesInUse() - bytes,
+                        ArenaPeakBytes() - bytes};
+    };
+    const auto zeroing = measure([&] { return Matrix(rows, cols); });
+    const auto uninitialized = measure([&] { return Matrix(rows, cols, kUninitialized); });
+    EXPECT_EQ(uninitialized, zeroing);
+    EXPECT_EQ(std::get<0>(zeroing), rows * cols > 0 ? 1 : 0);
+    EXPECT_EQ(std::get<1>(zeroing), int64_t{rows} * cols * int64_t{sizeof(double)});
+
+    Matrix fresh(rows, cols, kUninitialized);
+    EXPECT_EQ(fresh.rows(), rows);
+    EXPECT_EQ(fresh.cols(), cols);
+#ifndef NDEBUG
+    for (int64_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_TRUE(std::isnan(fresh.data()[i])) << "entry " << i;
+    }
+#endif
+    fresh.Fill(7.0);
+    fresh = Matrix();
+    const Matrix zeroed(rows, cols);
+    for (int64_t i = 0; i < zeroed.size(); ++i) EXPECT_EQ(zeroed.data()[i], 0.0);
+  }
 }
 
 TEST(MatrixTest, MatMulKnownValues) {

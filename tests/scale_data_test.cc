@@ -8,13 +8,16 @@
 // their limits.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "data/scale_gen.h"
 #include "graph/csr_builder.h"
 #include "graph/graph.h"
@@ -51,6 +54,75 @@ TEST(ScaleGenTest, EdgeStreamReplaysBitIdentically) {
 
   const auto other_seed = CollectEdges(cfg, 8);
   EXPECT_NE(first, other_seed);
+}
+
+// A local rank drawn as the generator first wrote it: top^(1−alpha),
+// 1/(1−alpha) and log(top) are evaluated afresh on every draw.
+int64_t PerDrawPowerLawRank(int64_t n, double alpha, Rng* rng) {
+  if (alpha <= 0.0) return rng->UniformInt(n);
+  const double u = rng->Uniform();
+  const double top = static_cast<double>(n) + 1.0;
+  double x;
+  if (std::fabs(alpha - 1.0) < 1e-12) {
+    x = std::exp(u * std::log(top));
+  } else {
+    const double e = 1.0 - alpha;
+    x = std::pow(1.0 + u * (std::pow(top, e) - 1.0), 1.0 / e);
+  }
+  const int64_t rank = static_cast<int64_t>(std::floor(x)) - 1;
+  return std::clamp<int64_t>(rank, 0, n - 1);
+}
+
+// The edge stream written out from its definition: block pairs a <= b in
+// order, each with its homophily-calibrated budget and its own
+// Rng(MixSeed(MixSeed(MixSeed(seed, "EDGE"), a), b)) stream, drawing both
+// endpoints with PerDrawPowerLawRank.
+std::vector<std::pair<int64_t, int64_t>> PerDrawReferenceEdges(
+    const data::ScaleGraphConfig& cfg, uint64_t seed) {
+  constexpr uint64_t kEdgeStreamTag = 0x45444745;  // "EDGE"
+  const int64_t n = cfg.num_nodes;
+  const double total_edges = static_cast<double>(n) * cfg.average_degree / 2.0;
+  const auto size_of = [&cfg](int b) { return cfg.BlockStart(b + 1) - cfg.BlockStart(b); };
+  double cross_weight = 0.0;
+  for (int a = 0; a < cfg.num_blocks; ++a) {
+    for (int b = a + 1; b < cfg.num_blocks; ++b) {
+      cross_weight += static_cast<double>(size_of(a)) * static_cast<double>(size_of(b));
+    }
+  }
+  const double alpha = cfg.power_law_alpha;
+  std::vector<std::pair<int64_t, int64_t>> edges;
+  for (int a = 0; a < cfg.num_blocks; ++a) {
+    for (int b = a; b < cfg.num_blocks; ++b) {
+      if (a == b ? size_of(a) < 2 : cross_weight <= 0.0) continue;
+      const double size_a = static_cast<double>(size_of(a));
+      const double size_b = static_cast<double>(size_of(b));
+      const double budget =
+          a == b ? cfg.homophily * total_edges * size_a / static_cast<double>(n)
+                 : (1.0 - cfg.homophily) * total_edges * (size_a * size_b) / cross_weight;
+      Rng rng(MixSeed(MixSeed(MixSeed(seed, kEdgeStreamTag), static_cast<uint64_t>(a)),
+                      static_cast<uint64_t>(b)));
+      for (int64_t e = 0; e < std::llround(budget); ++e) {
+        const int64_t u = cfg.BlockStart(a) + PerDrawPowerLawRank(size_of(a), alpha, &rng);
+        const int64_t v = cfg.BlockStart(b) + PerDrawPowerLawRank(size_of(b), alpha, &rng);
+        edges.emplace_back(u, v);
+      }
+    }
+  }
+  return edges;
+}
+
+// The generator computes each block's inverse-CDF constants once per block
+// pair; the stream must stay the per-draw formula's, element for element, on
+// the power-law branch, the alpha = 1 (log) branch and the uniform branch.
+TEST(ScaleGenTest, StreamEqualsPerDrawPowerLawReference) {
+  for (const double alpha : {0.8, 1.0, 0.0, -0.5}) {
+    SCOPED_TRACE("alpha=" + std::to_string(alpha));
+    data::ScaleGraphConfig cfg = SmallScaleConfig(1003);  // uneven blocks
+    cfg.power_law_alpha = alpha;
+    const auto want = PerDrawReferenceEdges(cfg, 17);
+    ASSERT_GT(want.size(), 0u);
+    EXPECT_EQ(CollectEdges(cfg, 17), want);
+  }
 }
 
 TEST(ScaleGenTest, EndpointsStayInRangeAndDegreeIsCalibrated) {
@@ -258,6 +330,35 @@ TEST(ScaleDatasetTest, FeatureRowsRegenerateInIsolation) {
     }
   }
   EXPECT_GT(sig_mass / sig_count, 5.0 * (noise_mass / noise_count));
+}
+
+// GatherFeatures and MaterializeFeatures write into uninitialised buffers
+// (NaN-filled in builds without NDEBUG) from the backend's threads: every row
+// must be FillFeatureRow's, bit for bit, at any thread count.
+TEST(ScaleDatasetTest, FeatureFillsEqualFillFeatureRowAtAnyThreadCount) {
+  const data::ScaleDataset dataset(SmallScaleConfig(), 41);
+  const int dim = dataset.config().feature_dim;
+  std::vector<int> nodes = dataset.StridedNodes(1500, /*salt=*/3);  // several row chunks
+  nodes.push_back(nodes.front());
+  std::vector<double> want(static_cast<size_t>(dim));
+  const auto expect_row = [&](const la::Matrix& m, int r, int64_t v) {
+    dataset.FillFeatureRow(v, want.data());
+    ASSERT_EQ(std::memcmp(m.row(r), want.data(), want.size() * sizeof(double)), 0)
+        << "row " << r << " node " << v;
+  };
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    la::ScopedBackend scoped(la::BackendKind::kParallel, threads);
+    const la::Matrix gathered = dataset.GatherFeatures(nodes);
+    ASSERT_EQ(gathered.rows(), static_cast<int>(nodes.size()));
+    ASSERT_EQ(gathered.cols(), dim);
+    for (int r = 0; r < gathered.rows(); ++r) {
+      expect_row(gathered, r, nodes[static_cast<size_t>(r)]);
+    }
+    const la::Matrix all = dataset.MaterializeFeatures();
+    ASSERT_EQ(all.rows(), static_cast<int>(dataset.num_nodes()));
+    for (int v = 0; v < all.rows(); ++v) expect_row(all, v, v);
+  }
 }
 
 TEST(ScaleDatasetTest, LabelsAndStridedSplitsAreDeterministic) {
