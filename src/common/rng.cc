@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -90,15 +91,33 @@ double Rng::Laplace(double scale) {
 std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {
   PPFR_CHECK_GE(n, k);
   PPFR_CHECK_GE(k, 0);
-  // Partial Fisher-Yates over an index pool.
-  std::vector<int> pool(n);
-  for (int i = 0; i < n; ++i) pool[i] = i;
+  // Partial Fisher-Yates over the pool [0, n): draw i swaps pool slots i and
+  // j >= i and keeps slot i. A slot no draw has displaced still holds its own
+  // index, and no draw reads a slot below i again, so only the displaced
+  // slots are stored: at most k of them, in an open-addressing table of at
+  // least twice that many entries. O(k) time and memory for any n.
+  struct Slot {
+    int index = -1;  // -1: empty
+    int value = 0;
+  };
+  const int bits = std::bit_width(static_cast<unsigned>(k));
+  const size_t mask = (size_t{2} << bits) - 1;
+  std::vector<Slot> displaced(mask + 1);
+  const auto find = [&](int index) -> Slot& {
+    size_t h = (static_cast<uint64_t>(index) * 0x9e3779b97f4a7c15ULL) >> (63 - bits);
+    while (displaced[h].index >= 0 && displaced[h].index != index) h = (h + 1) & mask;
+    return displaced[h];
+  };
+  std::vector<int> out(static_cast<size_t>(k));
   for (int i = 0; i < k; ++i) {
-    const int64_t j = i + UniformInt(n - i);
-    std::swap(pool[i], pool[j]);
+    const int j = i + static_cast<int>(UniformInt(n - i));
+    Slot& at_j = find(j);
+    const Slot& at_i = find(i);
+    out[static_cast<size_t>(i)] = at_j.index == j ? at_j.value : j;
+    const int value_i = at_i.index == i ? at_i.value : i;
+    at_j = {j, value_i};
   }
-  pool.resize(k);
-  return pool;
+  return out;
 }
 
 Rng Rng::Fork() { return Rng(NextU64()); }

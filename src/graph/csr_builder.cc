@@ -104,14 +104,7 @@ double CsrAdjacency::AverageDegree() const {
 }
 
 Graph CsrAdjacency::ToGraph() const {
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<size_t>(num_edges()));
-  for (int64_t v = 0; v < num_nodes_; ++v) {
-    for (int64_t k = row_ptr_[v]; k < row_ptr_[v + 1]; ++k) {
-      if (v < adj_[k]) edges.push_back({static_cast<int>(v), adj_[k]});
-    }
-  }
-  return Graph::FromEdges(static_cast<int>(num_nodes_), edges);
+  return Graph(static_cast<int>(num_nodes_), row_ptr_, adj_);
 }
 
 CsrAdjacency CsrAdjacency::FromGraph(const Graph& g) {

@@ -25,7 +25,7 @@ using EdgeStreamPart = std::function<void(int, const EdgeEmit&)>;
 // no materialised edge list, unlike graph::Graph, so a 10^7-node graph costs
 // 8(n+1) + 4·2m bytes and nothing else. This is the structure the streamed
 // generator builds into and the neighbour sampler reads from; `ToGraph()`
-// bridges back to the edge-list world for small-scale parity tests.
+// bridges back to the edge-list world (the influence stage's dense bridge).
 class CsrAdjacency {
  public:
   CsrAdjacency() = default;
@@ -43,8 +43,10 @@ class CsrAdjacency {
   const std::vector<int64_t>& row_ptr() const { return row_ptr_; }
   const std::vector<int>& adj() const { return adj_; }
 
-  // Materialises the canonical edge list (small graphs / parity tests only —
-  // defeats the bounded-memory point at scale).
+  // The same Graph that Graph::FromEdges builds from this edge set, in O(E)
+  // with no sort: the rows are copied as they are (already sorted,
+  // duplicate-free and loop-free) and the canonical edge list is read off
+  // them in one scan. The Graph costs this CSR again plus 8 bytes per edge.
   Graph ToGraph() const;
   static CsrAdjacency FromGraph(const Graph& g);
 

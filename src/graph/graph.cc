@@ -48,6 +48,20 @@ Graph Graph::FromEdges(int num_nodes, const std::vector<Edge>& edges) {
   return g;
 }
 
+Graph::Graph(int num_nodes, std::vector<int64_t> row_ptr, std::vector<int> adj)
+    : num_nodes_(num_nodes), row_ptr_(std::move(row_ptr)), adj_(std::move(adj)) {
+  if (row_ptr_.empty()) row_ptr_.push_back(0);  // a default-constructed CsrAdjacency
+  PPFR_CHECK_EQ(row_ptr_.size(), static_cast<size_t>(num_nodes) + 1);
+  edges_.reserve(adj_.size() / 2);
+  for (int v = 0; v < num_nodes; ++v) {
+    const auto row_end = adj_.begin() + row_ptr_[v + 1];
+    for (auto it = std::upper_bound(adj_.begin() + row_ptr_[v], row_end, v); it != row_end;
+         ++it) {
+      edges_.push_back({v, *it});
+    }
+  }
+}
+
 std::span<const int> Graph::Neighbors(int v) const {
   PPFR_CHECK_GE(v, 0);
   PPFR_CHECK_LT(v, num_nodes_);

@@ -8,6 +8,8 @@
 
 namespace ppfr::graph {
 
+class CsrAdjacency;
+
 // An undirected edge (u, v). Stored canonically with u < v.
 struct Edge {
   int u;
@@ -43,6 +45,13 @@ class Graph {
   double EdgeHomophily(const std::vector<int>& labels) const;
 
  private:
+  friend class CsrAdjacency;
+
+  // Adopts CSR rows that are already sorted, duplicate-free and free of
+  // self-loops (CsrAdjacency::ToGraph), and derives the canonical edge list
+  // from them in one scan: the same Graph FromEdges builds, without its sort.
+  Graph(int num_nodes, std::vector<int64_t> row_ptr, std::vector<int> adj);
+
   int num_nodes_;
   std::vector<int64_t> row_ptr_;
   std::vector<int> adj_;

@@ -5,6 +5,7 @@
 #include <deque>
 
 #include "common/check.h"
+#include "la/backend.h"
 
 namespace ppfr::graph {
 
@@ -16,23 +17,25 @@ la::CsrMatrix GcnNormalizedAdjacency(const Graph& g) {
   }
   // Row v is N(v) ∪ {v}: the adjacency list is sorted and never holds v, so
   // the self-loop is merged in at its sorted position and the CSR is written
-  // directly.
+  // directly, rows in parallel.
   std::vector<int64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
   for (int v = 0; v < n; ++v) row_ptr[v + 1] = row_ptr[v] + g.Degree(v) + 1;
   std::vector<int> col_idx(static_cast<size_t>(row_ptr[n]));
   std::vector<double> values(col_idx.size());
-  for (int v = 0; v < n; ++v) {
-    const auto nbrs = g.Neighbors(v);
-    const auto self = std::lower_bound(nbrs.begin(), nbrs.end(), v);
-    int64_t k = row_ptr[v];
-    const auto put = [&](int u) {
-      col_idx[k] = u;
-      values[k++] = inv_sqrt_deg[v] * inv_sqrt_deg[u];
-    };
-    for (auto it = nbrs.begin(); it != self; ++it) put(*it);
-    put(v);
-    for (auto it = self; it != nbrs.end(); ++it) put(*it);
-  }
+  la::ActiveBackend().Apply(n, kOperatorRowGrain, [&](int64_t lo, int64_t hi) {
+    for (int v = static_cast<int>(lo); v < hi; ++v) {
+      const auto nbrs = g.Neighbors(v);
+      const auto self = std::lower_bound(nbrs.begin(), nbrs.end(), v);
+      int64_t k = row_ptr[v];
+      const auto put = [&](int u) {
+        col_idx[k] = u;
+        values[k++] = inv_sqrt_deg[v] * inv_sqrt_deg[u];
+      };
+      for (auto it = nbrs.begin(); it != self; ++it) put(*it);
+      put(v);
+      for (auto it = self; it != nbrs.end(); ++it) put(*it);
+    }
+  });
   return la::CsrMatrix::FromSortedRows(n, n, std::move(row_ptr), std::move(col_idx),
                                        std::move(values));
 }
@@ -44,12 +47,14 @@ la::CsrMatrix MeanAggregationMatrix(const Graph& g) {
   for (int v = 0; v < n; ++v) row_ptr[v + 1] = row_ptr[v] + g.Degree(v);
   std::vector<int> col_idx(static_cast<size_t>(row_ptr[n]));
   std::vector<double> values(col_idx.size());
-  for (int v = 0; v < n; ++v) {
-    const auto nbrs = g.Neighbors(v);
-    if (nbrs.empty()) continue;  // isolated node: zero row
-    std::copy(nbrs.begin(), nbrs.end(), col_idx.begin() + row_ptr[v]);
-    std::fill_n(values.begin() + row_ptr[v], nbrs.size(), 1.0 / g.Degree(v));
-  }
+  la::ActiveBackend().Apply(n, kOperatorRowGrain, [&](int64_t lo, int64_t hi) {
+    for (int v = static_cast<int>(lo); v < hi; ++v) {
+      const auto nbrs = g.Neighbors(v);
+      if (nbrs.empty()) continue;  // isolated node: zero row
+      std::copy(nbrs.begin(), nbrs.end(), col_idx.begin() + row_ptr[v]);
+      std::fill_n(values.begin() + row_ptr[v], nbrs.size(), 1.0 / g.Degree(v));
+    }
+  });
   return la::CsrMatrix::FromSortedRows(n, n, std::move(row_ptr), std::move(col_idx),
                                        std::move(values));
 }

@@ -1,6 +1,7 @@
 #ifndef PPFR_GRAPH_GRAPH_OPS_H_
 #define PPFR_GRAPH_GRAPH_OPS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -8,6 +9,10 @@
 #include "la/csr_matrix.h"
 
 namespace ppfr::graph {
+
+// Graph rows per backend chunk in the operator builds, which write disjoint
+// rows on the active la backend's threads (the same bits at any count).
+inline constexpr int64_t kOperatorRowGrain = 1024;
 
 // Symmetric GCN propagation operator Â = D̃^{-1/2} (A + I) D̃^{-1/2},
 // with D̃ the degree matrix of (A + I) (Kipf & Welling).

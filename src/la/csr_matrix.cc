@@ -5,6 +5,10 @@
 #include "la/backend.h"
 
 namespace ppfr::la {
+namespace {
+// Dense elements per backend chunk in FromDense's two row passes.
+constexpr int64_t kFromDenseGrain = 1 << 15;
+}  // namespace
 
 std::vector<int64_t> NnzBalancedRowBounds(const std::vector<int64_t>& row_ptr,
                                           int64_t num_rows, int64_t num_chunks) {
@@ -79,15 +83,33 @@ CsrMatrix CsrMatrix::FromSortedRows(int rows, int cols, std::vector<int64_t> row
 
 CsrMatrix CsrMatrix::FromDense(const Matrix& dense) {
   CsrMatrix m(dense.rows(), dense.cols());
-  for (int r = 0; r < dense.rows(); ++r) {
-    const double* row = dense.row(r);
-    for (int c = 0; c < dense.cols(); ++c) {
-      if (row[c] == 0.0) continue;
-      m.col_idx_.push_back(c);
-      m.values_.push_back(row[c]);
+  const Backend& backend = ActiveBackend();
+  const int64_t grain = std::max<int64_t>(1, kFromDenseGrain / std::max(dense.cols(), 1));
+  // Count each row's nonzeros, prefix-sum the counts, then fill the rows:
+  // both passes write disjoint rows, so the result does not depend on the
+  // thread count. `== 0.0` drops -0.0 too and keeps NaN.
+  backend.Apply(dense.rows(), grain, [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) {
+      const double* row = dense.row(static_cast<int>(r));
+      int64_t count = 0;
+      for (int c = 0; c < dense.cols(); ++c) count += row[c] != 0.0;
+      m.row_ptr_[r + 1] = count;
     }
-    m.row_ptr_[r + 1] = static_cast<int64_t>(m.col_idx_.size());
-  }
+  });
+  for (int r = 0; r < dense.rows(); ++r) m.row_ptr_[r + 1] += m.row_ptr_[r];
+  m.col_idx_.resize(static_cast<size_t>(m.row_ptr_.back()));
+  m.values_.resize(m.col_idx_.size());
+  backend.Apply(dense.rows(), grain, [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) {
+      const double* row = dense.row(static_cast<int>(r));
+      int64_t k = m.row_ptr_[r];
+      for (int c = 0; c < dense.cols(); ++c) {
+        if (row[c] == 0.0) continue;
+        m.col_idx_[k] = c;
+        m.values_[k++] = row[c];
+      }
+    }
+  });
   m.RegisterArenaBytes();
   return m;
 }

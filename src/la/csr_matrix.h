@@ -42,7 +42,9 @@ class CsrMatrix {
   // entries, without the sort.
   static CsrMatrix FromSortedRows(int rows, int cols, std::vector<int64_t> row_ptr,
                                   std::vector<int> col_idx, std::vector<double> values);
-  // The nonzero entries of a dense matrix, in one row-major pass.
+  // The entries of a dense matrix that compare != 0.0 (so -0.0 is dropped and
+  // NaN kept), row-major. Rows are counted and filled on the active
+  // backend's threads; the result is the same at any thread count.
   static CsrMatrix FromDense(const Matrix& dense);
 
   int rows() const { return rows_; }

@@ -34,7 +34,9 @@ struct GraphContext {
   int num_nodes() const { return graph.num_nodes(); }
   int feature_dim() const { return features->mat.cols(); }
 
-  // Builds all operators from a graph + feature matrix.
+  // Builds all operators from a graph + feature matrix, each written rows
+  // in parallel on the active la backend's threads (the same bits at any
+  // thread count).
   static GraphContext Build(graph::Graph g, la::Matrix features);
 
   // Dense copies of the feature rows of `nodes`, one row per entry in order
@@ -49,7 +51,10 @@ struct GraphContext {
   // prefix-ordered like a NeighborSampler block. Each hop carries the output
   // rows of mean_adj, gcn_adj and edges_with_self with the full graph's
   // weights, so a 2-layer block forward of any model yields the full-graph
-  // logits at the targets (up to summation order).
+  // logits at the targets (up to summation order). The global-to-local id
+  // map is a dense array over the graph's nodes, 4 bytes per node for the
+  // duration of the call, and each sliced row is sorted by local column on
+  // its own (no sort over the whole block).
   SampledBlock ExactBlock(const std::vector<int>& targets) const;
 };
 

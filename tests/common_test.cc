@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <limits>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/flags.h"
@@ -100,6 +103,39 @@ TEST(RngTest, SampleWithoutReplacementFullRange) {
   const std::vector<int> sample = rng.SampleWithoutReplacement(10, 10);
   std::set<int> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 10u);
+}
+
+// The sparse partial Fisher-Yates makes the draws, and returns the order, of
+// the dense one over an n-entry index pool, and leaves the generator in the
+// same state.
+TEST(RngTest, SampleWithoutReplacementEqualsDensePartialFisherYates) {
+  const auto dense = [](Rng* rng, int n, int k) {
+    std::vector<int> pool(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) pool[static_cast<size_t>(i)] = i;
+    for (int i = 0; i < k; ++i) {
+      const int64_t j = i + rng->UniformInt(n - i);
+      std::swap(pool[static_cast<size_t>(i)], pool[static_cast<size_t>(j)]);
+    }
+    pool.resize(static_cast<size_t>(k));
+    return pool;
+  };
+  std::vector<std::pair<int, int>> cases = {
+      {0, 0}, {1, 0}, {1, 1}, {2, 1}, {2, 2}, {7, 7}, {10, 3}, {64, 64}, {100, 99},
+      {1000, 10}, {5000, 2500}, {100000, 0}, {100000, 5}, {100000, 1000},
+      {200003, 10}, {100000, 100000}};
+  Rng pick(3);
+  for (int i = 0; i < 200; ++i) {
+    const int n = 1 + static_cast<int>(pick.UniformInt(300));
+    cases.emplace_back(n, static_cast<int>(pick.UniformInt(n + 1)));
+  }
+  uint64_t seed = 100;
+  for (const auto& [n, k] : cases) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+    Rng got_rng(seed), want_rng(seed);
+    ++seed;
+    ASSERT_EQ(got_rng.SampleWithoutReplacement(n, k), dense(&want_rng, n, k));
+    ASSERT_EQ(got_rng.NextU64(), want_rng.NextU64());
+  }
 }
 
 TEST(RngTest, ShuffleIsPermutation) {

@@ -8,6 +8,7 @@
 #include "graph/graph.h"
 #include "graph/graph_ops.h"
 #include "graph/jaccard.h"
+#include "la/backend.h"
 #include "test_util.h"
 
 namespace ppfr::graph {
@@ -161,15 +162,22 @@ la::CsrMatrix TripletMean(const Graph& g) {
 
 // The direct CSR builds merge the self-loop into each sorted row: first in
 // rows 0 and 1, inside rows 2 and 4, last in row 5; rows 3 and 6 are
-// isolated (a lone self-loop for Â, an empty row for the mean).
+// isolated (a lone self-loop for Â, an empty row for the mean). Rows are
+// written in parallel, so the 5000-node graph, several row chunks, runs at 1
+// and 4 backend threads.
 TEST(GraphOpsTest, DirectGcnAndMeanOperatorsEqualTripletBuilds) {
   const Graph edge_cases =
       Graph::FromEdges(7, {{0, 2}, {0, 4}, {1, 2}, {2, 5}, {4, 5}});
   const auto sbm = ppfr::testing::SmallSbm(7, 300, 2);
-  for (const Graph* g : {&edge_cases, &sbm.graph}) {
-    SCOPED_TRACE("nodes=" + std::to_string(g->num_nodes()));
-    ExpectSameCsrBits(GcnNormalizedAdjacency(*g), TripletGcn(*g));
-    ExpectSameCsrBits(MeanAggregationMatrix(*g), TripletMean(*g));
+  const auto large = ppfr::testing::SmallSbm(7, 5000, 2);
+  for (const int threads : {1, 4}) {
+    la::ScopedBackend scoped(la::BackendKind::kParallel, threads);
+    for (const Graph* g : {&edge_cases, &sbm.graph, &large.graph}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " nodes=" + std::to_string(g->num_nodes()));
+      ExpectSameCsrBits(GcnNormalizedAdjacency(*g), TripletGcn(*g));
+      ExpectSameCsrBits(MeanAggregationMatrix(*g), TripletMean(*g));
+    }
   }
   const la::CsrMatrix gcn = GcnNormalizedAdjacency(edge_cases);
   EXPECT_EQ(gcn.row_ptr()[4] - gcn.row_ptr()[3], 1);

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "la/backend.h"
 #include "la/csr_matrix.h"
 #include "la/matrix.h"
 #include "la/stats.h"
@@ -207,6 +210,60 @@ TEST(CsrMatrixTest, TransposedEqualsTripletTranspose) {
     }
     ExpectSameCsr(CsrMatrix::FromTriplets(cols, rows, flipped), m.Transposed());
   }
+}
+
+// FromDense as first written, the oracle for the two-pass parallel build:
+// one row-major pass appending every entry that is not == 0.0.
+CsrMatrix SerialFromDense(const Matrix& dense) {
+  std::vector<int64_t> row_ptr(static_cast<size_t>(dense.rows()) + 1, 0);
+  std::vector<int> col_idx;
+  std::vector<double> values;
+  for (int r = 0; r < dense.rows(); ++r) {
+    for (int c = 0; c < dense.cols(); ++c) {
+      if (dense(r, c) == 0.0) continue;
+      col_idx.push_back(c);
+      values.push_back(dense(r, c));
+    }
+    row_ptr[static_cast<size_t>(r) + 1] = static_cast<int64_t>(col_idx.size());
+  }
+  return CsrMatrix::FromSortedRows(dense.rows(), dense.cols(), std::move(row_ptr),
+                                   std::move(col_idx), std::move(values));
+}
+
+// At 1 and 4 backend threads: a small matrix of edge cases (an empty row,
+// -0.0, which == 0.0 drops, NaN, which it keeps, and infinities) and a 10^4 x
+// 32 random 0/1 matrix with the same cases planted at its ends and inside,
+// several row chunks at 4 threads.
+TEST(CsrMatrixTest, FromDenseEqualsSerialBuildAtAnyThreadCount) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Matrix small = Matrix::FromRows(
+      {{0.0, 0.0, 0.0}, {-0.0, 1.5, nan}, {inf, -0.0, -2.0}, {0.0, 0.0, 0.0}});
+  Rng rng(8);
+  Matrix large(10000, 32);
+  for (int64_t i = 0; i < large.size(); ++i) large.data()[i] = rng.Bernoulli(0.3) ? 1.0 : 0.0;
+  for (const int r : {0, 2500, 9999}) {
+    for (int c = 0; c < large.cols(); ++c) large(r, c) = 0.0;  // empty rows
+  }
+  large(1, 0) = -0.0;
+  large(1, 31) = nan;
+  large(5000, 7) = -0.0;
+  large(5000, 8) = nan;
+  large(9998, 31) = -inf;
+  const Matrix empty_rows(0, 5);
+  const Matrix empty_cols(6, 0);
+  const std::vector<const Matrix*> cases{&small, &large, &empty_rows, &empty_cols};
+  for (const int threads : {1, 4}) {
+    ScopedBackend scoped(BackendKind::kParallel, threads);
+    for (const Matrix* dense : cases) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " " +
+                   std::to_string(dense->rows()) + "x" + std::to_string(dense->cols()));
+      ExpectSameCsr(SerialFromDense(*dense), CsrMatrix::FromDense(*dense));
+    }
+  }
+  const CsrMatrix m = CsrMatrix::FromDense(small);
+  EXPECT_EQ(m.row_ptr(), (std::vector<int64_t>{0, 0, 2, 4, 4}));
+  EXPECT_EQ(m.col_idx(), (std::vector<int>{1, 2, 0, 2}));
 }
 
 TEST(CsrMatrixTest, MultiplyAccumAddsScaled) {

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "autograd/grad_check.h"
+#include "data/scale_gen.h"
 #include "data/split.h"
 #include "fairness/bias_metric.h"
 #include "la/backend.h"
@@ -47,6 +51,19 @@ TEST(InitTest, GlorotBoundsAndSpread) {
   EXPECT_NEAR(sum / w.size(), 0.0, 0.02);   // centred
 }
 
+// The same CSR arrays, values compared bit for bit.
+void ExpectSameCsrBits(const la::CsrMatrix& got, const la::CsrMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  for (size_t k = 0; k < want.values().size(); ++k) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(got.values()[k]), std::bit_cast<uint64_t>(want.values()[k]))
+        << "entry " << k;
+  }
+}
+
 TEST(GraphContextTest, BuildsAllOperators) {
   Fixture f;
   EXPECT_EQ(f.ctx.num_nodes(), f.data.graph.num_nodes());
@@ -77,6 +94,151 @@ TEST(GraphContextTest, BuildsAllOperators) {
     EXPECT_EQ(f.ctx.edges_with_self->row_ptr[v + 1] - f.ctx.edges_with_self->row_ptr[v],
               f.data.graph.Degree(v) + 1);
   }
+
+  // The operators, the edge set and the feature CSR are written rows in
+  // parallel. On a graph of several row chunks, 4 backend threads give the
+  // bits of 1, and the edge set holds each node's self-loop, then its sorted
+  // neighbours.
+  data::NodeClassificationData large = ppfr::testing::SmallSbm(42, 6000, 3);
+  ppfr::testing::AddFeatureEdgeRows(&large);
+  std::optional<GraphContext> serial;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    la::ScopedBackend scoped(la::BackendKind::kParallel, threads);
+    GraphContext ctx = GraphContext::Build(large.graph, large.features);
+    EXPECT_EQ(la::Sub(ctx.features->mat.ToDense(), large.features).MaxAbs(), 0.0);
+    const ag::EdgeSet& edges = *ctx.edges_with_self;
+    ASSERT_EQ(edges.num_nodes, large.graph.num_nodes());
+    for (int v = 0; v < large.graph.num_nodes(); ++v) {
+      std::vector<int> want{v};
+      for (int u : large.graph.Neighbors(v)) want.push_back(u);
+      ASSERT_EQ(std::vector<int>(edges.col_idx.begin() + edges.row_ptr[v],
+                                 edges.col_idx.begin() + edges.row_ptr[v + 1]),
+                want)
+          << "edge row " << v;
+    }
+    if (!serial.has_value()) {
+      serial.emplace(std::move(ctx));
+      continue;
+    }
+    ExpectSameCsrBits(ctx.features->mat, serial->features->mat);
+    ExpectSameCsrBits(ctx.gcn_adj->mat, serial->gcn_adj->mat);
+    ExpectSameCsrBits(ctx.mean_adj->mat, serial->mean_adj->mat);
+  }
+}
+
+// ExactBlock as first written, the oracle for its dense-index slicing: global
+// ids map to frontier indices through a hash map, and each operator's rows
+// are sliced through triplets and FromTriplets' sort.
+struct TripletBlock {
+  std::vector<int> frontier;
+  std::vector<int> hop_sizes;
+  std::vector<la::CsrMatrix> agg, gcn;
+  std::vector<std::vector<std::vector<int>>> edge_rows;  // [hop][row]
+};
+
+TripletBlock TripletExactBlock(const GraphContext& ctx, const std::vector<int>& targets) {
+  TripletBlock block;
+  block.frontier = targets;
+  std::unordered_map<int, int> local;
+  for (size_t i = 0; i < targets.size(); ++i) local.emplace(targets[i], static_cast<int>(i));
+  std::vector<int> sizes{static_cast<int>(targets.size())};
+  for (int h = 0; h < 2; ++h) {
+    const int num_out = sizes.back();
+    for (int o = 0; o < num_out; ++o) {
+      for (int u : ctx.graph.Neighbors(block.frontier[static_cast<size_t>(o)])) {
+        if (local.emplace(u, static_cast<int>(block.frontier.size())).second) {
+          block.frontier.push_back(u);
+        }
+      }
+    }
+    sizes.push_back(static_cast<int>(block.frontier.size()));
+  }
+  std::reverse(sizes.begin(), sizes.end());
+  block.hop_sizes = sizes;
+  const auto slice = [&](const la::CsrMatrix& m, int num_out, int num_in) {
+    std::vector<la::Triplet> triplets;
+    for (int o = 0; o < num_out; ++o) {
+      const int v = block.frontier[static_cast<size_t>(o)];
+      for (int64_t k = m.row_ptr()[v]; k < m.row_ptr()[v + 1]; ++k) {
+        triplets.push_back({o, local.at(m.col_idx()[k]), m.values()[static_cast<size_t>(k)]});
+      }
+    }
+    return la::CsrMatrix::FromTriplets(num_out, num_in, std::move(triplets));
+  };
+  for (int h = 0; h < 2; ++h) {
+    const int num_in = sizes[static_cast<size_t>(h)];
+    const int num_out = sizes[static_cast<size_t>(h) + 1];
+    block.agg.push_back(slice(ctx.mean_adj->mat, num_out, num_in));
+    block.gcn.push_back(slice(ctx.gcn_adj->mat, num_out, num_in));
+    const ag::EdgeSet& edges = *ctx.edges_with_self;
+    std::vector<std::vector<int>> rows(static_cast<size_t>(num_out));
+    for (int o = 0; o < num_out; ++o) {
+      const int v = block.frontier[static_cast<size_t>(o)];
+      for (int64_t k = edges.row_ptr[v]; k < edges.row_ptr[v + 1]; ++k) {
+        rows[static_cast<size_t>(o)].push_back(local.at(edges.col_idx[k]));
+      }
+    }
+    block.edge_rows.push_back(std::move(rows));
+  }
+  return block;
+}
+
+void ExpectBlockEqualsTripletOracle(const GraphContext& ctx, const std::vector<int>& targets) {
+  const SampledBlock got = ctx.ExactBlock(targets);
+  const TripletBlock want = TripletExactBlock(ctx, targets);
+  EXPECT_EQ(got.frontier, want.frontier);
+  EXPECT_EQ(got.hop_sizes, want.hop_sizes);
+  ASSERT_EQ(got.hops.size(), 2u);
+  for (size_t h = 0; h < 2; ++h) {
+    SCOPED_TRACE("hop " + std::to_string(h));
+    ExpectSameCsrBits(got.hops[h].agg->mat, want.agg[h]);
+    ExpectSameCsrBits(got.hops[h].gcn->mat, want.gcn[h]);
+    const ag::EdgeSet& edges = *got.hops[h].edges;
+    ASSERT_EQ(edges.num_nodes, static_cast<int>(want.edge_rows[h].size()));
+    ASSERT_EQ(edges.row_ptr.size(), want.edge_rows[h].size() + 1);
+    for (int o = 0; o < edges.num_nodes; ++o) {
+      ASSERT_EQ(std::vector<int>(edges.col_idx.begin() + edges.row_ptr[o],
+                                 edges.col_idx.begin() + edges.row_ptr[o + 1]),
+                want.edge_rows[h][static_cast<size_t>(o)])
+          << "edge row " << o;
+    }
+  }
+}
+
+TEST(GraphContextTest, ExactBlockEqualsTripletSlicing) {
+  {
+    SCOPED_TRACE("SBM");
+    const Fixture f;
+    ExpectBlockEqualsTripletOracle(f.ctx, {7, 0, 33, 90, 5});
+    ExpectBlockEqualsTripletOracle(f.ctx, {119});
+  }
+  // A power-law graph, and targets that lead with its largest hubs: rows
+  // hold hundreds of columns in first-seen, not sorted, frontier order.
+  data::ScaleGraphConfig cfg;
+  cfg.num_nodes = 10000;
+  const data::ScaleDataset dataset(cfg, 3);
+  const GraphContext ctx =
+      GraphContext::Build(dataset.adjacency().ToGraph(), dataset.MaterializeFeatures());
+  std::vector<int> by_degree(static_cast<size_t>(ctx.num_nodes()));
+  for (int v = 0; v < ctx.num_nodes(); ++v) by_degree[static_cast<size_t>(v)] = v;
+  std::stable_sort(by_degree.begin(), by_degree.end(), [&](int a, int b) {
+    return ctx.graph.Degree(a) > ctx.graph.Degree(b);
+  });
+  std::vector<int> targets(by_degree.begin(), by_degree.begin() + 16);
+  for (int v : dataset.StridedNodes(48, 5)) {
+    if (std::find(targets.begin(), targets.end(), v) == targets.end()) targets.push_back(v);
+  }
+  Rng rng(9);
+  rng.Shuffle(&targets);
+  SCOPED_TRACE("ScaleDataset");
+  ASSERT_GT(ctx.graph.Degree(by_degree[0]), 100);
+  ExpectBlockEqualsTripletOracle(ctx, targets);
+}
+
+TEST(GraphContextDeathTest, ExactBlockRejectsDuplicateTargets) {
+  const Fixture f;
+  EXPECT_DEATH(f.ctx.ExactBlock({4, 9, 4}), "duplicate target node 4");
 }
 
 class ModelForwardSweep : public ::testing::TestWithParam<ModelKind> {};

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -155,6 +156,22 @@ TEST(ScaleGenTest, BlockLabelsPartitionTheIdSpace) {
   }
 }
 
+// The same nodes, rows and canonical edge list, element for element.
+void ExpectSameGraph(const graph::Graph& got, const graph::Graph& want) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  ASSERT_EQ(got.num_edges(), want.num_edges());
+  for (int v = 0; v < want.num_nodes(); ++v) {
+    const auto got_row = got.Neighbors(v);
+    const auto want_row = want.Neighbors(v);
+    ASSERT_TRUE(std::equal(got_row.begin(), got_row.end(), want_row.begin(), want_row.end()))
+        << "row " << v;
+  }
+  for (size_t e = 0; e < want.Edges().size(); ++e) {
+    ASSERT_EQ(got.Edges()[e].u, want.Edges()[e].u) << "edge " << e;
+    ASSERT_EQ(got.Edges()[e].v, want.Edges()[e].v) << "edge " << e;
+  }
+}
+
 TEST(CsrBuilderTest, MatchesEdgeListGraphBitForBit) {
   const data::ScaleGraphConfig cfg = SmallScaleConfig();
   const data::ScaleDataset dataset(cfg, 11);
@@ -174,14 +191,30 @@ TEST(CsrBuilderTest, MatchesEdgeListGraphBitForBit) {
   EXPECT_EQ(adj.num_edges(), reference.num_edges());
 
   // Round trip back to the edge-list world.
-  const graph::Graph round_trip = adj.ToGraph();
-  EXPECT_EQ(round_trip.num_nodes(), reference.num_nodes());
-  EXPECT_EQ(round_trip.num_edges(), reference.num_edges());
-  for (int v = 0; v < reference.num_nodes(); ++v) {
-    const auto got = round_trip.Neighbors(v);
-    const auto want = reference.Neighbors(v);
-    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+  ExpectSameGraph(adj.ToGraph(), reference);
+}
+
+// ToGraph adopts the CSR rows and reads the edge list off them; the edge
+// cases of that scan are rows with no neighbours at all and rows whose
+// neighbours all lie below the row's node.
+TEST(CsrBuilderTest, ToGraphEqualsFromEdgesOnEdgeCases) {
+  const std::vector<std::pair<int, std::vector<graph::Edge>>> cases = {
+      // Isolated nodes 0, 3 and 7 (first, inner, last).
+      {8, {{1, 2}, {2, 4}, {1, 5}, {4, 6}, {5, 6}}},
+      // Node 5's neighbours all lie below it; node 0's all lie above it.
+      {6, {{0, 5}, {1, 5}, {4, 5}, {0, 2}, {0, 3}}},
+      // No edges, and no nodes.
+      {4, {}},
+      {0, {}},
+  };
+  for (const auto& [num_nodes, edges] : cases) {
+    SCOPED_TRACE("nodes=" + std::to_string(num_nodes) +
+                 " edges=" + std::to_string(edges.size()));
+    const graph::Graph reference = graph::Graph::FromEdges(num_nodes, edges);
+    ExpectSameGraph(graph::CsrAdjacency::FromGraph(reference).ToGraph(), reference);
   }
+  // A default-constructed adjacency is the empty graph.
+  ExpectSameGraph(graph::CsrAdjacency().ToGraph(), graph::Graph::FromEdges(0, {}));
 }
 
 TEST(CsrBuilderTest, NeighboursAreSortedDeduplicatedAndSymmetric) {
