@@ -7,47 +7,6 @@
 #include "common/check.h"
 
 namespace ppfr {
-namespace {
-
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
-
-uint64_t MixSeed(uint64_t seed, uint64_t value) {
-  // One SplitMix64 step over the combined state; the odd multiplier keeps
-  // (seed, value) pairs from colliding under simple arithmetic relations.
-  uint64_t state = seed ^ (value * 0xd6e8feb86659fd93ULL + 0x2545f4914f6cdd1dULL);
-  return SplitMix64(&state);
-}
-
-Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& s : state_) s = SplitMix64(&sm);
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::Uniform() {
-  // 53 random mantissa bits -> [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
 
@@ -79,8 +38,6 @@ double Rng::Normal() {
 }
 
 double Rng::Normal(double mean, double stddev) { return mean + stddev * Normal(); }
-
-bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
 double Rng::Laplace(double scale) {
   PPFR_CHECK_GT(scale, 0.0);

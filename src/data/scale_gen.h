@@ -54,6 +54,12 @@ struct ScaleGraphConfig {
 // parts, which is what lets the two-pass build run without an edge list and
 // run the pairs concurrently. Self-loops and duplicates may be emitted; the
 // build drops/collapses them.
+//
+// Each pair draws its power-law endpoints in batches of edges, evaluated in
+// vector lanes: bit for bit the per-draw inverse-CDF formula with std::pow,
+// which every draw near an integer boundary evaluates instead (see
+// data/scale_gen_internal.h). Aborts on a config whose alpha, degree or
+// homophily is not finite or out of range, as ScaleDataset does.
 void StreamScaleEdges(const ScaleGraphConfig& config, uint64_t seed,
                       const std::function<void(int64_t, int64_t)>& emit);
 

@@ -28,36 +28,59 @@ std::vector<int64_t> SliceRowPtr(const std::vector<int64_t>& row_ptr,
   return out;
 }
 
-// Rows frontier[0, num_out) of `op`, columns mapped onto the input frontier
-// F_h = frontier[0, num_in), each row sorted by local column with its
-// weights copied: bit for bit the FromTriplets build of the same entries,
-// whose 0.0 + w sums change only a −0.0 weight, which the operators never
-// hold (theirs are positive).
-std::shared_ptr<const ag::SparseOperand> SliceRows(const ag::SparseOperand& op,
-                                                   const std::vector<int>& frontier,
-                                                   int num_out, int num_in,
-                                                   const std::vector<int>& local) {
-  const la::CsrMatrix& m = op.mat;
-  std::vector<int64_t> row_ptr = SliceRowPtr(m.row_ptr(), frontier, num_out);
-  std::vector<int> col_idx(static_cast<size_t>(row_ptr.back()));
-  std::vector<double> values(col_idx.size());
-  std::vector<std::pair<int, double>> row;
+// Rows frontier[0, num_out) of `mean_adj` and `gcn_adj` into hop->agg and
+// hop->gcn, columns mapped onto the input frontier F_h = frontier[0, num_in),
+// each row sorted by local column with its weights copied: bit for bit the
+// FromTriplets builds of the same entries, whose 0.0 + w sums change only a
+// −0.0 weight, which the operators never hold (theirs are positive). Row v
+// of gcn_adj is row v of mean_adj with the self-loop v merged in at its
+// sorted position (Build), so each row's local columns are sorted once, as
+// gcn_adj's, and mean_adj's row is the same order less the self-loop.
+void SliceOperatorRows(const la::CsrMatrix& mean_adj, const la::CsrMatrix& gcn_adj,
+                       const std::vector<int>& frontier, int num_out, int num_in,
+                       const std::vector<int>& local, SampledHop* hop) {
+  std::vector<int64_t> agg_ptr = SliceRowPtr(mean_adj.row_ptr(), frontier, num_out);
+  std::vector<int64_t> gcn_ptr = SliceRowPtr(gcn_adj.row_ptr(), frontier, num_out);
+  std::vector<int> agg_col(static_cast<size_t>(agg_ptr.back()));
+  std::vector<double> agg_val(agg_col.size());
+  std::vector<int> gcn_col(static_cast<size_t>(gcn_ptr.back()));
+  std::vector<double> gcn_val(gcn_col.size());
+  std::vector<uint64_t> order;  // local column << 32 | position in the gcn_adj row
   for (int o = 0; o < num_out; ++o) {
     const int v = frontier[static_cast<size_t>(o)];
-    row.clear();
-    for (int64_t k = m.row_ptr()[v]; k < m.row_ptr()[v + 1]; ++k) {
-      row.emplace_back(LocalId(local, m.col_idx()[k], num_in), m.values()[static_cast<size_t>(k)]);
+    const int64_t begin = gcn_adj.row_ptr()[v];
+    const int64_t agg_begin = mean_adj.row_ptr()[v];
+    PPFR_DCHECK_EQ(gcn_adj.row_ptr()[v + 1] - begin, mean_adj.row_ptr()[v + 1] - agg_begin + 1);
+    order.clear();
+    uint64_t self = 0;
+    for (int64_t k = begin; k < gcn_adj.row_ptr()[v + 1]; ++k) {
+      const int col = gcn_adj.col_idx()[k];
+      if (col == v) self = static_cast<uint64_t>(k - begin);
+      order.push_back(static_cast<uint64_t>(LocalId(local, col, num_in)) << 32 |
+                      static_cast<uint64_t>(k - begin));
     }
-    std::sort(row.begin(), row.end());  // the columns are distinct
-    int64_t k = row_ptr[static_cast<size_t>(o)];
-    for (const auto& [col, value] : row) {
-      col_idx[static_cast<size_t>(k)] = col;
-      values[static_cast<size_t>(k++)] = value;
+    std::sort(order.begin(), order.end());  // the columns are distinct
+    int64_t g = gcn_ptr[static_cast<size_t>(o)];
+    int64_t a = agg_ptr[static_cast<size_t>(o)];
+    for (const uint64_t key : order) {
+      const int col = static_cast<int>(key >> 32);
+      const uint64_t j = key & 0xffffffffu;
+      gcn_col[static_cast<size_t>(g)] = col;
+      gcn_val[static_cast<size_t>(g++)] = gcn_adj.values()[static_cast<size_t>(begin) + j];
+      if (j == self) continue;
+      const size_t k = static_cast<size_t>(agg_begin) + j - (j > self ? 1 : 0);
+      PPFR_DCHECK_EQ(mean_adj.col_idx()[k], gcn_adj.col_idx()[static_cast<size_t>(begin) + j]);
+      agg_col[static_cast<size_t>(a)] = col;
+      agg_val[static_cast<size_t>(a++)] = mean_adj.values()[k];
     }
   }
-  return ag::MakeSparseOperand(
-      la::CsrMatrix::FromSortedRows(num_out, num_in, std::move(row_ptr), std::move(col_idx),
-                                    std::move(values)),
+  hop->agg = ag::MakeSparseOperand(
+      la::CsrMatrix::FromSortedRows(num_out, num_in, std::move(agg_ptr), std::move(agg_col),
+                                    std::move(agg_val)),
+      /*symmetric=*/false);
+  hop->gcn = ag::MakeSparseOperand(
+      la::CsrMatrix::FromSortedRows(num_out, num_in, std::move(gcn_ptr), std::move(gcn_col),
+                                    std::move(gcn_val)),
       /*symmetric=*/false);
 }
 
@@ -170,8 +193,7 @@ SampledBlock GraphContext::ExactBlock(const std::vector<int>& targets) const {
     const int num_in = sizes[static_cast<size_t>(h)];
     const int num_out = sizes[static_cast<size_t>(h) + 1];
     SampledHop hop;
-    hop.agg = SliceRows(*mean_adj, block.frontier, num_out, num_in, local);
-    hop.gcn = SliceRows(*gcn_adj, block.frontier, num_out, num_in, local);
+    SliceOperatorRows(mean_adj->mat, gcn_adj->mat, block.frontier, num_out, num_in, local, &hop);
     hop.edges = SliceRows(*edges_with_self, block.frontier, num_out, num_in, local);
     block.hops.push_back(std::move(hop));
   }

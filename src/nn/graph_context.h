@@ -53,8 +53,9 @@ struct GraphContext {
   // weights, so a 2-layer block forward of any model yields the full-graph
   // logits at the targets (up to summation order). The global-to-local id
   // map is a dense array over the graph's nodes, 4 bytes per node for the
-  // duration of the call, and each sliced row is sorted by local column on
-  // its own (no sort over the whole block).
+  // duration of the call. Each output row's local columns are sorted once
+  // per hop, on their own (no sort over the whole block), and the mean_adj
+  // and gcn_adj rows are both sliced through that order.
   SampledBlock ExactBlock(const std::vector<int>& targets) const;
 };
 

@@ -138,6 +138,58 @@ TEST(RngTest, SampleWithoutReplacementEqualsDensePartialFisherYates) {
   }
 }
 
+// Values recorded before seeding, NextU64, Uniform(), Bernoulli and MixSeed
+// moved inline into rng.h: every stream in the library, the scale
+// generator's edge, feature and split streams among them, hangs off these.
+TEST(RngTest, HotPathKeepsRecordedValues) {
+  struct Golden {
+    uint64_t seed;
+    uint64_t next[3];
+    double uniform[3];
+    std::vector<int> bernoulli_hits;  // draws < 400 where Bernoulli(0.02) fired
+    int64_t uniform_int7[8];
+    uint64_t mix_seed7;
+    std::vector<int> sample;  // SampleWithoutReplacement(1000, 10)
+    uint64_t next_after_sample;
+  };
+  const Golden goldens[] = {
+      {42,
+       {0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL, 0xae17533239e499a1ULL},
+       {0x1.5780b2e0c2ecp-4, 0x1.84136619b444ep-2, 0x1.5c2ea66473c93p-1},
+       {125, 142, 172, 279, 284, 297, 309},
+       {2, 1, 5, 4, 4, 1, 2, 0},
+       0x73dcda68202f91caULL,
+       {742, 253, 839, 121, 836, 944, 162, 208, 358, 382},
+       0xaeb53b340c103971ULL},
+      {0x5eed5eed,
+       {0x2f073b7bc4bbd7a6ULL, 0x3a8e2f5de99a0413ULL, 0xf01bc0089171b2d2ULL},
+       {0x1.7839dbde25de8p-3, 0x1.d4717aef4cdp-3, 0x1.e037801122e36p-1},
+       {13, 18, 146, 168, 299, 302, 358, 379, 383},
+       {0, 2, 1, 2, 5, 2, 1, 2},
+       0xd084931ecfa0b03dULL,
+       {550, 595, 218, 272, 169, 621, 427, 603, 228, 133},
+       0x6aceda8347a73e68ULL},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE("seed " + std::to_string(g.seed));
+    Rng next(g.seed), uniform(g.seed), bernoulli(g.seed), uniform_int(g.seed), sample(g.seed);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(next.NextU64(), g.next[i]);
+      EXPECT_EQ(uniform.Uniform(), g.uniform[i]);
+    }
+    std::vector<int> hits;
+    for (int i = 0; i < 400; ++i) {
+      if (bernoulli.Bernoulli(0.02)) hits.push_back(i);
+    }
+    EXPECT_EQ(hits, g.bernoulli_hits);
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(uniform_int.UniformInt(7), g.uniform_int7[i]);
+    EXPECT_EQ(MixSeed(g.seed, 7), g.mix_seed7);
+    EXPECT_EQ(sample.SampleWithoutReplacement(1000, 10), g.sample);
+    EXPECT_EQ(sample.NextU64(), g.next_after_sample);
+  }
+  EXPECT_EQ(Rng().NextU64(), 0x422ea740d0977210ULL);  // the default seed
+}
+
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(29);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};

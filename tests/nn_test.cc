@@ -9,6 +9,7 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "autograd/grad_check.h"
@@ -206,6 +207,37 @@ void ExpectBlockEqualsTripletOracle(const GraphContext& ctx, const std::vector<i
   }
 }
 
+// A power-law context and targets that lead with its largest hubs: rows
+// hold hundreds of columns in first-seen, not sorted, frontier order.
+struct HubLedBlock {
+  GraphContext ctx;
+  std::vector<int> targets;
+};
+
+HubLedBlock MakeHubLedBlock() {
+  data::ScaleGraphConfig cfg;
+  cfg.num_nodes = 10000;
+  const data::ScaleDataset dataset(cfg, 3);
+  HubLedBlock out{GraphContext::Build(dataset.adjacency().ToGraph(), dataset.MaterializeFeatures()),
+                  {}};
+  const GraphContext& ctx = out.ctx;
+  std::vector<int> by_degree(static_cast<size_t>(ctx.num_nodes()));
+  for (int v = 0; v < ctx.num_nodes(); ++v) by_degree[static_cast<size_t>(v)] = v;
+  std::stable_sort(by_degree.begin(), by_degree.end(), [&](int a, int b) {
+    return ctx.graph.Degree(a) > ctx.graph.Degree(b);
+  });
+  EXPECT_GT(ctx.graph.Degree(by_degree[0]), 100);
+  out.targets.assign(by_degree.begin(), by_degree.begin() + 16);
+  for (int v : dataset.StridedNodes(48, 5)) {
+    if (std::find(out.targets.begin(), out.targets.end(), v) == out.targets.end()) {
+      out.targets.push_back(v);
+    }
+  }
+  Rng rng(9);
+  rng.Shuffle(&out.targets);
+  return out;
+}
+
 TEST(GraphContextTest, ExactBlockEqualsTripletSlicing) {
   {
     SCOPED_TRACE("SBM");
@@ -213,27 +245,79 @@ TEST(GraphContextTest, ExactBlockEqualsTripletSlicing) {
     ExpectBlockEqualsTripletOracle(f.ctx, {7, 0, 33, 90, 5});
     ExpectBlockEqualsTripletOracle(f.ctx, {119});
   }
-  // A power-law graph, and targets that lead with its largest hubs: rows
-  // hold hundreds of columns in first-seen, not sorted, frontier order.
-  data::ScaleGraphConfig cfg;
-  cfg.num_nodes = 10000;
-  const data::ScaleDataset dataset(cfg, 3);
-  const GraphContext ctx =
-      GraphContext::Build(dataset.adjacency().ToGraph(), dataset.MaterializeFeatures());
-  std::vector<int> by_degree(static_cast<size_t>(ctx.num_nodes()));
-  for (int v = 0; v < ctx.num_nodes(); ++v) by_degree[static_cast<size_t>(v)] = v;
-  std::stable_sort(by_degree.begin(), by_degree.end(), [&](int a, int b) {
-    return ctx.graph.Degree(a) > ctx.graph.Degree(b);
-  });
-  std::vector<int> targets(by_degree.begin(), by_degree.begin() + 16);
-  for (int v : dataset.StridedNodes(48, 5)) {
-    if (std::find(targets.begin(), targets.end(), v) == targets.end()) targets.push_back(v);
-  }
-  Rng rng(9);
-  rng.Shuffle(&targets);
   SCOPED_TRACE("ScaleDataset");
-  ASSERT_GT(ctx.graph.Degree(by_degree[0]), 100);
-  ExpectBlockEqualsTripletOracle(ctx, targets);
+  const HubLedBlock hubs = MakeHubLedBlock();
+  ExpectBlockEqualsTripletOracle(hubs.ctx, hubs.targets);
+}
+
+// One operator's rows as ExactBlock sliced them before mean_adj and gcn_adj
+// shared one sort per row: each row's (local column, weight) pairs sorted on
+// their own.
+la::CsrMatrix PairSortedRows(const la::CsrMatrix& m, const std::vector<int>& frontier,
+                             int num_out, int num_in, const std::vector<int>& local) {
+  std::vector<int64_t> row_ptr(static_cast<size_t>(num_out) + 1, 0);
+  std::vector<int> col_idx;
+  std::vector<double> values;
+  std::vector<std::pair<int, double>> row;
+  for (int o = 0; o < num_out; ++o) {
+    const int v = frontier[static_cast<size_t>(o)];
+    row.clear();
+    for (int64_t k = m.row_ptr()[v]; k < m.row_ptr()[v + 1]; ++k) {
+      const int id = local[static_cast<size_t>(m.col_idx()[k])];
+      EXPECT_TRUE(id >= 0 && id < num_in);
+      row.emplace_back(id, m.values()[static_cast<size_t>(k)]);
+    }
+    std::sort(row.begin(), row.end());
+    for (const auto& [col, value] : row) {
+      col_idx.push_back(col);
+      values.push_back(value);
+    }
+    row_ptr[static_cast<size_t>(o) + 1] = static_cast<int64_t>(col_idx.size());
+  }
+  return la::CsrMatrix::FromSortedRows(num_out, num_in, std::move(row_ptr), std::move(col_idx),
+                                       std::move(values));
+}
+
+void ExpectBlockEqualsPairSortedRows(const GraphContext& ctx, const std::vector<int>& targets) {
+  const SampledBlock got = ctx.ExactBlock(targets);
+  std::vector<int> local(static_cast<size_t>(ctx.num_nodes()), -1);
+  for (size_t i = 0; i < got.frontier.size(); ++i) {
+    local[static_cast<size_t>(got.frontier[i])] = static_cast<int>(i);
+  }
+  ASSERT_EQ(got.hops.size(), 2u);
+  for (size_t h = 0; h < 2; ++h) {
+    SCOPED_TRACE("hop " + std::to_string(h));
+    const int num_in = got.hop_sizes[h];
+    const int num_out = got.hop_sizes[h + 1];
+    ExpectSameCsrBits(got.hops[h].agg->mat,
+                      PairSortedRows(ctx.mean_adj->mat, got.frontier, num_out, num_in, local));
+    ExpectSameCsrBits(got.hops[h].gcn->mat,
+                      PairSortedRows(ctx.gcn_adj->mat, got.frontier, num_out, num_in, local));
+  }
+}
+
+// ExactBlock sorts each row's local columns once, as gcn_adj's, and slices
+// mean_adj's row, the same columns less the self-loop, through that order:
+// both operators must keep the bits of sorting each on its own. The small
+// graph puts the self-loop first, inside and last in a row, and holds an
+// isolated target.
+TEST(GraphContextTest, ExactBlockEqualsPerOperatorRowSort) {
+  {
+    SCOPED_TRACE("small graph");
+    const graph::Graph g = graph::Graph::FromEdges(
+        9, {{0, 5}, {0, 7}, {5, 7}, {3, 1}, {3, 8}, {8, 1}, {8, 2}, {6, 2}, {6, 1}});
+    const GraphContext ctx = GraphContext::Build(g, la::Matrix(9, 2));
+    ExpectBlockEqualsPairSortedRows(ctx, {8, 4, 0});
+    ExpectBlockEqualsPairSortedRows(ctx, {5, 3, 6});
+  }
+  {
+    SCOPED_TRACE("SBM");
+    const Fixture f;
+    ExpectBlockEqualsPairSortedRows(f.ctx, {7, 0, 33, 90, 5});
+  }
+  SCOPED_TRACE("ScaleDataset");
+  const HubLedBlock hubs = MakeHubLedBlock();
+  ExpectBlockEqualsPairSortedRows(hubs.ctx, hubs.targets);
 }
 
 TEST(GraphContextDeathTest, ExactBlockRejectsDuplicateTargets) {

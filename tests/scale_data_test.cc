@@ -1,16 +1,18 @@
 // Tests for the scale axis's data layer: the streamed power-law block-model
 // generator (data/scale_gen) and the bounded-peak-memory CSR builder
 // (graph/csr_builder). The load-bearing properties: every stream is a pure
-// function of (config, seed) and replays bit-identically; the two-pass CSR
+// function of (config, seed), replays bit-identically and equals the
+// per-draw std::pow formula, batched vector ranks included; the two-pass CSR
 // build produces the same structure as the edge-list path for any part
-// split and backend thread count; the hardening contracts (node-count
-// ceiling, endpoint bounds, replay mismatch) abort with messages naming
-// their limits.
+// split and backend thread count; the hardening contracts (non-finite
+// configs, node-count ceiling, endpoint bounds, replay mismatch) abort with
+// messages naming their limits.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <ios>
 #include <set>
 #include <string>
 #include <utility>
@@ -20,6 +22,7 @@
 
 #include "common/rng.h"
 #include "data/scale_gen.h"
+#include "data/scale_gen_internal.h"
 #include "graph/csr_builder.h"
 #include "graph/graph.h"
 #include "la/backend.h"
@@ -112,18 +115,113 @@ std::vector<std::pair<int64_t, int64_t>> PerDrawReferenceEdges(
   return edges;
 }
 
-// The generator computes each block's inverse-CDF constants once per block
-// pair; the stream must stay the per-draw formula's, element for element, on
-// the power-law branch, the alpha = 1 (log) branch and the uniform branch.
+// The same edge sequence, reporting the first edge that differs.
+void ExpectSameEdges(const std::vector<std::pair<int64_t, int64_t>>& got,
+                     const std::vector<std::pair<int64_t, int64_t>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t e = 0; e < want.size(); ++e) {
+    ASSERT_EQ(got[e], want[e]) << "edge " << e;
+  }
+}
+
+// The generator draws each block pair's ranks in vector lanes and defers to
+// std::pow only near integer boundaries; the stream must stay the per-draw
+// formula's, element for element, on the power-law branch (alpha below and
+// above 1), the alpha = 1 (log) branch and the uniform branch, at 10^5
+// nodes, and on blocks of one to three nodes.
 TEST(ScaleGenTest, StreamEqualsPerDrawPowerLawReference) {
-  for (const double alpha : {0.8, 1.0, 0.0, -0.5}) {
+  for (const double alpha : {0.5, 0.8, 0.95, 1.0, 1.5, 0.0, -0.5}) {
     SCOPED_TRACE("alpha=" + std::to_string(alpha));
     data::ScaleGraphConfig cfg = SmallScaleConfig(1003);  // uneven blocks
     cfg.power_law_alpha = alpha;
     const auto want = PerDrawReferenceEdges(cfg, 17);
     ASSERT_GT(want.size(), 0u);
-    EXPECT_EQ(CollectEdges(cfg, 17), want);
+    ExpectSameEdges(CollectEdges(cfg, 17), want);
   }
+  {
+    SCOPED_TRACE("10^5 nodes");
+    const data::ScaleGraphConfig cfg = SmallScaleConfig(100000);
+    const auto want = PerDrawReferenceEdges(cfg, 1);
+    ASSERT_EQ(want.size(), 400000u);
+    ExpectSameEdges(CollectEdges(cfg, 1), want);
+  }
+  // 40 blocks of 1, 1–2, 2–3 and 3 nodes (size-1 blocks hold no intra pair).
+  for (const int64_t nodes : {40, 60, 100, 120}) {
+    for (const double alpha : {0.8, 1.0, 1.5}) {
+      SCOPED_TRACE("nodes=" + std::to_string(nodes) + " alpha=" + std::to_string(alpha));
+      data::ScaleGraphConfig cfg = SmallScaleConfig(nodes);
+      cfg.num_blocks = 40;
+      cfg.average_degree = 200.0;
+      cfg.power_law_alpha = alpha;
+      const auto want = PerDrawReferenceEdges(cfg, 5);
+      ASSERT_GT(want.size(), 0u);
+      ExpectSameEdges(CollectEdges(cfg, 5), want);
+    }
+  }
+}
+
+// The batched ranks where the fast evaluation and std::pow can fall on
+// different sides of an integer: uniforms whose exact image is an integer k,
+// u = (k^(1−alpha) − 1)/span (ln k / ln(n + 1) at alpha = 1), and their
+// neighbours up to 8 ulp either side, for k spread over [1, n + 1]. Every
+// rank must be the per-draw formula's.
+TEST(ScaleGenTest, BatchedRanksEqualPerDrawRanksAtIntegerBoundaries) {
+  using data::internal::kRankBatch;
+  using data::internal::PowerLawBlock;
+  for (const double alpha : {0.5, 0.8, 0.95, 1.0, 1.5}) {
+    for (const int64_t n : {1, 2, 1000, 250000}) {
+      SCOPED_TRACE("alpha=" + std::to_string(alpha) + " n=" + std::to_string(n));
+      const PowerLawBlock block(n, alpha);
+      std::vector<double> us = {0.0, 1.0 - 0x1p-53};
+      const double top = static_cast<double>(n) + 1.0;
+      for (double k = 1.0; k <= top; k = k < 64.0 ? k + 1.0 : std::ceil(k * 1.05)) {
+        double lo = block.log_branch ? std::log(k) / block.log_top
+                                     : (std::pow(k, 1.0 - alpha) - 1.0) / block.span;
+        double hi = lo;
+        us.push_back(lo);
+        for (int step = 0; step < 8; ++step) {
+          lo = std::nextafter(lo, -1.0);
+          hi = std::nextafter(hi, 2.0);
+          us.push_back(lo);
+          us.push_back(hi);
+        }
+      }
+      std::erase_if(us, [](double u) { return !(u >= 0.0 && u < 1.0); });
+      int64_t got[kRankBatch] = {};
+      for (size_t first = 0; first < us.size(); first += kRankBatch) {
+        const int count = static_cast<int>(std::min<size_t>(kRankBatch, us.size() - first));
+        data::internal::PowerLawRanks(block, us.data() + first, count, got);
+        for (int i = 0; i < count; ++i) {
+          const double u = us[first + static_cast<size_t>(i)];
+          ASSERT_EQ(got[i], data::internal::PowerLawRank(block, u)) << "u=" << std::hexfloat << u;
+        }
+      }
+    }
+  }
+}
+
+// NaN or infinite parameters used to reach std::llround and the rank's
+// double-to-integer conversion, where the result is unspecified: a NaN alpha
+// built a 6-edge graph and an infinite degree streamed no edges. Both the
+// stream and the dataset reject them.
+TEST(ScaleGenDeathTest, RejectsNonFiniteConfigs) {
+  const auto stream = [](const data::ScaleGraphConfig& cfg) {
+    data::StreamScaleEdges(cfg, 1, [](int64_t, int64_t) {});
+  };
+  for (const double alpha : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE("alpha=" + std::to_string(alpha));
+    data::ScaleGraphConfig cfg = SmallScaleConfig(1000);
+    cfg.power_law_alpha = alpha;
+    EXPECT_DEATH(stream(cfg), "power_law_alpha .* is not finite");
+    EXPECT_DEATH(data::ScaleDataset(cfg, 1), "power_law_alpha .* is not finite");
+  }
+  data::ScaleGraphConfig cfg = SmallScaleConfig(1000);
+  cfg.average_degree = HUGE_VAL;
+  EXPECT_DEATH(stream(cfg), "average_degree inf is not finite");
+  EXPECT_DEATH(data::ScaleDataset(cfg, 1), "average_degree inf is not finite");
+  cfg = SmallScaleConfig(1000);
+  cfg.homophily = std::nan("");
+  EXPECT_DEATH(stream(cfg), "homophily .* is not finite");
 }
 
 TEST(ScaleGenTest, EndpointsStayInRangeAndDegreeIsCalibrated) {
