@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -283,6 +284,7 @@ ScaleDataset::ScaleDataset(const ScaleGraphConfig& config, uint64_t seed)
   CheckStreamConfig(config);
   PPFR_CHECK_LE(config.signature_size * config.num_blocks, config.feature_dim)
       << "class signatures must fit in the feature space";
+  PPFR_CHECK_LE(config.feature_dim, 64) << "a feature row is drawn as one 64-bit mask";
   // One part per block pair: the pairs' streams are independent, so both
   // passes of the CSR build run them concurrently.
   const std::vector<BlockPair> plan = PlanBlockPairs(config_);
@@ -299,27 +301,52 @@ std::vector<int> ScaleDataset::LabelsFor(const std::vector<int>& nodes) const {
   return labels;
 }
 
-void ScaleDataset::FillFeatureRow(int64_t v, double* row) const {
-  const int cls = Label(v);
-  const int sig_begin = cls * config_.signature_size;
+uint64_t ScaleDataset::FeatureBits(int64_t v) const {
+  const int sig_begin = Label(v) * config_.signature_size;
   const int sig_end = sig_begin + config_.signature_size;
   Rng rng(MixSeed(MixSeed(seed_, kFeatureStreamTag), static_cast<uint64_t>(v)));
+  uint64_t bits = 0;
   for (int f = 0; f < config_.feature_dim; ++f) {
     const bool in_signature = f >= sig_begin && f < sig_end;
     const double prob =
         in_signature ? config_.feature_on_prob : config_.feature_noise_prob;
-    row[f] = rng.Bernoulli(prob) ? 1.0 : 0.0;
+    bits |= static_cast<uint64_t>(rng.Bernoulli(prob)) << f;
   }
+  return bits;
 }
 
-la::Matrix ScaleDataset::GatherFeatures(const std::vector<int>& nodes) const {
-  la::Matrix out(static_cast<int>(nodes.size()), config_.feature_dim, la::kUninitialized);
-  la::ActiveBackend().Apply(out.rows(), kFeatureRowGrain, [&](int64_t lo, int64_t hi) {
+void ScaleDataset::FillFeatureRow(int64_t v, double* row) const {
+  const uint64_t bits = FeatureBits(v);
+  for (int f = 0; f < config_.feature_dim; ++f) row[f] = (bits >> f & 1) != 0 ? 1.0 : 0.0;
+}
+
+la::CsrMatrix ScaleDataset::GatherFeatures(const std::vector<int>& nodes) const {
+  const int rows = static_cast<int>(nodes.size());
+  // Pass 1 draws each row's mask once and counts it; pass 2 writes the set
+  // bits, in column order, from the masks. Both write disjoint rows.
+  std::vector<uint64_t> bits(nodes.size());
+  std::vector<int64_t> row_ptr(nodes.size() + 1, 0);
+  const la::Backend& backend = la::ActiveBackend();
+  backend.Apply(rows, kFeatureRowGrain, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
-      FillFeatureRow(nodes[static_cast<size_t>(i)], out.row(static_cast<int>(i)));
+      bits[i] = FeatureBits(nodes[i]);
+      row_ptr[i + 1] = std::popcount(bits[i]);
     }
   });
-  return out;
+  for (int i = 0; i < rows; ++i) row_ptr[i + 1] += row_ptr[i];
+  std::vector<int> col_idx(static_cast<size_t>(row_ptr.back()));
+  std::vector<double> values(col_idx.size());
+  backend.Apply(rows, kFeatureRowGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      int64_t k = row_ptr[i];
+      for (uint64_t b = bits[i]; b != 0; b &= b - 1) {
+        col_idx[k] = std::countr_zero(b);
+        values[k++] = 1.0;
+      }
+    }
+  });
+  return la::CsrMatrix::FromSortedRows(rows, config_.feature_dim, std::move(row_ptr),
+                                       std::move(col_idx), std::move(values));
 }
 
 la::Matrix ScaleDataset::MaterializeFeatures() const {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/csr_builder.h"
+#include "la/csr_matrix.h"
 #include "la/matrix.h"
 
 namespace ppfr::data {
@@ -20,7 +21,7 @@ namespace ppfr::data {
 struct ScaleGraphConfig {
   int64_t num_nodes = 100000;
   int num_blocks = 4;  // classes; node ids are split into contiguous blocks
-  int feature_dim = 32;
+  int feature_dim = 32;  // at most 64 for ScaleDataset
 
   // Expected average degree and fraction of edges that stay within a block.
   double average_degree = 8.0;
@@ -67,7 +68,8 @@ void StreamScaleEdges(const ScaleGraphConfig& config, uint64_t seed,
 // adjacency: labels are computed, feature rows are regenerated from their
 // per-node counter-based stream on each request. Deterministic in
 // (config, seed); Materialize* bridges to the dense representation for
-// small-scale parity tests.
+// small-scale parity tests and the dense bridge. The constructor requires
+// feature_dim <= 64: a row is drawn as one 64-bit mask.
 class ScaleDataset {
  public:
   ScaleDataset(const ScaleGraphConfig& config, uint64_t seed);
@@ -80,26 +82,39 @@ class ScaleDataset {
   int Label(int64_t v) const { return config_.BlockOf(v); }
   std::vector<int> LabelsFor(const std::vector<int>& nodes) const;
 
-  // Writes node v's feature row (config().feature_dim entries) into `row`.
-  // Each node owns an independent RNG stream, so any row can be regenerated
-  // in isolation, in any order, any number of times.
+  // Writes node v's feature row (config().feature_dim entries of 1.0 or 0.0)
+  // into `row`: the bits of the node's mask, whose feature f takes the f-th
+  // Bernoulli draw of the node's own RNG stream. So any row can be
+  // regenerated in isolation, in any order, any number of times.
   void FillFeatureRow(int64_t v, double* row) const;
-  // Stacks FillFeatureRow over `nodes` — the mini-batch feature path. Rows
-  // are filled on the active la backend's threads.
-  la::Matrix GatherFeatures(const std::vector<int>& nodes) const;
+  // The feature rows of `nodes` (repeats allowed) as CSR rows, the mini-batch
+  // feature path: each set bit is one entry of value 1.0, in column order, so
+  // the result is FromDense of the FillFeatureRow rows, and no dense row is
+  // ever written. One pass on the active la backend's threads draws and
+  // counts each row's mask, a second writes the entries.
+  la::CsrMatrix GatherFeatures(const std::vector<int>& nodes) const;
 
   // Full dense materialisations (small graphs / parity tests, and the dense
-  // bridge of the scale pipeline); features fill like GatherFeatures.
+  // bridge of the scale pipeline); rows fill as FillFeatureRow's on the
+  // active la backend's threads.
   la::Matrix MaterializeFeatures() const;
   std::vector<int> MaterializeLabels() const;
 
   // `count` nodes spread evenly over [0, num_nodes) by a strided pick with a
-  // salt-dependent phase — deterministic, and balanced across the contiguous
-  // label blocks by construction. Distinct salts give disjoint phases (mod
-  // the stride), which is how train/val node sets are kept disjoint.
+  // salt-dependent phase in [0, stride) — deterministic, and balanced across
+  // the contiguous label blocks by construction. Two calls do NOT give
+  // disjoint sets: the phase is a hash taken mod the stride, so two salts
+  // can share a phase, and calls of different counts have different strides
+  // and may overlap whatever their salts (a 2,048-node set can lie entirely
+  // inside a 16,384-node one). Callers that need disjoint train and
+  // validation sets must check for it themselves (ROADMAP).
   std::vector<int> StridedNodes(int64_t count, uint64_t salt) const;
 
  private:
+  // Node v's feature row as a mask: bit f is feature f's Bernoulli draw, the
+  // draws taken in feature order from the node's stream.
+  uint64_t FeatureBits(int64_t v) const;
+
   ScaleGraphConfig config_;
   uint64_t seed_;
   graph::CsrAdjacency adj_;

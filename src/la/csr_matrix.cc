@@ -8,6 +8,9 @@ namespace ppfr::la {
 namespace {
 // Dense elements per backend chunk in FromDense's two row passes.
 constexpr int64_t kFromDenseGrain = 1 << 15;
+// Multiply-adds (bounded by nnz · x.cols()) per chunk of the sparse-RHS
+// product, the dense SpMM's threading cutoff.
+constexpr int64_t kSparseProductChunkWork = 32 * 1024;
 }  // namespace
 
 std::vector<int64_t> NnzBalancedRowBounds(const std::vector<int64_t>& row_ptr,
@@ -118,6 +121,27 @@ Matrix CsrMatrix::Multiply(const Matrix& x) const {
   PPFR_CHECK_EQ(cols_, x.rows());
   Matrix out(rows_, x.cols());
   MultiplyAccum(x, 1.0, &out);
+  return out;
+}
+
+Matrix CsrMatrix::Multiply(const CsrMatrix& x) const {
+  PPFR_CHECK_EQ(cols_, x.rows());
+  Matrix out(rows_, x.cols());
+  const Backend& backend = ActiveBackend();
+  const int64_t num_chunks = std::clamp<int64_t>(nnz() * x.cols() / kSparseProductChunkWork, 1,
+                                                 backend.num_threads());
+  const std::vector<int64_t> bounds = NnzBalancedRowBounds(row_ptr_, rows_, num_chunks);
+  backend.Apply(num_chunks, 1, [&](int64_t c0, int64_t c1) {
+    for (int64_t r = bounds[c0]; r < bounds[c1]; ++r) {
+      double* out_row = out.row(static_cast<int>(r));
+      for (int64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+        const double w = values_[k];
+        for (int64_t e = x.row_ptr_[col_idx_[k]]; e < x.row_ptr_[col_idx_[k] + 1]; ++e) {
+          out_row[x.col_idx_[e]] = MulAdd(w, x.values_[e], out_row[x.col_idx_[e]]);
+        }
+      }
+    }
+  });
   return out;
 }
 

@@ -59,6 +59,16 @@ class CsrMatrix {
   // out = this * x (SpMM). Shapes: (r,c) x (c,n) -> (r,n).
   Matrix Multiply(const Matrix& x) const;
 
+  // out = this * x for a sparse x, dense (r,n): each output row starts at +0
+  // and takes out[f] = MulAdd(w, v, out[f]) for each of its nonzeros w in
+  // CSR order and each nonzero (f, v) of x's row. Rows run on the active
+  // backend's threads in nnz-balanced chunks; the bits do not depend on the
+  // thread count. Bit for bit Multiply(x.ToDense()) on either backend
+  // whenever every w is finite and no accumulator underflows to -0: the
+  // dense product's extra terms MulAdd(w, 0, acc) return acc exactly unless
+  // w·0 is NaN or acc is -0. NaN and ±inf in x are entries like any other.
+  Matrix Multiply(const CsrMatrix& x) const;
+
   // out += alpha * (this * x), into a preallocated (r,n) matrix.
   void MultiplyAccum(const Matrix& x, double alpha, Matrix* out) const;
 

@@ -136,19 +136,23 @@ GraphContext GraphContext::Build(graph::Graph g, la::Matrix features) {
   return ctx;
 }
 
-la::Matrix GraphContext::GatherFeatures(const std::vector<int>& nodes) const {
+la::CsrMatrix GraphContext::GatherFeatures(const std::vector<int>& nodes) const {
   const la::CsrMatrix& x = features->mat;
-  la::Matrix out(static_cast<int>(nodes.size()), x.cols());
-  for (int i = 0; i < out.rows(); ++i) {
-    const int v = nodes[static_cast<size_t>(i)];
-    PPFR_DCHECK_GE(v, 0);
-    PPFR_DCHECK_LT(v, x.rows());
-    double* row = out.row(i);
-    for (int64_t k = x.row_ptr()[v]; k < x.row_ptr()[v + 1]; ++k) {
-      row[x.col_idx()[k]] = x.values()[static_cast<size_t>(k)];
-    }
+  const int rows = static_cast<int>(nodes.size());
+  for (const int v : nodes) {
+    PPFR_CHECK(v >= 0 && v < x.rows()) << "node " << v << " is not in the graph";
   }
-  return out;
+  std::vector<int64_t> row_ptr = SliceRowPtr(x.row_ptr(), nodes, rows);
+  std::vector<int> col_idx(static_cast<size_t>(row_ptr.back()));
+  std::vector<double> values(col_idx.size());
+  for (int i = 0; i < rows; ++i) {
+    const int64_t begin = x.row_ptr()[nodes[i]];
+    const int64_t end = x.row_ptr()[nodes[i] + 1];
+    std::copy(x.col_idx().begin() + begin, x.col_idx().begin() + end, col_idx.begin() + row_ptr[i]);
+    std::copy(x.values().begin() + begin, x.values().begin() + end, values.begin() + row_ptr[i]);
+  }
+  return la::CsrMatrix::FromSortedRows(rows, x.cols(), std::move(row_ptr), std::move(col_idx),
+                                       std::move(values));
 }
 
 std::shared_ptr<const ag::SparseOperand> GraphContext::SampledMeanAdj(int fanout,

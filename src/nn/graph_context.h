@@ -7,6 +7,7 @@
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "graph/graph.h"
+#include "la/csr_matrix.h"
 #include "la/matrix.h"
 #include "nn/sampler.h"
 
@@ -39,9 +40,10 @@ struct GraphContext {
   // thread count).
   static GraphContext Build(graph::Graph g, la::Matrix features);
 
-  // Dense copies of the feature rows of `nodes`, one row per entry in order
-  // (the input a block forward's GnnModel::PrepareBlock takes).
-  la::Matrix GatherFeatures(const std::vector<int>& nodes) const;
+  // The feature CSR's rows of `nodes`, one row per entry in order, repeats
+  // allowed: the input a block forward's GnnModel::PrepareBlock takes, and
+  // FromDense of the dense rows it replaces.
+  la::CsrMatrix GatherFeatures(const std::vector<int>& nodes) const;
 
   // Per-epoch sampled GraphSAGE aggregator (fanout neighbours per node).
   std::shared_ptr<const ag::SparseOperand> SampledMeanAdj(int fanout, Rng* rng) const;

@@ -1,6 +1,6 @@
 #include "nn/models.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace ppfr::nn {
 namespace {
@@ -66,7 +66,7 @@ ag::Var Gcn::Forward(ag::Tape& tape, const GraphContext& ctx,
   return conv2_.Forward(tape, h, ctx.gcn_adj);
 }
 
-BlockInputs Gcn::PrepareBlock(const SampledBlock& block, la::Matrix x) const {
+BlockInputs Gcn::PrepareBlock(const SampledBlock& block, la::CsrMatrix x) const {
   CheckBlockFor(kind(), block);
   BlockInputs inputs;
   inputs.agg = block.hops[0].gcn->mat.Multiply(x);
@@ -101,11 +101,11 @@ ag::Var Gat::Forward(ag::Tape& tape, const GraphContext& ctx,
   return conv2_.Forward(tape, h, ctx.edges_with_self);
 }
 
-BlockInputs Gat::PrepareBlock(const SampledBlock& block, la::Matrix x) const {
+BlockInputs Gat::PrepareBlock(const SampledBlock& block, la::CsrMatrix x) const {
   CheckBlockFor(kind(), block);
   PPFR_CHECK_EQ(x.rows(), block.num_inputs());
   BlockInputs inputs;
-  inputs.x = ag::MakeSparseOperand(la::CsrMatrix::FromDense(x), /*symmetric=*/false);
+  inputs.x = ag::MakeSparseOperand(std::move(x), /*symmetric=*/false);
   return inputs;
 }
 
@@ -136,13 +136,17 @@ ag::Var GraphSage::Forward(ag::Tape& tape, const GraphContext& ctx,
   return conv2_.Forward(tape, h, ag::SpMM(agg, h));
 }
 
-BlockInputs GraphSage::PrepareBlock(const SampledBlock& block, la::Matrix x) const {
+BlockInputs GraphSage::PrepareBlock(const SampledBlock& block, la::CsrMatrix x) const {
   CheckBlockFor(kind(), block);
   PPFR_CHECK_EQ(x.rows(), block.num_inputs());
   const int num_self = block.hops[0].num_out();
   BlockInputs inputs;
-  inputs.self = la::Matrix(num_self, x.cols(), la::kUninitialized);
-  std::copy(x.data(), x.data() + inputs.self.size(), inputs.self.data());
+  inputs.self = la::Matrix(num_self, x.cols());
+  for (int r = 0; r < num_self; ++r) {
+    for (int64_t k = x.row_ptr()[r]; k < x.row_ptr()[r + 1]; ++k) {
+      inputs.self(r, x.col_idx()[k]) = x.values()[k];
+    }
+  }
   inputs.agg = block.hops[0].agg->mat.Multiply(x);
   return inputs;
 }

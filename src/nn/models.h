@@ -26,10 +26,11 @@ struct ForwardOptions {
 
 // The parameter-independent first-layer inputs of a block forward, computed
 // once per block by GnnModel::PrepareBlock and read by every forward and
-// replay over that block. Each model fills only what it reads.
+// replay over that block. Each model fills only what it reads; the dense
+// members have F_1's rows only, never F_0's.
 struct BlockInputs {
-  std::shared_ptr<const ag::SparseOperand> x;  // GAT: CSR of the features over F_0
-  la::Matrix self;  // SAGE: features over F_1 (the self term)
+  std::shared_ptr<const ag::SparseOperand> x;  // GAT: the feature CSR over F_0, adopted
+  la::Matrix self;  // SAGE: features over F_1 (the self term), densified
   la::Matrix agg;   // the first aggregation over F_1: Â·X (GCN), mean·X (SAGE)
 };
 
@@ -41,12 +42,13 @@ class GnnModel {
 
   virtual ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                           const ForwardOptions& options) = 0;
-  // The inputs ForwardBlock reads, from `x`, the features of block.frontier
-  // (one row per frontier node). GCN and SAGE aggregate their first layer
-  // here, so a block forward never touches the 2-hop rows again; GAT's
-  // attention needs the 2-hop features themselves, which it keeps as their
-  // CSR so its first layer is an SpMM like the full-graph one.
-  virtual BlockInputs PrepareBlock(const SampledBlock& block, la::Matrix x) const = 0;
+  // The inputs ForwardBlock reads, from `x`, the feature CSR rows of
+  // block.frontier (one row per frontier node; no dense frontier matrix is
+  // built). GCN and SAGE aggregate their first layer here with the
+  // sparse-RHS la::CsrMatrix::Multiply, so a block forward never touches the
+  // 2-hop rows again; SAGE densifies only its F_1 self rows. GAT's attention
+  // needs the 2-hop features themselves: it adopts x as its operand.
+  virtual BlockInputs PrepareBlock(const SampledBlock& block, la::CsrMatrix x) const = 0;
   // Forward over a 2-hop block (nn/sampler.h): logits for the block's
   // targets, block.num_targets() rows in frontier order. GCN and GAT need an
   // exact block (GraphContext::ExactBlock); SAGE also runs on sampled
@@ -74,7 +76,7 @@ class Gcn final : public GnnModel {
 
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                   const ForwardOptions& options) override;
-  BlockInputs PrepareBlock(const SampledBlock& block, la::Matrix x) const override;
+  BlockInputs PrepareBlock(const SampledBlock& block, la::CsrMatrix x) const override;
   ag::Var ForwardBlock(ag::Tape& tape, const SampledBlock& block,
                        const BlockInputs& inputs) override;
   std::vector<ag::Parameter*> Params() override;
@@ -93,7 +95,7 @@ class Gat final : public GnnModel {
 
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                   const ForwardOptions& options) override;
-  BlockInputs PrepareBlock(const SampledBlock& block, la::Matrix x) const override;
+  BlockInputs PrepareBlock(const SampledBlock& block, la::CsrMatrix x) const override;
   ag::Var ForwardBlock(ag::Tape& tape, const SampledBlock& block,
                        const BlockInputs& inputs) override;
   std::vector<ag::Parameter*> Params() override;
@@ -112,7 +114,7 @@ class GraphSage final : public GnnModel {
 
   ag::Var Forward(ag::Tape& tape, const GraphContext& ctx,
                   const ForwardOptions& options) override;
-  BlockInputs PrepareBlock(const SampledBlock& block, la::Matrix x) const override;
+  BlockInputs PrepareBlock(const SampledBlock& block, la::CsrMatrix x) const override;
   ag::Var ForwardBlock(ag::Tape& tape, const SampledBlock& block,
                        const BlockInputs& inputs) override;
   std::vector<ag::Parameter*> Params() override;

@@ -58,12 +58,12 @@ TrainStats Train(GnnModel* model, const GraphContext& ctx,
 
 // Data access for neighbour-sampled mini-batch training at scale: the CSR
 // adjacency the sampler walks (non-owning) plus a feature gather producing
-// the rows for a frontier of global node ids on demand — at no point does a
-// full feature matrix exist. data::ScaleDataset::GatherFeatures binds
-// directly; a dense feature matrix binds via a row-copy lambda in tests.
+// the CSR rows of a frontier of global node ids on demand (one row per id,
+// in order) — at no point does a full feature matrix, or a dense frontier
+// matrix, exist. data::ScaleDataset::GatherFeatures binds directly.
 struct SampledTrainSpec {
   const graph::CsrAdjacency* adj = nullptr;
-  std::function<la::Matrix(const std::vector<int>&)> gather_features;
+  std::function<la::CsrMatrix(const std::vector<int>&)> gather_features;
 };
 
 // Neighbour-sampled mini-batch training (GraphSAGE only — sampled blocks

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <string>
 
@@ -14,6 +13,7 @@
 namespace ppfr::graph {
 namespace {
 
+using ::ppfr::testing::ExpectSameCsrBits;
 using ::ppfr::testing::SmallGraph;
 
 TEST(GraphTest, FromEdgesCanonicalizes) {
@@ -83,20 +83,6 @@ TEST(GraphOpsTest, SampledMeanAggregationRespectsFanout) {
       }
       EXPECT_NEAR(sum, 1.0, 1e-12);
     }
-  }
-}
-
-// The same CSR arrays, values compared bit for bit.
-void ExpectSameCsrBits(const la::CsrMatrix& got, const la::CsrMatrix& want) {
-  EXPECT_EQ(got.rows(), want.rows());
-  EXPECT_EQ(got.cols(), want.cols());
-  EXPECT_EQ(got.row_ptr(), want.row_ptr());
-  EXPECT_EQ(got.col_idx(), want.col_idx());
-  ASSERT_EQ(got.values().size(), want.values().size());
-  for (size_t k = 0; k < want.values().size(); ++k) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(got.values()[k]),
-              std::bit_cast<uint64_t>(want.values()[k]))
-        << "entry " << k;
   }
 }
 

@@ -25,6 +25,7 @@
 namespace ppfr::la {
 namespace {
 
+using ::ppfr::testing::ExpectSameMatrixBytes;
 using ::ppfr::testing::RandomMatrix;
 using ::ppfr::testing::ScopedEnvVar;
 
@@ -462,6 +463,74 @@ TEST(BackendParityTest, SpmmPowerLawDegreeGraph) {
     sparse.MultiplyAccum(x, 2.0, &out);
     return out;
   });
+}
+
+// x of `rows` x `width` with about a fifth of its entries set, from
+// U(-2, 2), and rows 0 mod 9 empty. A few entries are NaN (the hardware's
+// default NaN, which inf - inf also gives, so every NaN in either product
+// has the same bits), +inf or -inf.
+CsrMatrix SparseRhs(int rows, int width, Rng* rng) {
+  volatile double inf = std::numeric_limits<double>::infinity();
+  const double nan = inf - inf;
+  std::vector<int64_t> row_ptr(static_cast<size_t>(rows) + 1, 0);
+  std::vector<int> col_idx;
+  std::vector<double> values;
+  for (int r = 0; r < rows; ++r) {
+    if (r % 9 != 0) {
+      for (int c = 0; c < width; ++c) {
+        if (rng->Uniform() >= 0.2) continue;
+        col_idx.push_back(c);
+        values.push_back(r % 997 == 1 ? nan
+                         : r % 997 == 2 ? inf
+                         : r % 997 == 3 ? -inf
+                                        : rng->Uniform(-2.0, 2.0));
+      }
+    }
+    row_ptr[static_cast<size_t>(r) + 1] = static_cast<int64_t>(col_idx.size());
+  }
+  return CsrMatrix::FromSortedRows(rows, width, std::move(row_ptr), std::move(col_idx),
+                                   std::move(values));
+}
+
+// The sparse-RHS product is Multiply(x.ToDense()) bit for bit, on both
+// backends and at 1 and 4 threads, for finite weights of both signs: an
+// operator with empty rows and a 5,000-nonzero hub row, against an x with
+// empty rows, NaN and ±inf entries, at widths across the dense SpMM's 8-
+// and 32-column blocking, and on empty shapes.
+TEST(CsrMatrixTest, SparseRhsMultiplyEqualsDenseProductBitwise) {
+  Rng rng(26);
+  const int n = 6000;
+  std::vector<Triplet> triplets;
+  for (int j = 0; j < n; ++j) {
+    if (j % 6 != 0) triplets.push_back({3, j, rng.Normal()});  // the hub: 5,000 columns
+  }
+  for (int i = 0; i < 400; ++i) {
+    if (i == 3 || i % 5 == 0) continue;
+    for (int d = 0; d < 1 + i % 13; ++d) {
+      triplets.push_back({i, static_cast<int>(rng.UniformInt(n)), rng.Normal()});
+    }
+  }
+  const CsrMatrix a = CsrMatrix::FromTriplets(400, n, triplets);
+  ASSERT_EQ(a.row_ptr()[4] - a.row_ptr()[3], 5000);
+  for (const auto& [kind, threads] : {std::pair{BackendKind::kReference, 1},
+                                      std::pair{BackendKind::kParallel, 1},
+                                      std::pair{BackendKind::kParallel, 4}}) {
+    SCOPED_TRACE(BackendKindName(kind) + " threads=" + std::to_string(threads));
+    ScopedBackend scoped(kind, threads);
+    for (const int width : {1, 7, 8, 24, 32, 33, 96, 128}) {
+      SCOPED_TRACE("width=" + std::to_string(width));
+      const CsrMatrix x = SparseRhs(n, width, &rng);
+      ExpectSameMatrixBytes(a.Multiply(x), a.Multiply(x.ToDense()));
+    }
+    const CsrMatrix x = SparseRhs(n, 8, &rng);
+    ExpectSameMatrixBytes(CsrMatrix(0, n).Multiply(x), CsrMatrix(0, n).Multiply(x.ToDense()));
+    const CsrMatrix no_cols = SparseRhs(n, 0, &rng);
+    ExpectSameMatrixBytes(a.Multiply(no_cols), a.Multiply(no_cols.ToDense()));
+    const CsrMatrix no_rows(0, 8);
+    const CsrMatrix no_inner(5, 0);
+    ExpectSameMatrixBytes(no_inner.Multiply(no_rows), no_inner.Multiply(no_rows.ToDense()));
+    EXPECT_EQ(no_inner.Multiply(no_rows).MaxAbs(), 0.0);
+  }
 }
 
 TEST(CsrMatrixTest, MultiplyAccumRowsMatchesFullProductOnSubset) {

@@ -17,6 +17,7 @@
 namespace ppfr::la {
 namespace {
 
+using ::ppfr::testing::ExpectSameCsrBits;
 using ::ppfr::testing::RandomMatrix;
 
 TEST(MatrixTest, ConstructionAndIndexing) {
@@ -172,19 +173,6 @@ TEST(CsrMatrixTest, TransposedIsCorrect) {
   EXPECT_DOUBLE_EQ(t.At(2, 1), -2.0);
 }
 
-void ExpectSameCsr(const CsrMatrix& want, const CsrMatrix& got) {
-  EXPECT_EQ(got.rows(), want.rows());
-  EXPECT_EQ(got.cols(), want.cols());
-  EXPECT_EQ(got.row_ptr(), want.row_ptr());
-  EXPECT_EQ(got.col_idx(), want.col_idx());
-  ASSERT_EQ(got.values().size(), want.values().size());
-  for (size_t k = 0; k < want.values().size(); ++k) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(got.values()[k]),
-              std::bit_cast<uint64_t>(want.values()[k]))
-        << "entry " << k;
-  }
-}
-
 // The counting-sort transpose equals the triplet-built one bit for bit:
 // rectangular shapes both ways, empty rows and columns, and no entries.
 TEST(CsrMatrixTest, TransposedEqualsTripletTranspose) {
@@ -208,7 +196,7 @@ TEST(CsrMatrixTest, TransposedEqualsTripletTranspose) {
         flipped.push_back({m.col_idx()[k], r, m.values()[k]});
       }
     }
-    ExpectSameCsr(CsrMatrix::FromTriplets(cols, rows, flipped), m.Transposed());
+    ExpectSameCsrBits(m.Transposed(), CsrMatrix::FromTriplets(cols, rows, flipped));
   }
 }
 
@@ -258,7 +246,7 @@ TEST(CsrMatrixTest, FromDenseEqualsSerialBuildAtAnyThreadCount) {
     for (const Matrix* dense : cases) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " " +
                    std::to_string(dense->rows()) + "x" + std::to_string(dense->cols()));
-      ExpectSameCsr(SerialFromDense(*dense), CsrMatrix::FromDense(*dense));
+      ExpectSameCsrBits(CsrMatrix::FromDense(*dense), SerialFromDense(*dense));
     }
   }
   const CsrMatrix m = CsrMatrix::FromDense(small);

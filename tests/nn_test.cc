@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -26,6 +25,9 @@
 
 namespace ppfr::nn {
 namespace {
+
+using ::ppfr::testing::ExpectSameCsrBits;
+using ::ppfr::testing::ExpectSameMatrixBytes;
 
 struct Fixture {
   data::NodeClassificationData data;
@@ -52,19 +54,6 @@ TEST(InitTest, GlorotBoundsAndSpread) {
   EXPECT_NEAR(sum / w.size(), 0.0, 0.02);   // centred
 }
 
-// The same CSR arrays, values compared bit for bit.
-void ExpectSameCsrBits(const la::CsrMatrix& got, const la::CsrMatrix& want) {
-  EXPECT_EQ(got.rows(), want.rows());
-  EXPECT_EQ(got.cols(), want.cols());
-  EXPECT_EQ(got.row_ptr(), want.row_ptr());
-  EXPECT_EQ(got.col_idx(), want.col_idx());
-  ASSERT_EQ(got.values().size(), want.values().size());
-  for (size_t k = 0; k < want.values().size(); ++k) {
-    ASSERT_EQ(std::bit_cast<uint64_t>(got.values()[k]), std::bit_cast<uint64_t>(want.values()[k]))
-        << "entry " << k;
-  }
-}
-
 TEST(GraphContextTest, BuildsAllOperators) {
   Fixture f;
   EXPECT_EQ(f.ctx.num_nodes(), f.data.graph.num_nodes());
@@ -78,14 +67,20 @@ TEST(GraphContextTest, BuildsAllOperators) {
   }
   EXPECT_EQ(f.ctx.features->mat.nnz(), nonzeros);
   EXPECT_EQ(la::Sub(f.ctx.features->mat.ToDense(), f.data.features).MaxAbs(), 0.0);
+  // A gather slices the CSR's rows: FromDense of the dense rows, a repeated
+  // node included.
   const std::vector<int> nodes{7, 0, 7};
-  const la::Matrix gathered = f.ctx.GatherFeatures(nodes);
+  const la::CsrMatrix gathered = f.ctx.GatherFeatures(nodes);
   ASSERT_EQ(gathered.rows(), 3);
+  la::Matrix dense_rows(3, f.data.features.cols());
   for (int i = 0; i < 3; ++i) {
-    for (int c = 0; c < gathered.cols(); ++c) {
-      EXPECT_EQ(gathered(i, c), f.data.features(nodes[static_cast<size_t>(i)], c));
+    for (int c = 0; c < dense_rows.cols(); ++c) {
+      dense_rows(i, c) = f.data.features(nodes[static_cast<size_t>(i)], c);
     }
   }
+  ExpectSameCsrBits(gathered, la::CsrMatrix::FromDense(dense_rows));
+  EXPECT_EQ(la::Sub(gathered.ToDense(), dense_rows).MaxAbs(), 0.0);
+  EXPECT_EQ(f.ctx.GatherFeatures({}).rows(), 0);
   EXPECT_NE(f.ctx.gcn_adj, nullptr);
   EXPECT_NE(f.ctx.mean_adj, nullptr);
   ASSERT_NE(f.ctx.edges_with_self, nullptr);
@@ -108,6 +103,15 @@ TEST(GraphContextTest, BuildsAllOperators) {
     la::ScopedBackend scoped(la::BackendKind::kParallel, threads);
     GraphContext ctx = GraphContext::Build(large.graph, large.features);
     EXPECT_EQ(la::Sub(ctx.features->mat.ToDense(), large.features).MaxAbs(), 0.0);
+    // Rows 0 (empty) and 1 (dense, non-binary) gathered, one of them twice.
+    const std::vector<int> picked{1, 0, 1, 7};
+    la::Matrix picked_rows(4, large.features.cols());
+    for (int i = 0; i < 4; ++i) {
+      std::copy(large.features.row(picked[static_cast<size_t>(i)]),
+                large.features.row(picked[static_cast<size_t>(i)]) + picked_rows.cols(),
+                picked_rows.row(i));
+    }
+    ExpectSameCsrBits(ctx.GatherFeatures(picked), la::CsrMatrix::FromDense(picked_rows));
     const ag::EdgeSet& edges = *ctx.edges_with_self;
     ASSERT_EQ(edges.num_nodes, large.graph.num_nodes());
     for (int v = 0; v < large.graph.num_nodes(); ++v) {
@@ -318,6 +322,81 @@ TEST(GraphContextTest, ExactBlockEqualsPerOperatorRowSort) {
   SCOPED_TRACE("ScaleDataset");
   const HubLedBlock hubs = MakeHubLedBlock();
   ExpectBlockEqualsPairSortedRows(hubs.ctx, hubs.targets);
+}
+
+// PrepareBlock as it was while feature gathers returned dense rows: the
+// frontier's rows gathered into a dense matrix, then Â·X or mean·X by the
+// dense SpMM, SAGE's self rows copied out of it, and GAT's operand built by
+// FromDense.
+BlockInputs DenseGatherPrepareBlock(ModelKind kind, const GraphContext& ctx,
+                                    const SampledBlock& block) {
+  const la::CsrMatrix& features = ctx.features->mat;
+  la::Matrix x(block.num_inputs(), features.cols());
+  for (int i = 0; i < x.rows(); ++i) {
+    const int v = block.frontier[static_cast<size_t>(i)];
+    for (int64_t k = features.row_ptr()[v]; k < features.row_ptr()[v + 1]; ++k) {
+      x(i, features.col_idx()[static_cast<size_t>(k)]) = features.values()[static_cast<size_t>(k)];
+    }
+  }
+  BlockInputs inputs;
+  switch (kind) {
+    case ModelKind::kGcn:
+      inputs.agg = block.hops[0].gcn->mat.Multiply(x);
+      break;
+    case ModelKind::kGat:
+      inputs.x = ag::MakeSparseOperand(la::CsrMatrix::FromDense(x), /*symmetric=*/false);
+      break;
+    case ModelKind::kGraphSage:
+      inputs.self = la::Matrix(block.hops[0].num_out(), x.cols());
+      std::copy(x.data(), x.data() + inputs.self.size(), inputs.self.data());
+      inputs.agg = block.hops[0].agg->mat.Multiply(x);
+      break;
+  }
+  return inputs;
+}
+
+void ExpectBlockInputsEqualDenseGatherPath(const GraphContext& ctx,
+                                           const std::vector<int>& targets) {
+  const SampledBlock block = ctx.ExactBlock(targets);
+  for (const ModelKind kind : {ModelKind::kGcn, ModelKind::kGat, ModelKind::kGraphSage}) {
+    const auto model = MakeModel(kind, ctx.feature_dim(), 3, 5);
+    for (const auto& [backend, threads] :
+         {std::pair{la::BackendKind::kReference, 1}, std::pair{la::BackendKind::kParallel, 1},
+          std::pair{la::BackendKind::kParallel, 4}}) {
+      SCOPED_TRACE(ModelKindName(kind) + " " + la::BackendKindName(backend) + " threads=" +
+                   std::to_string(threads));
+      la::ScopedBackend scoped(backend, threads);
+      const BlockInputs got = model->PrepareBlock(block, ctx.GatherFeatures(block.frontier));
+      const BlockInputs want = DenseGatherPrepareBlock(kind, ctx, block);
+      ExpectSameMatrixBytes(got.agg, want.agg);
+      ExpectSameMatrixBytes(got.self, want.self);
+      ASSERT_EQ(got.x == nullptr, want.x == nullptr);
+      if (want.x != nullptr) ExpectSameCsrBits(got.x->mat, want.x->mat);
+    }
+  }
+}
+
+// The feature gathers hand PrepareBlock CSR rows, and no block path builds
+// a dense frontier matrix: every model's inputs keep the dense path's bits.
+// The SBM context's features are scaled off 1, so that the products round
+// and a sum written without la::MulAdd shows at -O0, and it holds an empty
+// and a dense feature row; the hub-led frontier's leading rows aggregate
+// hundreds of columns each.
+TEST(BlockInputsTest, EqualTheDenseGatherPathBitForBit) {
+  {
+    SCOPED_TRACE("SBM");
+    data::NodeClassificationData data = ppfr::testing::SmallSbm(42);
+    Rng rng(8);
+    for (int64_t i = 0; i < data.features.size(); ++i) {
+      data.features.data()[i] *= rng.Uniform(0.5, 1.5);
+    }
+    ppfr::testing::AddFeatureEdgeRows(&data);
+    const GraphContext ctx = GraphContext::Build(data.graph, data.features);
+    ExpectBlockInputsEqualDenseGatherPath(ctx, {7, 0, 33, 90, 1, 5});
+  }
+  SCOPED_TRACE("ScaleDataset");
+  const HubLedBlock hubs = MakeHubLedBlock();
+  ExpectBlockInputsEqualDenseGatherPath(hubs.ctx, hubs.targets);
 }
 
 TEST(GraphContextDeathTest, ExactBlockRejectsDuplicateTargets) {

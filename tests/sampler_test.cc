@@ -336,12 +336,12 @@ TEST(SampledTrainingDeathTest, GuardsMisuse) {
   const nn::SampledBlock block = sampler.SampleBlock({4, 9}, 0, 0);
   for (nn::ModelKind kind : {nn::ModelKind::kGcn, nn::ModelKind::kGat}) {
     auto model = nn::MakeModel(kind, 24, 3, 1);
-    EXPECT_DEATH(model->PrepareBlock(block, la::Matrix(block.num_inputs(), 24)),
+    EXPECT_DEATH(model->PrepareBlock(block, la::CsrMatrix(block.num_inputs(), 24)),
                  "no sampled mini-batch forward path");
   }
   // A block forward needs two hops.
   auto sage = nn::MakeModel(nn::ModelKind::kGraphSage, 24, 3, 1);
-  EXPECT_DEATH(sage->PrepareBlock(nn::SampledBlock{}, la::Matrix(1, 24)),
+  EXPECT_DEATH(sage->PrepareBlock(nn::SampledBlock{}, la::CsrMatrix(1, 24)),
                "needs a 2-hop block");
 }
 

@@ -26,11 +26,14 @@
 #include "graph/csr_builder.h"
 #include "graph/graph.h"
 #include "la/backend.h"
+#include "la/csr_matrix.h"
 #include "la/matrix.h"
 #include "test_util.h"
 
 namespace ppfr {
 namespace {
+
+using ::ppfr::testing::ExpectSameCsrBits;
 
 data::ScaleGraphConfig SmallScaleConfig(int64_t nodes = 2000) {
   data::ScaleGraphConfig cfg;
@@ -222,6 +225,13 @@ TEST(ScaleGenDeathTest, RejectsNonFiniteConfigs) {
   cfg = SmallScaleConfig(1000);
   cfg.homophily = std::nan("");
   EXPECT_DEATH(stream(cfg), "homophily .* is not finite");
+}
+
+// A feature row is drawn as one 64-bit mask.
+TEST(ScaleDatasetDeathTest, RejectsFeatureRowsWiderThanAMask) {
+  data::ScaleGraphConfig cfg = SmallScaleConfig(1000);
+  cfg.feature_dim = 65;
+  EXPECT_DEATH(data::ScaleDataset(cfg, 1), "64-bit mask");
 }
 
 TEST(ScaleGenTest, EndpointsStayInRangeAndDegreeIsCalibrated) {
@@ -430,21 +440,38 @@ TEST(CsrBuilderDeathTest, RejectsNonReplayableStreams) {
                "replay");
 }
 
+// FromDense of FillFeatureRow's rows for `nodes`: what GatherFeatures
+// returns, entry for entry.
+la::CsrMatrix FillFeatureRowsAsCsr(const data::ScaleDataset& dataset,
+                                   const std::vector<int>& nodes) {
+  la::Matrix rows(static_cast<int>(nodes.size()), dataset.config().feature_dim);
+  for (int r = 0; r < rows.rows(); ++r) {
+    dataset.FillFeatureRow(nodes[static_cast<size_t>(r)], rows.row(r));
+  }
+  return la::CsrMatrix::FromDense(rows);
+}
+
 TEST(ScaleDatasetTest, FeatureRowsRegenerateInIsolation) {
   const data::ScaleDataset dataset(SmallScaleConfig(), 23);
   const la::Matrix all = dataset.MaterializeFeatures();
 
   // Any gather, in any order, any number of times, reproduces the same rows.
   const std::vector<int> nodes = {1999, 3, 512, 3, 0};
-  const la::Matrix gathered = dataset.GatherFeatures(nodes);
+  const la::CsrMatrix gathered = dataset.GatherFeatures(nodes);
   ASSERT_EQ(gathered.rows(), static_cast<int>(nodes.size()));
   ASSERT_EQ(gathered.cols(), all.cols());
+  ExpectSameCsrBits(gathered, FillFeatureRowsAsCsr(dataset, nodes));
+  const la::Matrix dense = gathered.ToDense();
   for (size_t i = 0; i < nodes.size(); ++i) {
     for (int f = 0; f < all.cols(); ++f) {
-      ASSERT_EQ(gathered(static_cast<int>(i), f), all(nodes[i], f))
+      ASSERT_EQ(dense(static_cast<int>(i), f), all(nodes[i], f))
           << "node " << nodes[i] << " feature " << f;
     }
   }
+  const la::CsrMatrix none = dataset.GatherFeatures({});
+  EXPECT_EQ(none.rows(), 0);
+  EXPECT_EQ(none.cols(), all.cols());
+  EXPECT_EQ(none.nnz(), 0);
 
   // Signature structure: a node's class signature window fires far more often
   // than the noise floor, aggregated over a block.
@@ -463,29 +490,72 @@ TEST(ScaleDatasetTest, FeatureRowsRegenerateInIsolation) {
   EXPECT_GT(sig_mass / sig_count, 5.0 * (noise_mass / noise_count));
 }
 
-// GatherFeatures and MaterializeFeatures write into uninitialised buffers
-// (NaN-filled in builds without NDEBUG) from the backend's threads: every row
-// must be FillFeatureRow's, bit for bit, at any thread count.
+// Feature rows as the generator drew them before rows were drawn as masks
+// (one Bernoulli draw per feature, in feature order, written as 1.0 or 0.0):
+// bit f of `mask` is feature f of the node's row.
+TEST(ScaleDatasetTest, FeatureRowsKeepTheirRecordedBits) {
+  struct Recorded {
+    int64_t num_nodes;
+    int num_blocks;
+    int feature_dim;
+    double average_degree;
+    uint64_t seed;
+    int64_t node;
+    uint64_t mask;
+  };
+  const Recorded recorded[] = {
+      {2000, 4, 32, 8.0, 23, 0, 0x000000b8},    {2000, 4, 32, 8.0, 23, 3, 0x0000209c},
+      {2000, 4, 32, 8.0, 23, 512, 0x0000e200},  {2000, 4, 32, 8.0, 23, 1999, 0x4e000000},
+      {2000, 4, 32, 8.0, 41, 1, 0x000820ac},    {2000, 4, 32, 8.0, 41, 777, 0x00108c04},
+      {2000, 4, 32, 8.0, 41, 1500, 0x88000000}, {900, 3, 24, 6.0, 41, 0, 0x0000008d},
+      {900, 3, 24, 6.0, 41, 450, 0x00004500},   {900, 3, 24, 6.0, 41, 899, 0x00314000},
+  };
+  for (const Recorded& r : recorded) {
+    SCOPED_TRACE("seed " + std::to_string(r.seed) + " node " + std::to_string(r.node));
+    data::ScaleGraphConfig cfg = SmallScaleConfig(r.num_nodes);
+    cfg.num_blocks = r.num_blocks;
+    cfg.feature_dim = r.feature_dim;
+    cfg.average_degree = r.average_degree;
+    const data::ScaleDataset dataset(cfg, r.seed);
+    std::vector<double> row(static_cast<size_t>(cfg.feature_dim));
+    dataset.FillFeatureRow(r.node, row.data());
+    for (int f = 0; f < cfg.feature_dim; ++f) {
+      EXPECT_EQ(row[static_cast<size_t>(f)], (r.mask >> f & 1) != 0 ? 1.0 : 0.0) << "feature " << f;
+    }
+  }
+}
+
+// GatherFeatures runs two passes over disjoint rows, and MaterializeFeatures
+// writes into an uninitialised buffer (NaN-filled in builds without NDEBUG),
+// both on the backend's threads: the gather must be FromDense of
+// FillFeatureRow's rows, and every materialised row FillFeatureRow's, bit for
+// bit, at any thread count.
 TEST(ScaleDatasetTest, FeatureFillsEqualFillFeatureRowAtAnyThreadCount) {
   const data::ScaleDataset dataset(SmallScaleConfig(), 41);
   const int dim = dataset.config().feature_dim;
   std::vector<int> nodes = dataset.StridedNodes(1500, /*salt=*/3);  // several row chunks
   nodes.push_back(nodes.front());
+  nodes.push_back(nodes[700]);
   std::vector<double> want(static_cast<size_t>(dim));
   const auto expect_row = [&](const la::Matrix& m, int r, int64_t v) {
     dataset.FillFeatureRow(v, want.data());
     ASSERT_EQ(std::memcmp(m.row(r), want.data(), want.size() * sizeof(double)), 0)
         << "row " << r << " node " << v;
   };
+  // A full 64-bit mask: feature 63 is noise, on in about 2% of rows.
+  data::ScaleGraphConfig wide_cfg = SmallScaleConfig();
+  wide_cfg.feature_dim = 64;
+  const data::ScaleDataset wide(wide_cfg, 41);
+  std::vector<int> all_nodes(static_cast<size_t>(wide.num_nodes()));
+  for (int v = 0; v < wide.num_nodes(); ++v) all_nodes[static_cast<size_t>(v)] = v;
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     la::ScopedBackend scoped(la::BackendKind::kParallel, threads);
-    const la::Matrix gathered = dataset.GatherFeatures(nodes);
-    ASSERT_EQ(gathered.rows(), static_cast<int>(nodes.size()));
-    ASSERT_EQ(gathered.cols(), dim);
-    for (int r = 0; r < gathered.rows(); ++r) {
-      expect_row(gathered, r, nodes[static_cast<size_t>(r)]);
-    }
+    ExpectSameCsrBits(dataset.GatherFeatures(nodes), FillFeatureRowsAsCsr(dataset, nodes));
+    ExpectSameCsrBits(dataset.GatherFeatures({}), FillFeatureRowsAsCsr(dataset, {}));
+    const la::CsrMatrix wide_rows = wide.GatherFeatures(all_nodes);
+    ExpectSameCsrBits(wide_rows, FillFeatureRowsAsCsr(wide, all_nodes));
+    EXPECT_NE(std::count(wide_rows.col_idx().begin(), wide_rows.col_idx().end(), 63), 0);
     const la::Matrix all = dataset.MaterializeFeatures();
     ASSERT_EQ(all.rows(), static_cast<int>(dataset.num_nodes()));
     for (int v = 0; v < all.rows(); ++v) expect_row(all, v, v);

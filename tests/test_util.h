@@ -1,7 +1,12 @@
 #ifndef PPFR_TESTS_TEST_UTIL_H_
 #define PPFR_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -9,6 +14,7 @@
 #include "common/rng.h"
 #include "data/sbm.h"
 #include "graph/graph.h"
+#include "la/csr_matrix.h"
 #include "la/matrix.h"
 
 namespace ppfr::testing {
@@ -35,6 +41,29 @@ class ScopedEnvVar {
   const char* name_;
   std::optional<std::string> previous_;
 };
+
+// The same CSR arrays, values compared bit for bit.
+inline void ExpectSameCsrBits(const la::CsrMatrix& got, const la::CsrMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  for (size_t k = 0; k < want.values().size(); ++k) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.values()[k]), std::bit_cast<uint64_t>(want.values()[k]))
+        << "entry " << k;
+  }
+}
+
+// The same shape and the same bytes (NaN payloads and signed zeros
+// included).
+inline void ExpectSameMatrixBytes(const la::Matrix& got, const la::Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  if (want.size() == 0) return;  // memcmp may not see a null buffer
+  ASSERT_EQ(std::memcmp(got.data(), want.data(), static_cast<size_t>(want.size()) * sizeof(double)),
+            0);
+}
 
 // A small deterministic SBM instance for fast tests.
 inline data::NodeClassificationData SmallSbm(uint64_t seed = 42, int num_nodes = 120,
