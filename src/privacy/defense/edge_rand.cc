@@ -27,8 +27,11 @@ graph::Graph EdgeRand(const graph::Graph& g, double epsilon, uint64_t seed) {
     int64_t cursor = -1;
     while (true) {
       const double u = std::max(rng.Uniform(), 1e-300);
-      cursor += 1 + static_cast<int64_t>(std::floor(std::log(u) / log1mp));
-      if (cursor >= num_pairs) break;
+      // The skip stays a double until it is known to land inside the range:
+      // from ε ≈ 43 it can exceed 2^63, where the conversion is undefined.
+      const double skip = std::floor(std::log(u) / log1mp);
+      if (skip >= static_cast<double>(num_pairs - 1 - cursor)) break;
+      cursor += 1 + static_cast<int64_t>(skip);
       flipped.insert(cursor);
     }
   }

@@ -12,6 +12,7 @@
 #include "common/recoverable.h"
 #include "common/stopwatch.h"
 #include "la/backend.h"
+#include "la/matrix.h"
 #include "nn/trainer.h"
 
 namespace ppfr::runner {
@@ -206,6 +207,7 @@ SweepResult RunSweep(const Sweep& sweep, RunCache* cache,
   ParallelCells(cells.size(), threads, run_cell);
 
   result.wall_seconds = wall.ElapsedSeconds();
+  result.process_peak_rss_bytes = la::ProcessPeakRssBytes();
   result.cache_stats = Delta(cache->stats(), stats_before);
   result.trainer_invocations = nn::TrainInvocationCount() - trains_before;
   for (const CellResult& cell : result.cells) {
@@ -284,7 +286,7 @@ std::string WriteArtifact(const SweepResult& result, const std::string& dir,
   const bool stable = options.stable;
   JsonWriter w;
   w.BeginObject();
-  w.Key("schema_version").Int(6);
+  w.Key("schema_version").Int(7);
   w.Key("sweep").String(result.name);
   w.Key("title").String(result.title);
   w.Key("backend").String(la::ActiveBackend().name());
@@ -296,6 +298,7 @@ std::string WriteArtifact(const SweepResult& result, const std::string& dir,
   w.EndArray();
   w.Key("stable").Bool(stable);
   w.Key("wall_seconds").Number(stable ? 0.0 : result.wall_seconds);
+  w.Key("process_peak_rss_bytes").Int(stable ? 0 : result.process_peak_rss_bytes);
   w.Key("trainer_invocations").Int(stable ? 0 : result.trainer_invocations);
   // failed_cells and the interrupt state stay REAL in stable mode: a failed
   // or skipped cell already differs numerically (NaN metrics), and hiding

@@ -62,6 +62,9 @@ struct SweepResult {
   std::vector<CellResult> cells;
   std::vector<uint64_t> seeds;  // expansion list; empty = single-seed run
   double wall_seconds = 0.0;
+  // The process's peak resident set (la::ProcessPeakRssBytes) when the sweep
+  // ended: everything the process held up to then, earlier sweeps included.
+  int64_t process_peak_rss_bytes = 0;
   int threads = 1;
   uint64_t env_seed = 0;
   RunCache::Stats cache_stats;      // cache state delta over this sweep
@@ -122,10 +125,10 @@ void ParallelCells(size_t n, int threads, const std::function<void(size_t)>& fn)
 
 struct ArtifactOptions {
   // Stable mode zeroes the fields that legitimately vary between otherwise
-  // identical runs — wall/cell seconds, cache hit/miss/disk counters,
-  // trainer invocations, per-cell cache_hit and the runner and backend
-  // thread counts (results are thread-count invariant by contract) —
-  // so two runs of the same sweep (e.g. cold vs warm --run_cache_dir,
+  // identical runs — wall/cell seconds, the process peak RSS, cache
+  // hit/miss/disk counters, trainer invocations, per-cell cache_hit and the
+  // runner and backend thread counts (results are thread-count invariant by
+  // contract) — so two runs of the same sweep (e.g. cold vs warm --run_cache_dir,
   // killed-then-re-run vs uninterrupted, serial vs scheduled) produce
   // bitwise-identical files iff their numeric results are bitwise identical.
   // The backend name stays: different backends give different bits.
@@ -134,7 +137,7 @@ struct ArtifactOptions {
   bool stable = false;
 };
 
-// Writes the uniform BENCH_<name>.json artifact (schema_version 6; the
+// Writes the uniform BENCH_<name>.json artifact (schema_version 7; the
 // version history is in EXPERIMENTS.md, "Artifacts"); returns its path.
 std::string WriteArtifact(const SweepResult& result, const std::string& dir = ".",
                           const ArtifactOptions& options = {});

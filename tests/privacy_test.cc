@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "core/experiment.h"
+#include "data/datasets.h"
 #include "privacy/attack/link_stealing.h"
 #include "privacy/attack/pair_sampler.h"
 #include "privacy/defense/edge_rand.h"
 #include "privacy/defense/heterophilic_perturbation.h"
 #include "privacy/defense/lap_graph.h"
+#include "privacy/defense/lap_graph_internal.h"
 #include "privacy/distance.h"
 #include "privacy/risk_metric.h"
 #include "test_util.h"
@@ -15,6 +21,12 @@ namespace ppfr::privacy {
 namespace {
 
 using ::ppfr::testing::SmallSbm;
+
+std::vector<std::pair<int, int>> EdgeList(const graph::Graph& g) {
+  std::vector<std::pair<int, int>> out;
+  for (const graph::Edge& e : g.Edges()) out.emplace_back(e.u, e.v);
+  return out;
+}
 
 TEST(DistanceTest, KnownValues) {
   const std::vector<double> a{1, 0, 0};
@@ -152,6 +164,131 @@ TEST(EdgeRandTest, DeterministicInSeed) {
   const graph::Graph b = EdgeRand(data.graph, 4.0, 11);
   EXPECT_EQ(a.num_edges(), b.num_edges());
   for (const auto& e : a.Edges()) EXPECT_TRUE(b.HasEdge(e.u, e.v));
+}
+
+// Above ε ≈ 43 the geometric skip passes 2^63; the walk must stop on it as a
+// double instead of wrapping the cursor into garbage pairs.
+TEST(EdgeRandTest, HugeEpsilonReturnsTheInputGraph) {
+  const auto data = SmallSbm(15, 300, 3);
+  for (const double eps : {43.0, 50.0, 100.0, 700.0}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      EXPECT_EQ(EdgeList(EdgeRand(data.graph, eps, seed)), EdgeList(data.graph))
+          << "eps " << eps << " seed " << seed;
+    }
+  }
+}
+
+// LapGraph as it was before the selection streamed: every noisy cell stored,
+// then nth_element. The test-local oracle for the streamed selection. It
+// also asserts that the |E|-th and (|E|+1)-th scores differ, the case in
+// which the kept set does not depend on how ties are broken.
+graph::Graph FullCellSelection(const graph::Graph& g, double epsilon, uint64_t seed) {
+  const int n = g.num_nodes();
+  const int64_t num_pairs = static_cast<int64_t>(n) * (n - 1) / 2;
+  const int64_t num_edges = g.num_edges();
+  Rng rng(seed);
+  struct Cell {
+    double score;
+    int u;
+    int v;
+  };
+  std::vector<Cell> cells;
+  cells.reserve(num_pairs);
+  const double scale = 1.0 / epsilon;
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      const double base = g.HasEdge(u, v) ? 1.0 : 0.0;
+      cells.push_back({base + rng.Laplace(scale), u, v});
+    }
+  }
+
+  const int64_t keep = std::min<int64_t>(num_edges, num_pairs);
+  std::nth_element(cells.begin(), cells.begin() + keep, cells.end(),
+                   [](const Cell& a, const Cell& b) { return a.score > b.score; });
+  if (keep > 0 && keep < num_pairs) {
+    const double last_kept =
+        std::min_element(cells.begin(), cells.begin() + keep,
+                         [](const Cell& a, const Cell& b) { return a.score < b.score; })
+            ->score;
+    EXPECT_NE(last_kept, cells[keep].score) << "a tie at the selection boundary";
+  }
+  std::vector<graph::Edge> edges;
+  edges.reserve(keep);
+  for (int64_t i = 0; i < keep; ++i) edges.push_back({cells[i].u, cells[i].v});
+  return graph::Graph::FromEdges(n, edges);
+}
+
+TEST(LapGraphTest, SameEdgesAsFullCellSelection) {
+  for (const uint64_t graph_seed : {10, 16}) {
+    const auto data = SmallSbm(graph_seed, 150, 3);
+    for (const double eps : {0.1, 1.0, 4.0, 50.0}) {
+      for (const uint64_t seed : {uint64_t{3}, uint64_t{7 ^ 0xd9}, uint64_t{99}}) {
+        EXPECT_EQ(EdgeList(LapGraph(data.graph, eps, seed)),
+                  EdgeList(FullCellSelection(data.graph, eps, seed)))
+            << "graph " << graph_seed << " eps " << eps << " seed " << seed;
+      }
+    }
+  }
+  // table4's PubmedLike DP context: 3,000 nodes, ε = 4, seed 7 ^ 0xd9.
+  const graph::Graph pubmed =
+      data::GenerateSbm(data::DatasetConfig(data::DatasetId::kPubmedLike),
+                        core::kDefaultEnvSeed)
+          .graph;
+  ASSERT_EQ(pubmed.num_nodes(), 3000);
+  EXPECT_EQ(EdgeList(LapGraph(pubmed, 4.0, 7 ^ 0xd9)),
+            EdgeList(FullCellSelection(pubmed, 4.0, 7 ^ 0xd9)));
+}
+
+TEST(LapGraphTest, EdgelessAndTinyGraphsStayEdgeless) {
+  for (const int n : {0, 1, 2, 40}) {
+    const graph::Graph out = LapGraph(graph::Graph::FromEdges(n, {}), 1.0, 5);
+    EXPECT_EQ(out.num_nodes(), n);
+    EXPECT_EQ(out.num_edges(), 0) << "n " << n;
+  }
+  // keep = n(n-1)/2: the one cell of a 2-node graph is kept at any ε.
+  const graph::Graph pair = LapGraph(graph::Graph::FromEdges(2, {{0, 1}}), 0.1, 5);
+  EXPECT_EQ(EdgeList(pair), (std::vector<std::pair<int, int>>{{0, 1}}));
+}
+
+// The selection order with crafted scores: score descending, then pair index
+// ascending, whatever order the cells are offered in.
+TEST(LapGraphTest, SelectionBreaksTiesByPairIndex) {
+  using internal::OfferCell;
+  using internal::ScoredCell;
+  const auto kept_indices = [](const std::vector<ScoredCell>& kept) {
+    std::vector<int64_t> out;
+    for (const ScoredCell& c : kept) out.push_back(c.index);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  // Three cells tie at the boundary score 0.5; the lowest index wins.
+  std::vector<ScoredCell> kept;
+  for (const ScoredCell& c : {ScoredCell{0.5, 6, 0, 0}, ScoredCell{2.0, 9, 0, 0},
+                              ScoredCell{0.5, 4, 0, 0}, ScoredCell{-1.0, 0, 0, 0},
+                              ScoredCell{0.5, 5, 0, 0}}) {
+    OfferCell(c, 2, &kept);
+  }
+  EXPECT_EQ(kept_indices(kept), (std::vector<int64_t>{4, 9}));
+
+  // keep == 0 keeps nothing.
+  kept.clear();
+  OfferCell({1.0, 0, 0, 1}, 0, &kept);
+  EXPECT_TRUE(kept.empty());
+
+  // Streams full of ties against a full sort under the same order.
+  Rng rng(21);
+  for (const size_t keep : {size_t{1}, size_t{7}, size_t{50}, size_t{200}}) {
+    std::vector<ScoredCell> stream;
+    for (int64_t i = 0; i < 200; ++i) {
+      stream.push_back({static_cast<double>(rng.UniformInt(5)), i, 0, 0});
+    }
+    rng.Shuffle(&stream);
+    kept.clear();
+    for (const ScoredCell& c : stream) OfferCell(c, keep, &kept);
+    std::sort(stream.begin(), stream.end(), internal::RanksAbove);
+    stream.resize(keep);
+    EXPECT_EQ(kept_indices(kept), kept_indices(stream)) << "keep " << keep;
+  }
 }
 
 TEST(LapGraphTest, KeepsEdgeBudget) {

@@ -951,10 +951,10 @@ TEST(ArtifactTest, WritesUniformSchemaGolden) {
   // The uniform schema every sweep artifact shares (CI diffs the same list
   // against bench/golden/artifact_schema.txt).
   for (const char* key :
-       {"\"schema_version\": 6", "\"sweep\"", "\"title\"", "\"backend\"",
+       {"\"schema_version\": 7", "\"sweep\"", "\"title\"", "\"backend\"",
         "\"backend_threads\"", "\"runner_threads\"", "\"env_seed\"",
         "\"seeds\"", "\"stable\"", "\"wall_seconds\"",
-        "\"trainer_invocations\"", "\"failed_cells\"", "\"interrupted\"",
+        "\"process_peak_rss_bytes\"", "\"trainer_invocations\"", "\"failed_cells\"", "\"interrupted\"",
         "\"skipped_cells\"", "\"cache\"", "\"env\"", "\"vanilla\"",
         "\"dp_context\"", "\"pp_context\"",
         "\"fr\"", "\"cell\"", "\"hits\"", "\"misses\"", "\"disk_hits\"",
@@ -968,6 +968,13 @@ TEST(ArtifactTest, WritesUniformSchemaGolden) {
     EXPECT_NE(json.find(key), std::string::npos) << "artifact missing " << key;
   }
   EXPECT_NE(json.find("\"sweep\": \"artifact_probe\""), std::string::npos);
+  // The sweep reads the process's peak RSS (VmHWM) when it ends; the peak
+  // only grows, so a later read is at least as large.
+  EXPECT_GT(result.process_peak_rss_bytes, 0);
+  EXPECT_LE(result.process_peak_rss_bytes, la::ProcessPeakRssBytes());
+  EXPECT_NE(json.find("\"process_peak_rss_bytes\": " +
+                      std::to_string(result.process_peak_rss_bytes)),
+            std::string::npos);
   EXPECT_EQ(json.find("\"retries\""), std::string::npos);
   // A non-finite metric serialises as null but announces itself with a
   // sibling marker instead of corrupting the trajectory silently.
@@ -984,6 +991,7 @@ TEST(ArtifactTest, WritesUniformSchemaGolden) {
   const std::string stable_json = ReadFileOrDie(stable_path);
   EXPECT_NE(stable_json.find("\"stable\": true"), std::string::npos);
   EXPECT_NE(stable_json.find("\"wall_seconds\": 0"), std::string::npos);
+  EXPECT_NE(stable_json.find("\"process_peak_rss_bytes\": 0,"), std::string::npos);
   EXPECT_NE(stable_json.find("\"trainer_invocations\": 0"), std::string::npos);
   EXPECT_NE(stable_json.find("\"runner_threads\": 0"), std::string::npos);
   EXPECT_NE(stable_json.find("\"backend_threads\": 0"), std::string::npos);
